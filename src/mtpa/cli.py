@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, matrices
-from .config import _matrix_from_key, parse_config
+from .config import parse_config
 from .errors import MtpaError, ValidationError
-from .graph import new_graph, run
-from .harness import (ExperimentConfig, convergence_series,
+from .graph import SeedGraphSpec, new_graph, run
+from .harness import (GRAPH, ExperimentConfig, convergence_series,
                       perturbed_vs_unperturbed_study, replicate_stream,
                       run_experiment)
 from .output import (write_csv, write_distribution_csv, write_graph_snapshots,
@@ -117,53 +117,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_matrix(args, n_types: int) -> np.ndarray:
+# flag -> ExperimentConfig field, for flags that set a field as given
+_FIELD_FLAGS = {"seed": "master_seed", "steps": "n_steps",
+                "replicates": "replicates", "snapshot_every": "snapshot_every",
+                "n_types": "n_types", "m_edges": "m_edges"}
+
+
+def _resolve_config(args, model: str | None = None,
+                    need_f: bool = True) -> ExperimentConfig:
+    """The one path from a config file and flags to a config.
+
+    A config file supplies every field; without one, --n is required and F
+    comes from --f or --f-file (the identity when there is one type or the
+    command never reads F). Every flag given then overrides its field the
+    same way in every subcommand.
+    """
+    fields = {field: getattr(args, flag) for flag, field in _FIELD_FLAGS.items()
+              if getattr(args, flag, None) is not None}
+    if model is not None:
+        fields["model"] = model
+    base = parse_config(args.config) if args.config else None
+    n_types = fields.get("n_types", base.n_types if base else None)
+    if n_types is None:
+        raise ValidationError("either --config or --n is required")
     if getattr(args, "f_file", None):
-        return matrices.read_matrix(args.f_file)
-    if getattr(args, "f", None):
-        return _matrix_from_key(args.f, n_types, "f")
-    if n_types == 1:
-        return np.array([[1.0]])
-    raise ValidationError("--f (or --f-file, or a config file) is required "
-                          "when --n > 1")
-
-
-def _resolve_config(args, model: str | None = None) -> ExperimentConfig:
-    if args.config:
-        cfg = parse_config(args.config)
-        if model is not None and cfg.model != model:
-            cfg = dataclasses.replace(cfg, model=model)
-    else:
-        n_types = getattr(args, "n_types", None)
-        if n_types is None:
-            raise ValidationError("either --config or --n is required")
-        f_matrix = _resolve_matrix(args, n_types)
-        cfg = ExperimentConfig(
-            model=model or "graph",
-            n_types=n_types,
-            m_edges=getattr(args, "m_edges", None) or 1,
-            f_matrix=f_matrix,
-        )
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.steps is not None:
-        overrides["n_steps"] = args.steps
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.snapshot_every is not None:
-        overrides["snapshot_every"] = args.snapshot_every
-    if getattr(args, "m_edges", None) and args.config:
-        overrides["m_edges"] = args.m_edges
+        fields["f_matrix"] = matrices.read_matrix(args.f_file)
+    elif getattr(args, "f", None):
+        fields["f_matrix"] = matrices.parse_matrix(args.f, n_types, what="f")
     if getattr(args, "seed_graph", None):
-        from .graph import SeedGraphSpec
-        overrides["seed_edges"] = SeedGraphSpec.from_file(
-            args.seed_graph, cfg.n_types).edges
+        fields["seed_edges"] = SeedGraphSpec.from_file(args.seed_graph,
+                                                       n_types).edges
     if getattr(args, "c0", None):
-        overrides["initial_composition"] = [int(t) for t in args.c0.split(",")]
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+        fields["initial_composition"] = [int(t) for t in args.c0.split(",")]
+    if base is not None:
+        return dataclasses.replace(base, **fields)
+    if "f_matrix" not in fields:
+        if n_types > 1 and need_f:
+            raise ValidationError("--f (or --f-file, or a config file) is "
+                                  "required when --n > 1")
+        fields["f_matrix"] = np.eye(n_types)
+    fields.setdefault("model", GRAPH)
+    m_edges = fields.setdefault("m_edges", 1)
+    return ExperimentConfig(max_weight=max(30, m_edges + 10), **fields)
 
 
 def _out_dir(args) -> Path:
@@ -205,30 +200,14 @@ def _cmd_simulate_urn(args) -> int:
     return 0
 
 
-def _solver_params(args, need_f: bool = True):
-    if args.config:
-        cfg = parse_config(args.config)
-        n, m, f = cfg.n_types, cfg.m_edges, cfg.f_matrix
-        dmax = cfg.max_weight
-    else:
-        n = args.n_types
-        if n is None:
-            raise ValidationError("either --config or --n is required")
-        m = args.m_edges or 1
-        f = _resolve_matrix(args, n) if need_f else None
-        dmax = 30
-    if args.dmax is not None:
-        dmax = args.dmax
-    return n, m, f, dmax
-
-
 def _cmd_solve(args) -> int:
-    n, m, f, dmax = _solver_params(args)
+    cfg = _resolve_config(args)
+    dmax = cfg.max_weight if args.dmax is None else args.dmax
     out = _out_dir(args)
-    dist = solve_recurrence(f, m, dmax)
-    path = write_distribution_csv(out / "distribution.csv", dist, n)
-    config = {"n_types": n, "m_edges": m, "d_max": dmax,
-              "f": [float(v) for v in np.asarray(f).ravel()]}
+    dist = solve_recurrence(cfg.f_matrix, cfg.m_edges, dmax)
+    path = write_distribution_csv(out / "distribution.csv", dist, cfg.n_types)
+    config = {"n_types": cfg.n_types, "m_edges": cfg.m_edges, "d_max": dmax,
+              "f": [float(v) for v in cfg.f_matrix.ravel()]}
     _manifest(args, out, config, args.seed, [path])
     print(f"wrote {path} ({len(dist.masses)} degree vectors, "
           f"total mass {dist.total():.6f})")
@@ -236,7 +215,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_solve_unperturbed(args) -> int:
-    n, m, _, dmax = _solver_params(args, need_f=False)
+    cfg = _resolve_config(args, need_f=False)
+    n, m = cfg.n_types, cfg.m_edges
+    dmax = cfg.max_weight if args.dmax is None else args.dmax
     if args.psi:
         psi = np.array([float(t) for t in args.psi.split(",")])
     elif args.e0:
@@ -244,7 +225,7 @@ def _cmd_solve_unperturbed(args) -> int:
         counts = [int(t) for t in args.e0.split(",")]
         if m != 1:
             raise ValidationError("--e0 proportions only apply with --m 1")
-        rng = replicate_stream(args.seed or 0, 0, lane=1)
+        rng = replicate_stream(cfg.master_seed, 0, lane=1)
         psi = dirichlet_psi_sample(counts, rng)
     else:
         raise ValidationError("--psi or --e0 is required")
@@ -312,28 +293,18 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.config:
-        cfg = parse_config(args.config)
-        f, seed = cfg.f_matrix, cfg.master_seed
-    else:
-        n = args.n_types
-        if n is None:
-            raise ValidationError("either --config or --n is required")
-        f = _resolve_matrix(args, n)
-        seed = args.seed or 0
-    if args.seed is not None:
-        seed = args.seed
-    sampler = bernoulli_column_sampler(f)
+    cfg = _resolve_config(args)
+    sampler = bernoulli_column_sampler(cfg.f_matrix)
     report = assumption_audit(sampler, args.samples,
-                              replicate_stream(seed, 0, lane=2))
+                              replicate_stream(cfg.master_seed, 0, lane=2))
     out = _out_dir(args)
     path = out / "audit.txt"
     with open(path, "w") as fh:
         for line in report.lines():
             fh.write(line + "\n")
-    config = {"f": [float(v) for v in np.asarray(f).ravel()],
+    config = {"f": [float(v) for v in cfg.f_matrix.ravel()],
               "samples": args.samples}
-    _manifest(args, out, config, seed, [path])
+    _manifest(args, out, config, cfg.master_seed, [path])
     for line in report.lines():
         print(line)
     return 0

@@ -32,49 +32,30 @@ shorthand ``symmetric:p`` expands to a matrix with p on the diagonal and
     psi_tolerance = 0.02
     pass_fraction = 0.95
 
-Every key is optional except [model] types (and f when types > 1).
+Every key is optional except [model] types (and f when types > 1). A
+relative seed_graph path is taken from the config file's directory. Any
+section or key not listed above is an error, as is a decaying schedule
+with kind = urn (the urn has no step-dependent columns).
 """
 from __future__ import annotations
 
 import configparser
-
-import numpy as np
+from pathlib import Path
 
 from .errors import ParseError, ValidationError
 from .graph import CONSTANT, SeedGraphSpec
 from .harness import ExperimentConfig
-from .matrices import ROW_SUM_TOL
+from .matrices import parse_matrix
 
-
-def _matrix_from_key(text: str, n: int, key: str) -> np.ndarray:
-    text = text.strip()
-    if text.startswith("symmetric:"):
-        try:
-            diag = float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValidationError(f"{key}: bad symmetric shorthand") from exc
-        if not 0.0 <= diag <= 1.0:
-            raise ValidationError(f"{key}: diagonal {diag} outside [0, 1]")
-        if n == 1:
-            return np.array([[1.0]])
-        off = (1.0 - diag) / (n - 1)
-        return np.full((n, n), off) + np.eye(n) * (diag - off)
-    try:
-        entries = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"{key}: {exc}") from exc
-    if len(entries) != n * n:
-        raise ValidationError(
-            f"{key}: expected {n * n} entries, got {len(entries)}")
-    return np.array(entries, dtype=float).reshape(n, n)
-
-
-def _check_rows(matrix: np.ndarray, key: str) -> None:
-    if np.any(matrix < -ROW_SUM_TOL) or np.any(matrix > 1.0 + ROW_SUM_TOL):
-        raise ValidationError(f"{key} has entries outside [0, 1]")
-    for i, s in enumerate(matrix.sum(axis=1)):
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            raise ValidationError(f"{key} row {i + 1} sums to {s!r}, not 1")
+KEYS = {
+    "model": {"kind", "types", "edges_per_step", "f", "schedule", "decay",
+              "decay_rho"},
+    "run": {"steps", "snapshot_every", "replicates", "master_seed"},
+    "graph": {"seed_graph"},
+    "urn": {"initial_composition"},
+    "compare": {"d_max", "cutoff", "tv_tolerance", "psi_tolerance",
+                "pass_fraction"},
+}
 
 
 def _ints(text: str, key: str) -> list:
@@ -82,6 +63,17 @@ def _ints(text: str, key: str) -> list:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"{key}: {exc}") from exc
+
+
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    if parser.defaults():
+        raise ValidationError(f"unknown config section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in KEYS:
+            raise ValidationError(f"unknown config section [{section}]")
+        for key in parser.options(section):
+            if key not in KEYS[section]:
+                raise ValidationError(f"unknown config key {section}.{key}")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -94,6 +86,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ParseError(f"config {path}: {exc}") from exc
+    _check_keys(parser)
 
     def get(section, key, fallback=None):
         return parser.get(section, key, fallback=fallback)
@@ -131,21 +124,21 @@ def parse_config(path) -> ExperimentConfig:
     if f_raw is None:
         if n_types != 1:
             raise ValidationError("model.f is required when types > 1")
-        f_matrix = np.array([[1.0]])
+        f_matrix = [[1.0]]
     else:
-        f_matrix = _matrix_from_key(f_raw, n_types, "f")
-    _check_rows(f_matrix, "f")
+        f_matrix = parse_matrix(f_raw, n_types, what="f")
 
     schedule_kind = (get("model", "schedule", CONSTANT) or CONSTANT).strip().lower()
     decay_raw = get("model", "decay")
     decay_matrix = (None if decay_raw is None
-                    else _matrix_from_key(decay_raw, n_types, "decay"))
+                    else parse_matrix(decay_raw, n_types, what="decay"))
     decay_rho = get_float("model", "decay_rho", 1.0)
 
     seed_edges = None
     seed_path = get("graph", "seed_graph")
     if seed_path:
-        seed_edges = SeedGraphSpec.from_file(seed_path.strip(), n_types).edges
+        seed_file = Path(path).parent / seed_path.strip()
+        seed_edges = SeedGraphSpec.from_file(seed_file, n_types).edges
 
     composition_raw = get("urn", "initial_composition")
     initial_composition = (None if composition_raw is None

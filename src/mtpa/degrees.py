@@ -17,11 +17,6 @@ THEORETICAL_PERTURBED = "THEORETICAL_PERTURBED"
 THEORETICAL_UNPERTURBED = "THEORETICAL_UNPERTURBED"
 
 
-def weight(d: Iterable[int]) -> int:
-    """Total degree: the sum of the per-type counts."""
-    return sum(d)
-
-
 def sort_key(d: Degree) -> tuple:
     """Canonical ordering: by weight, then lexicographic."""
     return (sum(d), d)
@@ -65,9 +60,6 @@ class DegreeDistribution:
 
     def total(self) -> float:
         return sum(self.masses.values())
-
-    def total_up_to(self, max_w: int) -> float:
-        return sum(p for d, p in self.masses.items() if sum(d) <= max_w)
 
     def items_sorted(self) -> list:
         return sorted(self.masses.items(), key=lambda item: sort_key(item[0]))

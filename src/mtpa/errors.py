@@ -27,14 +27,6 @@ class EmptyPool(MtpaError):
     """Degree-proportional sampling attempted on a graph with no edges."""
 
 
-class IsolatedEndpoint(MtpaError):
-    """Type assignment attempted for a vertex of total degree zero."""
-
-
-class BadRow(MtpaError):
-    """A perturbation row is not a probability vector."""
-
-
 # -- urn ---------------------------------------------------------------------
 
 class EmptyUrn(MtpaError):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import matrices
 from .degrees import DegreeDistribution, EMPIRICAL
-from .errors import (BadRow, EmptyGraph, EmptyPool, IsolatedEndpoint, LoopEdge,
-                     MissingType, ParseError, ValidationError)
+from .errors import (EmptyGraph, EmptyPool, LoopEdge, MissingType, ParseError,
+                     ValidationError)
 
 CONSTANT = "constant"
 DECAYING = "decaying"
@@ -110,10 +110,6 @@ class PerturbationSchedule:
             self.decay = arr
         self._constant_cdf = matrices.row_cdfs(self.limit)
 
-    @property
-    def n_types(self) -> int:
-        return self.limit.shape[0]
-
     def matrix_at(self, n: int) -> np.ndarray:
         if self.kind == CONSTANT:
             return self.limit
@@ -138,17 +134,18 @@ class TypedGraph:
     Vertices are dense 0-based ids; seed vertices keep their sorted input
     order. `census` maps degree tuples to vertex counts, `endpoint_pool` and
     `pool_types` hold two slots per edge for O(1) degree-proportional
-    sampling.
+    sampling. The pool is also the edge list: edge i joins
+    `endpoint_pool[2i]` and `endpoint_pool[2i+1]` with type `pool_types[2i]`;
+    for a grown edge the first slot is the newcomer.
     """
 
-    __slots__ = ("n_types", "num_vertices", "edges", "endpoint_pool",
+    __slots__ = ("n_types", "num_vertices", "endpoint_pool",
                  "pool_types", "per_vertex_degree", "census", "type_counts",
                  "step_index", "initial_num_vertices", "initial_num_edges")
 
     def __init__(self, n_types: int):
         self.n_types = n_types
         self.num_vertices = 0
-        self.edges = []            # (a, b, type_index)
         self.endpoint_pool = []    # vertex id per slot, 2 slots per edge
         self.pool_types = []       # owning edge's type per slot
         self.per_vertex_degree = []  # vertex id -> degree tuple
@@ -160,7 +157,7 @@ class TypedGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.endpoint_pool) // 2
 
 
 def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
@@ -187,7 +184,6 @@ def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
         if not 0 <= t < n:
             raise ValidationError(f"edge type index {t} outside [0, {n})")
         ia, ib = index[a], index[b]
-        graph.edges.append((ia, ib, t))
         graph.endpoint_pool.append(ia)
         graph.endpoint_pool.append(ib)
         graph.pool_types.append(t)
@@ -198,57 +194,11 @@ def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
     for t, count in enumerate(graph.type_counts):
         if count == 0:
             raise MissingType(t + 1)
-    graph.initial_num_edges = len(graph.edges)
+    graph.initial_num_edges = graph.num_edges
     graph.per_vertex_degree = [tuple(deg) for deg in degrees]
     for deg in graph.per_vertex_degree:
         graph.census[deg] = graph.census.get(deg, 0) + 1
     return graph
-
-
-def sample_endpoint(graph: TypedGraph, rng: np.random.Generator) -> int:
-    """Draw a vertex with probability proportional to its total degree."""
-    pool = graph.endpoint_pool
-    size = len(pool)
-    if size == 0:
-        raise EmptyPool("graph has no edges to sample from")
-    slot = int(rng.random() * size)
-    if slot == size:  # cannot happen for size < 2**53; defensive
-        slot -= 1
-    return pool[slot]
-
-
-def assign_initial_type(graph: TypedGraph, endpoint: int,
-                        rng: np.random.Generator) -> int:
-    """Draw a type with the endpoint's incident-type proportions.
-
-    Equivalent to picking one of the endpoint's incident edges uniformly and
-    returning its type.
-    """
-    deg = graph.per_vertex_degree[endpoint]
-    total = sum(deg)
-    if total == 0:
-        raise IsolatedEndpoint(f"vertex {endpoint} has degree 0")
-    x = rng.random() * total
-    acc = deg[0]
-    t = 0
-    while x >= acc:
-        t += 1
-        acc += deg[t]
-    return t
-
-
-def perturb_type(initial_type: int, row, rng: np.random.Generator) -> int:
-    """Flip a type according to one probability row of the perturbation matrix."""
-    row = np.asarray(row, dtype=float)
-    if np.any(row < 0) or abs(row.sum() - 1.0) > matrices.ROW_SUM_TOL:
-        raise BadRow(f"row for type {initial_type + 1} is not a probability vector")
-    u = rng.random()
-    acc = 0.0
-    for t, p in enumerate(row):
-        acc += p
-        if u < acc:
-            return t
-    return len(row) - 1
 
 
 def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
@@ -284,12 +234,10 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
             final += 1
         chosen.append((endpoint, final))
 
-    edges = graph.edges
     type_counts = graph.type_counts
     new_degree = [0] * n_types
     gained = {}
     for endpoint, final in chosen:
-        edges.append((new_vertex, endpoint, final))
         type_counts[final] += 1
         new_degree[final] += 1
         pool_v.append(new_vertex)
@@ -322,7 +270,7 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
 
 
 def edge_type_proportions(graph: TypedGraph) -> tuple:
-    total = float(len(graph.edges))
+    total = float(graph.num_edges)
     return tuple(c / total for c in graph.type_counts)
 
 
@@ -361,11 +309,13 @@ def check_graph_invariants(graph: TypedGraph, m: int) -> list:
     """Exact conservation checks; returns human-readable violations (empty = ok)."""
     violations = []
     steps = graph.step_index
-    if len(graph.edges) != graph.initial_num_edges + m * steps:
+    pool_v, pool_t = graph.endpoint_pool, graph.pool_types
+    edges = graph.num_edges
+    if edges != graph.initial_num_edges + m * steps:
         violations.append(
-            f"edge conservation: {len(graph.edges)} edges != "
+            f"edge conservation: {edges} edges != "
             f"{graph.initial_num_edges} + {m}*{steps}")
-    if sum(graph.type_counts) != len(graph.edges):
+    if sum(graph.type_counts) != edges:
         violations.append("type counts do not sum to the edge count")
     if any(c <= 0 for c in graph.type_counts):
         violations.append("a type has no edges")
@@ -373,14 +323,17 @@ def check_graph_invariants(graph: TypedGraph, m: int) -> list:
         violations.append("census does not sum to the vertex count")
     if graph.num_vertices != graph.initial_num_vertices + steps:
         violations.append("vertex count != initial + steps")
-    if len(graph.endpoint_pool) != 2 * len(graph.edges):
-        violations.append("endpoint pool length != 2 * edges")
+    if len(pool_v) % 2 or len(pool_t) != len(pool_v):
+        violations.append("endpoint pool and type pool are not 2 slots per edge")
     handshake = sum(sum(d) for d in graph.per_vertex_degree)
-    if handshake != 2 * len(graph.edges):
+    if handshake != len(pool_v):
         violations.append(f"handshake: degree total {handshake} != 2*|E|")
+    edge_types = pool_t[0::2]
+    if edge_types != pool_t[1::2]:
+        violations.append("the two slots of an edge disagree on its type")
     recount = [0] * graph.n_types
-    for _, _, t in graph.edges:
+    for t in edge_types:
         recount[t] += 1
     if recount != graph.type_counts:
-        violations.append("type counts disagree with the edge list")
+        violations.append("type counts disagree with the edge pool")
     return violations

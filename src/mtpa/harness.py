@@ -3,18 +3,21 @@
 Replicates are independent simulations whose generators are derived from
 (master_seed, replicate_index), so reports are reproducible and do not
 depend on execution order. MTPA_THREADS caps process-level parallelism
-(unset or 1 = serial, 0 = all cores).
+(unset or 1 = serial, 0 = all cores); any other non-integer or negative
+value is an error.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import matrices
 from .degrees import DegreeDistribution
-from .errors import BadArgs, BadQuantity, ValidationError
+from .errors import BadArgs, BadQuantity, NotStochastic, ValidationError
 from .graph import (CONSTANT, PerturbationSchedule, SeedGraphSpec,
                     check_graph_invariants, edge_type_proportions,
                     empirical_distribution, new_graph, pa_step, run)
@@ -40,7 +43,10 @@ def max_workers(replicates: int) -> int:
     try:
         requested = int(raw)
     except ValueError:
-        requested = 1
+        requested = -1
+    if requested < 0:
+        raise ValidationError(
+            f"MTPA_THREADS must be a nonnegative integer, got {raw!r}")
     if requested == 0:
         requested = os.cpu_count() or 1
     return max(1, min(requested, replicates))
@@ -78,7 +84,17 @@ class ExperimentConfig:
             raise ValidationError("replicates must be >= 1")
         if self.n_steps < 0 or self.snapshot_every < 1:
             raise ValidationError("steps must be >= 0, snapshot_every >= 1")
-        self.f_matrix = np.asarray(self.f_matrix, dtype=float)
+        try:
+            self.f_matrix = matrices.as_row_stochastic(self.f_matrix, what="f")
+        except NotStochastic as exc:
+            raise ValidationError(str(exc)) from exc
+        if len(self.f_matrix) != self.n_types:
+            raise ValidationError(
+                f"f has {len(self.f_matrix)} rows for {self.n_types} types")
+        if self.model == URN and self.schedule_kind != CONSTANT:
+            raise ValidationError(
+                "the urn model has no step-dependent columns; "
+                f"schedule must be {CONSTANT}, got {self.schedule_kind!r}")
         if self.cutoff is None:
             self.cutoff = self.m_edges + 10
         if self.cutoff > self.max_weight:
@@ -187,8 +203,8 @@ def _graph_replicate(cfg: ExperimentConfig, index: int):
         pa_step(graph, schedule, cfg.m_edges, rng)
     violations = check_graph_invariants(graph, cfg.m_edges)
     emp = empirical_distribution(graph)
-    truncated = {d: p for d, p in emp.masses.items()
-                 if sum(d) <= cfg.cutoff}
+    truncated = DegreeDistribution({d: p for d, p in emp.masses.items()
+                                    if sum(d) <= cfg.cutoff})
     return ReplicateResult(index, None, edge_type_proportions(graph), 0.0,
                            violations), truncated
 
@@ -202,20 +218,15 @@ def _urn_replicate(cfg: ExperimentConfig, index: int):
     return ReplicateResult(index, None, urn.fractions(), 0.0, violations), None
 
 
-def _worker(args):
-    cfg, index = args
-    if cfg.model == GRAPH:
-        return _graph_replicate(cfg, index)
-    return _urn_replicate(cfg, index)
-
-
-def _map_replicates(cfg: ExperimentConfig) -> list:
-    jobs = [(cfg, r) for r in range(cfg.replicates)]
+def _map_replicates(cfg: ExperimentConfig, task) -> list:
+    """`task(index)` for every replicate index, in index order; `task` must
+    pickle, so it is a module-level function or a partial of one."""
+    indices = range(cfg.replicates)
     workers = max_workers(cfg.replicates)
     if workers == 1:
-        return [_worker(job) for job in jobs]
+        return [task(r) for r in indices]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker, jobs))
+        return list(pool.map(task, indices))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
@@ -224,43 +235,33 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     Tolerance failures are recorded in the report, not raised.
     """
     psi_ref = stationary_type_distribution(cfg.f_matrix)
-    raw = _map_replicates(cfg)
+    replicate = _graph_replicate if cfg.model == GRAPH else _urn_replicate
+    raw = _map_replicates(cfg, partial(replicate, cfg))
+    results = [result for result, _ in raw]
+    for result in results:
+        result.psi_error = float(np.max(np.abs(
+            np.asarray(result.psi) - psi_ref)))
 
     failures = []
+    unaccounted = None
+    per_degree = {}
+    mean_tv = None
     if cfg.model == GRAPH:
         theory = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
-        theory_cut = {d: p for d, p in theory.masses.items()
-                      if sum(d) <= cfg.cutoff}
-        unaccounted = 1.0 - sum(theory_cut.values())
-        results = []
-        error_acc = {d: 0.0 for d in theory_cut}
+        theory_cut = DegreeDistribution(
+            {d: p for d, p in theory.masses.items() if sum(d) <= cfg.cutoff})
+        unaccounted = 1.0 - theory_cut.total()
+        error_acc = dict.fromkeys(theory_cut.masses, 0.0)
         for result, truncated in raw:
-            support = set(truncated) | set(theory_cut)
-            tv = 0.5 * sum(abs(truncated.get(d, 0.0) - theory_cut.get(d, 0.0))
-                           for d in support)
-            result.tv = tv
-            result.psi_error = float(np.max(np.abs(
-                np.asarray(result.psi) - psi_ref)))
-            for d in support:
-                error_acc.setdefault(d, 0.0)
-                error_acc[d] += truncated.get(d, 0.0)
-            results.append(result)
-        n_rep = len(results)
-        per_degree = {d: (error_acc[d] / n_rep, theory_cut.get(d, 0.0))
-                      for d in error_acc}
+            result.tv = tv_distance(truncated, theory_cut, cfg.cutoff)
+            for d, p in truncated.masses.items():
+                error_acc[d] = error_acc.get(d, 0.0) + p
+        per_degree = {d: (acc / len(results), theory_cut.mass(d))
+                      for d, acc in error_acc.items()}
         mean_tv = float(np.mean([r.tv for r in results]))
         if mean_tv > cfg.tv_tolerance:
             failures.append(
                 f"mean TV {mean_tv:.6f} exceeds {cfg.tv_tolerance:g}")
-    else:
-        unaccounted = None
-        per_degree = {}
-        mean_tv = None
-        results = []
-        for result, _ in raw:
-            result.psi_error = float(np.max(np.abs(
-                np.asarray(result.psi) - psi_ref)))
-            results.append(result)
 
     ok = sum(1 for r in results if r.psi_error <= cfg.psi_tolerance)
     psi_ok_fraction = ok / len(results)
@@ -288,11 +289,31 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     )
 
 
+def _series_replicate(cfg: ExperimentConfig, index: int, theory=None) -> list:
+    """(n, proportions) per snapshot of one replicate, or (n, TV to
+    `theory`) when a theoretical distribution is given."""
+    rng = replicate_stream(cfg.master_seed, index)
+    if cfg.model == URN:
+        sampler = bernoulli_column_sampler(cfg.f_matrix)
+        urn = new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
+        snaps = run_urn(urn, sampler, cfg.n_steps, cfg.snapshot_every, rng)
+        return [(s.n, s.fractions) for s in snaps]
+    graph = new_graph(cfg.seed_spec())
+    snaps = run(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps,
+                cfg.snapshot_every, rng)
+    if theory is None:
+        return [(s.n, s.psi) for s in snaps]
+    return [(s.n, tv_distance(s.distribution, theory, cfg.cutoff))
+            for s in snaps]
+
+
 def _analytic_grid(cfg: ExperimentConfig) -> list:
+    """(n, modelled edge count before step n) on the snapshot grid."""
+    initial_edges = sum(cfg.seed_spec().type_counts())
     grid = sorted({1, cfg.n_steps}
                   | {k for k in range(cfg.snapshot_every, cfg.n_steps + 1,
                                       cfg.snapshot_every)})
-    return [n for n in grid if n >= 1]
+    return [(n, initial_edges + cfg.m_edges * (n - 1)) for n in grid if n >= 1]
 
 
 def convergence_series(cfg: ExperimentConfig, quantity: str, *,
@@ -309,20 +330,9 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
                   + [f"psi_{l + 1}" for l in range(cfg.n_types)]
                   + ["max_abs_error"])
         rows = []
-        for r in range(cfg.replicates):
-            rng = replicate_stream(cfg.master_seed, r)
-            if cfg.model == GRAPH:
-                graph = new_graph(cfg.seed_spec())
-                snaps = run(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps,
-                            cfg.snapshot_every, rng)
-                series = [(s.n, s.psi) for s in snaps]
-            else:
-                sampler = bernoulli_column_sampler(cfg.f_matrix)
-                urn = new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
-                snaps = run_urn(urn, sampler, cfg.n_steps, cfg.snapshot_every,
-                                rng)
-                series = [(s.n, s.fractions) for s in snaps]
-            for n, psi in series:
+        series = _map_replicates(cfg, partial(_series_replicate, cfg))
+        for r, snapshots in enumerate(series):
+            for n, psi in snapshots:
                 err = max(abs(a - b) for a, b in zip(psi, psi_ref))
                 rows.append((r, n) + tuple(psi) + (err,))
         return header, rows
@@ -331,29 +341,19 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
         if cfg.model != GRAPH:
             raise BadQuantity("tv series requires the graph model")
         theory = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
-        header = ["replicate", "n", "tv"]
-        rows = []
-        for r in range(cfg.replicates):
-            rng = replicate_stream(cfg.master_seed, r)
-            graph = new_graph(cfg.seed_spec())
-            snaps = run(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps,
-                        cfg.snapshot_every, rng)
-            for snap in snaps:
-                rows.append((r, snap.n,
-                             tv_distance(snap.distribution, theory,
-                                         cfg.cutoff)))
-        return header, rows
+        series = _map_replicates(
+            cfg, partial(_series_replicate, cfg, theory=theory))
+        return ["replicate", "n", "tv"], [(r,) + row for r, rows in
+                                          enumerate(series) for row in rows]
 
     if name in ("u_n", "un"):
         if degree is None:
             raise BadArgs("u_n series needs a target degree")
         d = tuple(int(v) for v in degree)
-        initial_edges = sum(cfg.seed_spec().type_counts())
         limit = sum(d) / 2.0
         header = ["n", "u_n", "limit", "abs_error"]
         rows = []
-        for n in _analytic_grid(cfg):
-            edges_prev = initial_edges + cfg.m_edges * (n - 1)
+        for n, edges_prev in _analytic_grid(cfg):
             value = n * (1.0 - exact_no_edge_probability(d, edges_prev,
                                                          cfg.m_edges))
             rows.append((n, value, limit, abs(value - limit)))
@@ -364,15 +364,13 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
             raise BadArgs("np_el series needs a target degree and type")
         d = tuple(int(v) for v in degree)
         l = int(type_index)
-        initial_edges = sum(cfg.seed_spec().type_counts())
         schedule = cfg.schedule()
         limit = edge_gain_rate_limit(d, l, schedule.limit)
         previous = d[:l] + (d[l] - 1,) + d[l + 1:]
         unit = tuple(1 if k == l else 0 for k in range(len(d)))
         header = ["n", "n_times_p", "limit", "abs_error"]
         rows = []
-        for n in _analytic_grid(cfg):
-            edges_prev = initial_edges + cfg.m_edges * (n - 1)
+        for n, edges_prev in _analytic_grid(cfg):
             value = n * exact_attachment_probability(
                 previous, unit, edges_prev, cfg.m_edges,
                 schedule.matrix_at(n))

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotIrreducible, NotStochastic, ParseError
+from .errors import NotIrreducible, NotStochastic, ParseError, ValidationError
 
 ROW_SUM_TOL = 1e-12
 # entries at or below this are treated as structural zeros when testing
@@ -36,10 +36,37 @@ def as_row_stochastic(values, n_types: int | None = None, *, what: str = "matrix
     return arr
 
 
+def parse_matrix(text: str, n: int, *, what: str = "matrix") -> np.ndarray:
+    """Parse an n x n matrix: a row-major comma list, or ``symmetric:p``.
+
+    The shorthand expands to p on the diagonal and (1-p)/(n-1) elsewhere.
+    Only the shape is checked here, not stochasticity.
+    """
+    text = text.strip()
+    if text.startswith("symmetric:"):
+        try:
+            diag = float(text.split(":", 1)[1])
+        except ValueError as exc:
+            raise ValidationError(f"{what}: bad symmetric shorthand") from exc
+        if not 0.0 <= diag <= 1.0:
+            raise ValidationError(f"{what}: diagonal {diag} outside [0, 1]")
+        if n == 1:
+            return np.array([[1.0]])
+        off = (1.0 - diag) / (n - 1)
+        return np.full((n, n), off) + np.eye(n) * (diag - off)
+    try:
+        entries = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"{what}: {exc}") from exc
+    if len(entries) != n * n:
+        raise ValidationError(
+            f"{what}: expected {n * n} entries, got {len(entries)}")
+    return np.array(entries, dtype=float).reshape(n, n)
+
+
 def is_irreducible(matrix: np.ndarray, threshold: float = STRUCTURAL_ZERO) -> bool:
     """Strong connectivity of the digraph with an arc k->l iff entry > threshold."""
     arr = np.asarray(matrix, dtype=float)
-    n = arr.shape[0]
     adjacency = arr > threshold
     return _reaches_all(adjacency) and _reaches_all(adjacency.T)
 

@@ -105,6 +105,17 @@ def _mass_of_fresh_vertex(d: Degree, m: int, assignment_rates) -> float:
     return math.exp(log_value)
 
 
+def _check_lattice(n: int, m: int, max_weight: int, lattice_cap: int) -> None:
+    if m < 1:
+        raise BadArgs("m must be at least 1")
+    if max_weight < m:
+        raise BadArgs("max_weight must be at least m")
+    if lattice_size(n, max_weight) > lattice_cap:
+        raise CapacityExceeded(
+            f"lattice up to weight {max_weight} in {n} types exceeds "
+            f"{lattice_cap} cells")
+
+
 def solve_recurrence(type_flip_matrix, m: int, max_weight: int, *,
                      lattice_cap: int = LATTICE_CAP) -> DegreeDistribution:
     """Asymptotic degree distribution of the perturbed dynamics.
@@ -116,16 +127,9 @@ def solve_recurrence(type_flip_matrix, m: int, max_weight: int, *,
     (d - e_l) . F[:, l] / (s + 2). Vectors lighter than m have mass zero
     and are omitted.
     """
-    if m < 1:
-        raise BadArgs("m must be at least 1")
-    if max_weight < m:
-        raise BadArgs("max_weight must be at least m")
     flip = matrices.as_row_stochastic(type_flip_matrix, what="F")
     n = flip.shape[0]
-    if lattice_size(n, max_weight) > lattice_cap:
-        raise CapacityExceeded(
-            f"lattice up to weight {max_weight} in {n} types exceeds "
-            f"{lattice_cap} cells")
+    _check_lattice(n, m, max_weight, lattice_cap)
     psi = stationary_type_distribution(flip)
     assignment_rates = tuple(float(r) for r in psi @ flip)
     columns = tuple(tuple(float(v) for v in flip[:, l]) for l in range(n))
@@ -168,15 +172,8 @@ def solve_unperturbed_recurrence(psi, m: int, max_weight: int, *,
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 1 or np.any(psi < 0) or abs(psi.sum() - 1.0) > 1e-12:
         raise BadPsi(f"psi {psi!r} is not a probability vector")
-    if m < 1:
-        raise BadArgs("m must be at least 1")
-    if max_weight < m:
-        raise BadArgs("max_weight must be at least m")
     n = psi.size
-    if lattice_size(n, max_weight) > lattice_cap:
-        raise CapacityExceeded(
-            f"lattice up to weight {max_weight} in {n} types exceeds "
-            f"{lattice_cap} cells")
+    _check_lattice(n, m, max_weight, lattice_cap)
 
     masses = {}
     for s in range(m, max_weight + 1):

@@ -58,18 +58,14 @@ def bernoulli_column_sampler(type_flip_matrix) -> ReplacementSampler:
         raise BadMatrix(str(exc)) from exc
     n = flip.shape[0]
     cdfs = matrices.row_cdfs(flip)
+    cdf_table = np.array(cdfs)
     generating = flip.T.copy()
 
     def sample_fn(step: int, rng: np.random.Generator) -> np.ndarray:
-        us = rng.random(n).tolist()
+        # column j's row index: the first k with u_j < cdfs[j][k]
+        rows = np.argmax(rng.random(n)[:, None] < cdf_table, axis=1)
         out = np.zeros((n, n), dtype=np.int64)
-        for j in range(n):
-            row = cdfs[j]
-            u = us[j]
-            k = 0
-            while u >= row[k]:
-                k += 1
-            out[k, j] = 1
+        out[rows, np.arange(n)] = 1
         return out
 
     return ReplacementSampler(
@@ -130,6 +126,38 @@ def new_urn(initial_composition, m: int, sampler: ReplacementSampler) -> UrnStat
                     initial_total=sum(comp))
 
 
+def _advance(comp: list, total, m: int, us: list, cdfs, picks: list):
+    """Advance `comp` over a buffer of uniforms; return the new ball total.
+
+    Per step, m colours are picked from the frozen composition with the
+    next m uniforms and stored in `picks`. With indicator row CDFs, the
+    following m uniforms then draw the applied columns, so each step takes
+    2*m uniforms and the buffer may hold many steps. Without them only one
+    step's picks are made and `comp` is left for the caller to update.
+    """
+    stride = m if cdfs is None else 2 * m
+    for pos in range(0, len(us), stride):
+        for i in range(m):
+            x = us[pos + i] * total
+            j = 0
+            acc = comp[0]
+            while x >= acc:
+                j += 1
+                acc += comp[j]
+            picks[i] = j
+        if cdfs is None:
+            break
+        for i in range(m):
+            row = cdfs[picks[i]]
+            u = us[pos + m + i]
+            k = 0
+            while u >= row[k]:
+                k += 1
+            comp[k] += 1
+        total += m
+    return total
+
+
 def urn_step(urn: UrnState, sampler: ReplacementSampler,
              rng: np.random.Generator) -> UrnState:
     """One step: m colour draws from the frozen composition, then additions.
@@ -140,41 +168,14 @@ def urn_step(urn: UrnState, sampler: ReplacementSampler,
     comp = urn.composition
     m = urn.m
     step = urn.step_index + 1
-    total = urn.total
     cdfs = sampler.indicator_row_cdfs
-    if cdfs is not None:
-        us = rng.random(2 * m).tolist()
-        picks = []
-        for i in range(m):
-            x = us[i] * total
-            j = 0
-            acc = comp[0]
-            while x >= acc:
-                j += 1
-                acc += comp[j]
-            picks.append(j)
-        for i, j in enumerate(picks):
-            row = cdfs[j]
-            u = us[m + i]
-            k = 0
-            while u >= row[k]:
-                k += 1
-            comp[k] += 1
-    else:
-        us = rng.random(m).tolist()
-        picks = []
-        for i in range(m):
-            x = us[i] * total
-            j = 0
-            acc = comp[0]
-            while x >= acc:
-                j += 1
-                acc += comp[j]
-            picks.append(j)
+    picks = [0] * m
+    us = rng.random(m if cdfs is None else 2 * m).tolist()
+    _advance(comp, urn.total, m, us, cdfs, picks)
+    if cdfs is None:
         cast = int if sampler.integer_valued else float
         for j in picks:
-            matrix = sampler.sample(step, rng)
-            column = matrix[:, j]
+            column = sampler.sample(step, rng)[:, j]
             for k in range(len(comp)):
                 comp[k] += cast(column[k])
     urn.step_index = step
@@ -189,8 +190,9 @@ def run_urn(urn: UrnState, sampler: ReplacementSampler, n_steps: int,
             snapshot_every: int, rng: np.random.Generator) -> list:
     """Run the urn, recording (step, composition, fractions) snapshots.
 
-    Same trajectory as repeated urn_step calls; indicator samplers take a
-    buffered fast path that consumes the identical uniform stream.
+    Same trajectory and uniform stream as repeated urn_step calls; indicator
+    samplers draw their uniforms in chunks of at most 8192, cut at snapshot
+    boundaries.
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
@@ -205,39 +207,22 @@ def run_urn(urn: UrnState, sampler: ReplacementSampler, n_steps: int,
                 snapshots.append(_snapshot(urn))
         return snapshots
 
-    comp = urn.composition
     m = urn.m
-    total = urn.total
     per_step = 2 * m
     block_steps = max(1, 8192 // per_step)
-    buffer = []
-    pos = 0
     picks = [0] * m
-    for step in range(1, n_steps + 1):
-        if pos + per_step > len(buffer):
-            buffer = rng.random(block_steps * per_step).tolist()
-            pos = 0
-        for i in range(m):
-            x = buffer[pos + i] * total
-            j = 0
-            acc = comp[0]
-            while x >= acc:
-                j += 1
-                acc += comp[j]
-            picks[i] = j
-        for i in range(m):
-            row = cdfs[picks[i]]
-            u = buffer[pos + m + i]
-            k = 0
-            while u >= row[k]:
-                k += 1
-            comp[k] += 1
-        pos += per_step
-        total += m
-        if step % snapshot_every == 0 or step == n_steps:
-            urn.step_index = step
+    total = urn.total
+    start = urn.step_index
+    step = 0
+    while step < n_steps:
+        boundary = min(n_steps, (step // snapshot_every + 1) * snapshot_every)
+        chunk = min(block_steps, boundary - step)
+        us = rng.random(chunk * per_step).tolist()
+        total = _advance(urn.composition, total, m, us, cdfs, picks)
+        step += chunk
+        if step == boundary:
+            urn.step_index = start + step
             snapshots.append(_snapshot(urn))
-    urn.step_index = max(urn.step_index, n_steps)
     return snapshots
 
 
@@ -303,10 +288,7 @@ def check_urn_invariants(urn: UrnState) -> list:
     violations = []
     expected = urn.initial_total + urn.gamma1 * urn.m * urn.step_index
     total = urn.total
-    if urn.integer_valued:
-        if total != expected:
-            violations.append(f"ball conservation: {total} != {expected}")
-    elif abs(total - expected) > 1e-9:
+    if abs(total - expected) > (0 if urn.integer_valued else 1e-9):
         violations.append(f"ball conservation: {total} != {expected}")
     if any(c < 0 for c in urn.composition):
         violations.append("negative ball count")

@@ -335,3 +335,105 @@ def test_config_error_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "f row" in err
+
+
+# --------------------------------------------------------------------------
+# config validation and flag resolution
+
+DECAYING_GRAPH = MINIMAL + """schedule = decaying
+decay = 0.1,-0.1,-0.1,0.1
+decay_rho = -1
+"""
+
+
+def test_config_grammar_matches_allowed_keys():
+    import mtpa.config as config
+
+    grammar = {}
+    section = None
+    for line in config.__doc__.splitlines():
+        if not line.startswith("    "):  # the grammar block is indented
+            continue
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1]
+            grammar[section] = set()
+        elif section and "=" in line:
+            grammar[section].add(line.split("=", 1)[0].strip())
+    assert grammar == config.KEYS
+
+
+@pytest.mark.parametrize("text, named", [
+    (MINIMAL.replace("edges_per_step", "edges_per_stp"), "model.edges_per_stp"),
+    (MINIMAL + "\n[run]\nstep = 100\n", "run.step"),
+    (MINIMAL + "\n[grpah]\nseed_graph = s.txt\n", "[grpah]"),
+    ("[DEFAULT]\nsteps = 5\n" + MINIMAL, "[DEFAULT]"),
+])
+def test_config_unknown_key_is_usage_error(tmp_path, capsys, text, named):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ValidationError) as err:
+        parse_config(path)
+    assert named in str(err.value)
+    assert main(["simulate-graph", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_urn_config_rejects_decaying_schedule(tmp_path, capsys):
+    urn = write_config(tmp_path, DECAYING_GRAPH.replace("kind = graph",
+                                                        "kind = urn"))
+    with pytest.raises(ValidationError):
+        parse_config(urn)
+    assert main(["compare", "--config", str(urn),
+                 "--out", str(tmp_path / "a")]) == 2
+    assert "schedule" in capsys.readouterr().err
+
+
+def test_simulate_urn_rejects_decaying_graph_config(tmp_path, capsys):
+    graph = write_config(tmp_path, DECAYING_GRAPH.replace("decay_rho = -1",
+                                                          "decay_rho = 1"))
+    assert parse_config(graph).schedule_kind == "decaying"
+    assert main(["simulate-urn", "--config", str(graph), "--steps", "10",
+                 "--out", str(tmp_path / "a")]) == 2
+    assert "schedule" in capsys.readouterr().err
+
+
+def test_seed_graph_is_relative_to_the_config_file(tmp_path, monkeypatch,
+                                                    capsys):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "seed.txt").write_text("0 1 1\n0 1 2\n1 2 1\n")
+    cfg = write_config(sub, MINIMAL + "\n[graph]\nseed_graph = seed.txt\n")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert parse_config(cfg).seed_edges == [(0, 1, 0), (0, 1, 1), (1, 2, 0)]
+    assert main(["simulate-graph", "--config", "../sub/cfg.ini",
+                 "--steps", "5", "--out", "o"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((elsewhere / "o" / "manifest.json").read_text())
+    assert manifest["config"]["seed_edges"] == [[0, 1, 0], [0, 1, 1], [1, 2, 0]]
+
+
+def test_model_flags_override_a_config_in_every_subcommand(tmp_path, capsys):
+    cfg = write_config(tmp_path, MINIMAL)
+    flags = ["--m", "2", "--f", "symmetric:0.7"]
+    for command, extra, name in (
+            ("solve", ["--dmax", "10"], "distribution.csv"),
+            ("simulate-graph", ["--steps", "50"], "distribution.csv"),
+            ("simulate-urn", ["--steps", "50"], "trajectory.csv"),
+            ("audit", ["--samples", "50"], "audit.txt")):
+        via_config, via_flags = tmp_path / f"{command}_c", tmp_path / f"{command}_f"
+        assert main([command, "--config", str(cfg)] + flags + extra
+                    + ["--out", str(via_config)]) == 0
+        assert main([command, "--n", "2"] + flags + extra
+                    + ["--out", str(via_flags)]) == 0
+        assert ((via_config / name).read_bytes()
+                == (via_flags / name).read_bytes()), command
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "solve_c" / "manifest.json").read_text())
+    assert manifest["config"]["m_edges"] == 2
+    # a type count that does not fit the config's F is a usage error
+    assert main(["solve", "--config", str(cfg), "--n", "3",
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert "types" in capsys.readouterr().err

@@ -6,14 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from mtpa.errors import (BadRow, EmptyGraph, EmptyPool, IsolatedEndpoint,
-                         LoopEdge, MissingType, NotIrreducible, NotStochastic,
-                         ParseError, ValidationError)
+from mtpa.errors import (EmptyGraph, EmptyPool, LoopEdge, MissingType,
+                         NotIrreducible, NotStochastic, ParseError,
+                         ValidationError)
 from mtpa.graph import (DECAYING, PerturbationSchedule, SeedGraphSpec,
-                        TypedGraph, assign_initial_type,
-                        check_graph_invariants, empirical_distribution,
-                        new_graph, pa_step, perturb_type, run,
-                        sample_endpoint)
+                        TypedGraph, check_graph_invariants,
+                        empirical_distribution, new_graph, pa_step, run)
 from mtpa.harness import replicate_stream
 
 F_NEAR_ID = [[0.9, 0.1], [0.1, 0.9]]
@@ -21,6 +19,24 @@ F_NEAR_ID = [[0.9, 0.1], [0.1, 0.9]]
 
 def three_sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def last_edges(g, k):
+    """The last k edges as (newcomer, endpoint, type), read from the pool."""
+    pool_v, pool_t = g.endpoint_pool, g.pool_types
+    return [(pool_v[2 * i], pool_v[2 * i + 1], pool_t[2 * i])
+            for i in range(g.num_edges - k, g.num_edges)]
+
+
+def one_step_draws(edges, n_types, f, m, seed):
+    """(endpoint, final type) of the m edges of one pa_step from a seed graph.
+
+    All draws of a step read the frozen seed state, so they are m i.i.d.
+    samples of the step's joint endpoint/type law.
+    """
+    g = new_graph(SeedGraphSpec(n_types, edges))
+    pa_step(g, PerturbationSchedule(f), m, replicate_stream(seed, 0))
+    return [(b, t) for _, b, t in last_edges(g, m)]
 
 
 # --------------------------------------------------------------------------
@@ -115,75 +131,93 @@ def test_decaying_schedule_stays_stochastic_and_converges():
 # --------------------------------------------------------------------------
 # sampling laws
 
+# pa_step draws the endpoint, the initial type and the flip from one slot
+# uniform and one flip uniform; these tests pin each factor of that law
+
 def test_sample_endpoint_symmetric_pair():
-    g = new_graph(SeedGraphSpec.default(2))
-    rng = replicate_stream(21, 0)
     n = 40_000
-    hits = sum(1 for _ in range(n) if sample_endpoint(g, rng) == 0)
+    draws = one_step_draws([(0, 1, 0), (0, 1, 1)], 2, F_NEAR_ID, n, 21)
+    hits = sum(1 for endpoint, _ in draws if endpoint == 0)
     assert abs(hits / n - 0.5) < three_sigma(0.5, n)
 
 
 def test_sample_endpoint_degree_proportional():
-    # multigraph: degrees u=3, v=2, w=1 over 2|E| = 6 slots
-    g = new_graph(SeedGraphSpec(1, [(0, 1, 0), (0, 2, 0), (0, 1, 0)]))
-    rng = replicate_stream(22, 0)
+    # multigraph: degrees u=(2,1), v=(2,0), w=(0,1) over 2|E| = 6 slots, so
+    # P(endpoint=x, final=l) = sum_k deg_x[k]/6 * F[k,l]; six cells, so the
+    # bound is four sigma
+    f = np.array([[0.7, 0.3], [0.2, 0.8]])
+    degrees = {0: (2, 1), 1: (2, 0), 2: (0, 1)}
     n = 90_000
-    counts = [0, 0, 0]
-    for _ in range(n):
-        counts[sample_endpoint(g, rng)] += 1
-    for vertex, p in ((0, 3 / 6), (1, 2 / 6), (2, 1 / 6)):
-        assert abs(counts[vertex] / n - p) < three_sigma(p, n)
-
-
-def test_sample_endpoint_empty_pool():
-    with pytest.raises(EmptyPool):
-        sample_endpoint(TypedGraph(1), replicate_stream(0, 0))
+    draws = one_step_draws([(0, 1, 0), (0, 2, 1), (0, 1, 0)], 2, f, n, 22)
+    counts = {}
+    for cell in draws:
+        counts[cell] = counts.get(cell, 0) + 1
+    assert set(counts) <= {(x, l) for x in degrees for l in (0, 1)}
+    for x, deg in degrees.items():
+        for l in (0, 1):
+            p = sum(deg[k] / 6 * f[k, l] for k in (0, 1))
+            sigma = math.sqrt(p * (1.0 - p) / n)
+            assert abs(counts.get((x, l), 0) / n - p) < 4.0 * sigma
 
 
 def test_assign_initial_type_proportions():
-    edges = [(0, 1, 0), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
-    g = new_graph(SeedGraphSpec(3, edges))
-    assert g.per_vertex_degree[0] == (2, 1, 1)
-    rng = replicate_stream(23, 0)
+    # both vertices have degree (2, 1, 1): the initial type is 0, 1, 2 with
+    # probability 1/2, 1/4, 1/4, so P(final = l) = sum_k p_k F[k, l]
+    f = np.full((3, 3), 0.1) + 0.7 * np.eye(3)
+    initial = (0.5, 0.25, 0.25)
     n = 90_000
+    draws = one_step_draws([(0, 1, 0), (0, 1, 0), (0, 1, 1), (0, 1, 2)], 3,
+                           f, n, 23)
     counts = [0, 0, 0]
-    for _ in range(n):
-        counts[assign_initial_type(g, 0, rng)] += 1
-    for t, p in ((0, 0.5), (1, 0.25), (2, 0.25)):
-        assert abs(counts[t] / n - p) < three_sigma(p, n)
+    for _, final in draws:
+        counts[final] += 1
+    for l in range(3):
+        p = sum(initial[k] * f[k, l] for k in range(3))
+        assert abs(counts[l] / n - p) < three_sigma(p, n)
 
 
 def test_assign_initial_type_degenerate_and_isolated():
-    g = new_graph(SeedGraphSpec(2, [(0, 1, 0), (0, 2, 1)]))
-    rng = replicate_stream(24, 0)
-    assert g.per_vertex_degree[1] == (1, 0)
-    assert all(assign_initial_type(g, 1, rng) == 0 for _ in range(50))
-    bare = TypedGraph(2)
-    bare.per_vertex_degree = [(0, 0)]
-    with pytest.raises(IsolatedEndpoint):
-        assign_initial_type(bare, 0, rng)
+    # vertex 1 has degree (1, 0) and vertex 2 degree (0, 1): their initial
+    # types are certain, so the final type follows row 0 or row 1 of F; a
+    # vertex of degree 0 (the newcomer) is never drawn
+    f = np.array([[0.9, 0.1], [0.2, 0.8]])
+    n = 60_000
+    draws = one_step_draws([(0, 1, 0), (0, 2, 1)], 2, f, n, 24)
+    assert {endpoint for endpoint, _ in draws} == {0, 1, 2}
+    for vertex, p in ((1, 0.9), (2, 0.2), (0, 0.55)):
+        finals = [final for endpoint, final in draws if endpoint == vertex]
+        share = sum(1 for final in finals if final == 0) / len(finals)
+        assert abs(share - p) < three_sigma(p, len(finals))
 
 
 def test_perturb_type_laws():
-    rng = replicate_stream(25, 0)
-    assert all(perturb_type(1, [0.0, 1.0, 0.0], rng) == 1 for _ in range(50))
+    # one edge per type on disjoint pairs: vertex x has only type x // 2
+    edges = [(0, 1, 0), (2, 3, 1), (4, 5, 2)]
+    cycle = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    draws = one_step_draws(edges, 3, cycle, 300, 25)
+    assert all(final == (endpoint // 2 + 1) % 3 for endpoint, final in draws)
+
     n = 50_000
-    hits = sum(1 for _ in range(n)
-               if perturb_type(0, [0.9, 0.1], rng) == 0)
-    assert abs(hits / n - 0.9) < three_sigma(0.9, n)
-    counts = [0, 0, 0]
-    for _ in range(n):
-        counts[perturb_type(0, [1 / 3, 1 / 3, 1 / 3], rng)] += 1
-    for c in counts:
-        assert abs(c / n - 1 / 3) < three_sigma(1 / 3, n)
+    draws = one_step_draws(edges[:2], 2, F_NEAR_ID, n, 25)
+    finals = [final for endpoint, final in draws if endpoint < 2]
+    hits = sum(1 for final in finals if final == 0)
+    assert abs(hits / len(finals) - 0.9) < three_sigma(0.9, len(finals))
+
+    uniform_row = [[1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    draws = one_step_draws(edges, 3, uniform_row, n, 26)
+    finals = [final for endpoint, final in draws if endpoint < 2]
+    for l in range(3):
+        share = sum(1 for final in finals if final == l) / len(finals)
+        assert abs(share - 1 / 3) < three_sigma(1 / 3, len(finals))
 
 
 def test_perturb_type_rejects_bad_rows():
-    rng = replicate_stream(26, 0)
-    with pytest.raises(BadRow):
-        perturb_type(0, [0.5, 0.4], rng)
-    with pytest.raises(BadRow):
-        perturb_type(0, [1.2, -0.2], rng)
+    # the flip rows pa_step reads come from a schedule, which rejects rows
+    # that are not probability vectors
+    with pytest.raises(NotStochastic):
+        PerturbationSchedule([[0.5, 0.4], [0.4, 0.6]])
+    with pytest.raises(NotStochastic):
+        PerturbationSchedule([[1.2, -0.2], [0.1, 0.9]])
 
 
 # --------------------------------------------------------------------------
@@ -194,15 +228,15 @@ def test_pa_step_structural_changes():
     g = new_graph(SeedGraphSpec.default(2))
     rng = replicate_stream(27, 0)
     for m in (1, 2, 3):
-        vertices, edges = g.num_vertices, len(g.edges)
+        vertices, edges = g.num_vertices, g.num_edges
         pa_step(g, schedule, m, rng)
         assert g.num_vertices == vertices + 1
-        assert len(g.edges) == edges + m
+        assert g.num_edges == edges + m
         newcomer = g.per_vertex_degree[-1]
         assert sum(newcomer) == m
         # mixed m across steps: the fixed-m edge-count check must flag it
         assert check_graph_invariants(g, 0) != []
-    assert len(g.endpoint_pool) == 2 * len(g.edges)
+    assert len(g.pool_types) == len(g.endpoint_pool) == 2 * g.num_edges
 
 
 def test_pa_step_single_edge_outcome_tree():
@@ -218,7 +252,7 @@ def test_pa_step_single_edge_outcome_tree():
     for _ in range(n):
         g = new_graph(SeedGraphSpec.default(2))
         pa_step(g, schedule, 1, rng)
-        _, endpoint, final = g.edges[-1]
+        (_, endpoint, final), = last_edges(g, 1)
         attach_u += endpoint == 0
         final_one += final == 0
         joint += endpoint == 0 and final == 0
@@ -239,7 +273,8 @@ def test_pa_step_two_edges_newcomer_degree_law():
         g = new_graph(SeedGraphSpec.default(2))
         pa_step(g, schedule, 2, rng)
         both_one += g.per_vertex_degree[-1] == (2, 0)
-        same_endpoint += g.edges[-1][1] == g.edges[-2][1]
+        (_, b1, _), (_, b2, _) = last_edges(g, 2)
+        same_endpoint += b1 == b2
     assert abs(both_one / n - 0.25) < three_sigma(0.25, n)
     # parallel edges to the same endpoint are allowed and counted: each
     # endpoint draw is uniform over two equal-degree vertices
@@ -253,7 +288,7 @@ def test_pa_step_never_attaches_to_newcomer():
     for _ in range(300):
         newcomer = g.num_vertices
         pa_step(g, schedule, 3, rng)
-        for a, b, _ in g.edges[-3:]:
+        for a, b, _ in last_edges(g, 3):
             assert a == newcomer
             assert b != newcomer
 
@@ -265,7 +300,7 @@ def test_pa_step_same_endpoint_counts_twice():
     for _ in range(200):
         g = new_graph(SeedGraphSpec.default(2))
         pa_step(g, schedule, 2, rng)
-        (_, b1, _), (_, b2, _) = g.edges[-2:]
+        (_, b1, _), (_, b2, _) = last_edges(g, 2)
         if b1 == b2:
             seen_double = True
             assert sum(g.per_vertex_degree[b1]) == 4  # 2 seed + 2 new
@@ -280,7 +315,21 @@ def test_conservation_invariants_over_long_run():
         pa_step(g, schedule, 3, rng)
     assert check_graph_invariants(g, 3) == []
     assert g.num_vertices == 2002
-    assert len(g.edges) == 2 + 3 * 2000
+    assert g.num_edges == 2 + 3 * 2000
+
+
+def test_invariants_flag_a_corrupted_pool():
+    schedule = PerturbationSchedule(F_NEAR_ID)
+    g = new_graph(SeedGraphSpec.default(2))
+    pa_step(g, schedule, 2, replicate_stream(39, 0))
+    assert check_graph_invariants(g, 2) == []
+    g.pool_types[-1] = 1 - g.pool_types[-1]
+    violations = check_graph_invariants(g, 2)
+    assert any("disagree on its type" in v for v in violations)
+    g.pool_types[-1] = 1 - g.pool_types[-1]
+    g.pool_types.pop()
+    violations = check_graph_invariants(g, 2)
+    assert any("2 slots per edge" in v for v in violations)
 
 
 def test_empty_pool_propagates_from_pa_step():

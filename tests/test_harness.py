@@ -74,7 +74,7 @@ def test_replicate_streams_are_independent_and_stable():
     assert replicate_stream(7, 0, lane=1).random(4).tolist() != a
 
 
-def test_max_workers_env(monkeypatch):
+def test_max_workers_env(monkeypatch, tmp_path, capsys):
     monkeypatch.delenv("MTPA_THREADS", raising=False)
     assert max_workers(8) == 1
     monkeypatch.setenv("MTPA_THREADS", "4")
@@ -82,6 +82,16 @@ def test_max_workers_env(monkeypatch):
     assert max_workers(2) == 2  # capped at replicate count
     monkeypatch.setenv("MTPA_THREADS", "0")
     assert max_workers(64) >= 1
+    for bad in ("two", "1.5", "", "-1"):
+        monkeypatch.setenv("MTPA_THREADS", bad)
+        with pytest.raises(ValidationError):
+            max_workers(8)
+    from mtpa.cli import main
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[model]\ntypes = 1\n[run]\nsteps = 10\n")
+    assert main(["diagnose", "--config", str(cfg), "--quantity", "psi",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "MTPA_THREADS" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

@@ -80,6 +80,21 @@ def test_sampled_columns_always_sum_to_one():
         assert np.all(matrix >= 0)
 
 
+def test_sampled_columns_follow_the_inverse_cdf_loop():
+    flip = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.0, 0.4, 0.6]])
+    sampler = bernoulli_column_sampler(flip)
+    cdfs = np.cumsum(flip, axis=1)
+    rng, reference_rng = replicate_stream(52, 0), replicate_stream(52, 0)
+    for _ in range(300):
+        expected = np.zeros((3, 3), dtype=np.int64)
+        for j, u in enumerate(reference_rng.random(3)):
+            k = 0
+            while k < 2 and u >= cdfs[j, k]:
+                k += 1
+            expected[k, j] = 1
+        assert np.array_equal(sampler.sample(1, rng), expected)
+
+
 def test_empirical_column_means_match_transpose():
     flip = np.array([[0.9, 0.1], [0.1, 0.9]])
     sampler = bernoulli_column_sampler(flip)
@@ -204,6 +219,24 @@ def test_run_urn_matches_step_loop_bitwise():
         if step % 100 == 0:
             compositions.append(tuple(urn_b.composition))
     assert [s.composition for s in snaps_fast] == compositions
+
+
+def test_run_urn_chunks_consume_the_step_stream():
+    # m=1: chunks of 4096 steps end inside each 4500-step snapshot interval
+    sampler = bernoulli_column_sampler(F_ASYM)
+    for m, steps, every in ((1, 9000, 4500), (3, 10, 1)):
+        urn_a = new_urn([1, 3], m, sampler)
+        rng_fast = replicate_stream(53, m)
+        snaps = run_urn(urn_a, sampler, steps, every, rng_fast)
+        urn_b = new_urn([1, 3], m, sampler)
+        rng = replicate_stream(53, m)
+        for _ in range(steps):
+            urn_step(urn_b, sampler, rng)
+        assert snaps[-1].composition == tuple(urn_b.composition)
+        assert urn_a.step_index == urn_b.step_index == steps
+        assert len(snaps) == steps // every + 1
+        # both consumed exactly the same uniforms
+        assert rng_fast.random() == rng.random()
 
 
 def test_trajectory_is_deterministic_and_monotone():
