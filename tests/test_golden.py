@@ -1,10 +1,11 @@
 """Golden output digests of a fixed, tiny command set.
 
 Every output file a command writes is pinned by its sha256, except
-`manifest.json`, which records argv paths. A refactor that changes any
-simulated, solved or formatted value changes a digest here. The pins were
-made once from the program's own outputs and must never be re-pinned to
-make a code change pass.
+`manifest.json`, which records argv paths. Each command runs with
+MTPA_THREADS=1 and =2, so the pins also hold serial equal to parallel. A
+refactor that changes any simulated, solved or formatted value changes a
+digest here. The pins were made once from the program's own outputs and
+must never be re-pinned to make a code change pass.
 """
 from __future__ import annotations
 
@@ -100,6 +101,16 @@ COMMANDS = {
     "audit": ["audit", "--n", "2", "--f", "symmetric:0.9", "--samples", "500",
               "--seed", "1"],
     "study": ["study", "--config", "study.ini", "--psi-samples", "20"],
+    "diagnose_u_n": ["diagnose", "--config", "graph.ini", "--quantity", "u_n",
+                     "--d", "2,1"],
+    "diagnose_np_el": ["diagnose", "--config", "graph.ini", "--quantity",
+                       "np_el", "--d", "2,1", "--l", "1"],
+    # weight 22 > EXACT_FACTORIAL_LIMIT: both log-gamma fresh-vertex branches
+    "solve_log_gamma": ["solve", "--n", "2", "--m", "22", "--f",
+                        "symmetric:0.8", "--dmax", "26"],
+    "solve_unperturbed_log_gamma": [
+        "solve-unperturbed", "--n", "2", "--m", "22", "--psi", "0.3,0.7",
+        "--dmax", "26"],
 }
 
 GOLDEN = {
@@ -118,11 +129,17 @@ GOLDEN = {
     "diagnose_psi_graph": {
         "series.csv": "ce3ac5cc2acaa9f792229e005a31be3f827af0734d6121233fc9c1d7a405e154",
     },
+    "diagnose_np_el": {
+        "series.csv": "aaf802d46a00b875bd366f09579a2af4ec7cfff72b3008dfb57f309d047ac6ca",
+    },
     "diagnose_psi_urn": {
         "series.csv": "901287d2fd1d1d4b50dcf336d307910c991f921d08eb9f78c6b5854719fc0212",
     },
     "diagnose_tv": {
         "series.csv": "515d2bc27c71742698a7eec6eff83b3a36bc6b708b96bc21812bf996260ad4a0",
+    },
+    "diagnose_u_n": {
+        "series.csv": "da9375d6c2a4c001e465bd665a9134db60043145d6ea8a4c0df0a598af320664",
     },
     "simulate_graph_constant": {
         "distribution.csv": "1eb3165fa3886bf024cb800b48726f8fc9cfcb335b1554bd20126c0a957612e4",
@@ -138,8 +155,14 @@ GOLDEN = {
     "solve": {
         "distribution.csv": "8a742816db7bce7e5086cf4db787cde27b269522ace0de9e282a6d69d6cb904b",
     },
+    "solve_log_gamma": {
+        "distribution.csv": "8fe805852e2263699c8b46fe96616785736c3c2e4eeacda9f4c5a4aa98d219e4",
+    },
     "solve_unperturbed": {
         "distribution.csv": "c3ec12e8eb8f2351d3986d653e90d1a16470790ffb304dab7d80d10927bc800e",
+    },
+    "solve_unperturbed_log_gamma": {
+        "distribution.csv": "db4209e018f5e8aa33fb91ee444bfc174d4e0a7882247ae65c4532c5f087b58b",
     },
     "study": {
         "study.csv": "1711fe08af2815397d035dd520a71d87bdff081451994773b8d666db16e40438",
@@ -158,7 +181,14 @@ def run_command(tmp_path, monkeypatch, name) -> dict:
             if p.name != "manifest.json"}
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_golden_digests(tmp_path, monkeypatch, capsys, name):
+# every command serially and with two workers: serial must equal parallel
+RUNS = ([pytest.param(name, "1", id=name) for name in sorted(COMMANDS)]
+        + [pytest.param(name, "2", id=f"{name}-parallel")
+           for name in sorted(COMMANDS)])
+
+
+@pytest.mark.parametrize("name, threads", RUNS)
+def test_golden_digests(tmp_path, monkeypatch, capsys, name, threads):
+    monkeypatch.setenv("MTPA_THREADS", threads)
     assert run_command(tmp_path, monkeypatch, name) == GOLDEN[name]
     capsys.readouterr()
