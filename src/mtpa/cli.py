@@ -7,14 +7,13 @@ seed, tool version, per-file digests) into --out. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, matrices
-from .config import parse_config
+from .config import config_fields, parse_list
 from .errors import MtpaError, ValidationError
 from .graph import SeedGraphSpec, new_graph, run
 from .harness import (GRAPH, ExperimentConfig, convergence_series,
@@ -127,17 +126,19 @@ def _resolve_config(args, model: str | None = None,
                     need_f: bool = True) -> ExperimentConfig:
     """The one path from a config file and flags to a config.
 
-    A config file supplies every field; without one, --n is required and F
+    A config file supplies its fields; without one, --n is required and F
     comes from --f or --f-file (the identity when there is one type or the
     command never reads F). Every flag given then overrides its field the
-    same way in every subcommand.
+    same way in every subcommand, and the defaults that depend on m follow
+    the final m.
     """
-    fields = {field: getattr(args, flag) for flag, field in _FIELD_FLAGS.items()
-              if getattr(args, flag, None) is not None}
+    fields = config_fields(args.config) if args.config else {"model": GRAPH}
+    fields.update({field: getattr(args, flag)
+                   for flag, field in _FIELD_FLAGS.items()
+                   if getattr(args, flag, None) is not None})
     if model is not None:
         fields["model"] = model
-    base = parse_config(args.config) if args.config else None
-    n_types = fields.get("n_types", base.n_types if base else None)
+    n_types = fields.get("n_types")
     if n_types is None:
         raise ValidationError("either --config or --n is required")
     if getattr(args, "f_file", None):
@@ -148,17 +149,14 @@ def _resolve_config(args, model: str | None = None,
         fields["seed_edges"] = SeedGraphSpec.from_file(args.seed_graph,
                                                        n_types).edges
     if getattr(args, "c0", None):
-        fields["initial_composition"] = [int(t) for t in args.c0.split(",")]
-    if base is not None:
-        return dataclasses.replace(base, **fields)
+        fields["initial_composition"] = parse_list(args.c0, int, "--c0")
     if "f_matrix" not in fields:
         if n_types > 1 and need_f:
             raise ValidationError("--f (or --f-file, or a config file) is "
                                   "required when --n > 1")
         fields["f_matrix"] = np.eye(n_types)
-    fields.setdefault("model", GRAPH)
-    m_edges = fields.setdefault("m_edges", 1)
-    return ExperimentConfig(max_weight=max(30, m_edges + 10), **fields)
+    fields.setdefault("m_edges", 1)
+    return ExperimentConfig(**fields)
 
 
 def _out_dir(args) -> Path:
@@ -219,10 +217,10 @@ def _cmd_solve_unperturbed(args) -> int:
     n, m = cfg.n_types, cfg.m_edges
     dmax = cfg.max_weight if args.dmax is None else args.dmax
     if args.psi:
-        psi = np.array([float(t) for t in args.psi.split(",")])
+        psi = np.array(parse_list(args.psi, float, "--psi"))
     elif args.e0:
         from .theory import dirichlet_psi_sample
-        counts = [int(t) for t in args.e0.split(",")]
+        counts = parse_list(args.e0, int, "--e0")
         if m != 1:
             raise ValidationError("--e0 proportions only apply with --m 1")
         rng = replicate_stream(cfg.master_seed, 0, lane=1)
@@ -281,7 +279,7 @@ def _cmd_diagnose(args) -> int:
     cfg = _resolve_config(args)
     degree = None
     if args.d:
-        degree = tuple(int(t) for t in args.d.split(","))
+        degree = tuple(parse_list(args.d, int, "--d"))
     type_index = None if args.l is None else args.l - 1
     header, rows = convergence_series(cfg, args.quantity, degree=degree,
                                       type_index=type_index)

@@ -26,16 +26,18 @@ shorthand ``symmetric:p`` expands to a matrix with p on the diagonal and
     initial_composition = 1,1   # optional; defaults to seed type counts
 
     [compare]
-    d_max = 30               # solver truncation weight
+    d_max = 30               # solver truncation, defaults to max(30, m+10)
     cutoff = 11              # comparison weight K, defaults to m+10
     tv_tolerance = 0.02
     psi_tolerance = 0.02
     pass_fraction = 0.95
 
-Every key is optional except [model] types (and f when types > 1). A
+Every key is optional except [model] types (and f when types > 1). The
+d_max and cutoff defaults follow the final m, also when a flag sets it. A
 relative seed_graph path is taken from the config file's directory. Any
-section or key not listed above is an error, as is a decaying schedule
-with kind = urn (the urn has no step-dependent columns).
+section or key not listed above is an error, as are a decaying schedule
+with kind = urn (the urn has no step-dependent columns) and a decay with a
+constant schedule (which never reads it).
 """
 from __future__ import annotations
 
@@ -58,11 +60,13 @@ KEYS = {
 }
 
 
-def _ints(text: str, key: str) -> list:
+def parse_list(text: str, cast, what: str) -> list:
+    """A comma list of `cast` values (empty entries skipped); a malformed
+    entry is a ValidationError naming `what`."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValidationError(f"{key}: {exc}") from exc
+        raise ValidationError(f"{what}: {exc}") from exc
 
 
 def _check_keys(parser: configparser.ConfigParser) -> None:
@@ -78,6 +82,12 @@ def _check_keys(parser: configparser.ConfigParser) -> None:
 
 def parse_config(path) -> ExperimentConfig:
     """Read and validate a config file, applying documented defaults."""
+    return ExperimentConfig(**config_fields(path))
+
+
+def config_fields(path) -> dict:
+    """The ExperimentConfig keyword arguments a config file sets; d_max and
+    cutoff stay None unless set, so they follow an m given later."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path) as fh:
@@ -91,34 +101,24 @@ def parse_config(path) -> ExperimentConfig:
     def get(section, key, fallback=None):
         return parser.get(section, key, fallback=fallback)
 
-    def get_int(section, key, fallback, minimum=None):
+    def get_number(section, key, fallback, cast=int, minimum=None):
         raw = get(section, key)
         if raw is None:
             return fallback
         try:
-            value = int(raw)
+            value = cast(raw)
         except ValueError as exc:
             raise ValidationError(f"{section}.{key}: {exc}") from exc
         if minimum is not None and value < minimum:
             raise ValidationError(f"{section}.{key} must be >= {minimum}")
         return value
 
-    def get_float(section, key, fallback):
-        raw = get(section, key)
-        if raw is None:
-            return fallback
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ValidationError(f"{section}.{key}: {exc}") from exc
-
     kind = (get("model", "kind", "graph") or "graph").strip().lower()
     if kind not in ("graph", "urn"):
         raise ValidationError(f"model.kind must be graph or urn, got {kind!r}")
-    n_types = get_int("model", "types", None, minimum=1)
+    n_types = get_number("model", "types", None, minimum=1)
     if n_types is None:
         raise ValidationError("model.types is required")
-    m_edges = get_int("model", "edges_per_step", 1, minimum=1)
 
     f_raw = get("model", "f")
     if f_raw is None:
@@ -132,7 +132,7 @@ def parse_config(path) -> ExperimentConfig:
     decay_raw = get("model", "decay")
     decay_matrix = (None if decay_raw is None
                     else parse_matrix(decay_raw, n_types, what="decay"))
-    decay_rho = get_float("model", "decay_rho", 1.0)
+    decay_rho = get_number("model", "decay_rho", 1.0, float)
 
     seed_edges = None
     seed_path = get("graph", "seed_graph")
@@ -142,26 +142,26 @@ def parse_config(path) -> ExperimentConfig:
 
     composition_raw = get("urn", "initial_composition")
     initial_composition = (None if composition_raw is None
-                           else _ints(composition_raw, "initial_composition"))
+                           else parse_list(composition_raw, int,
+                                           "urn.initial_composition"))
 
-    return ExperimentConfig(
+    return dict(
         model=kind,
         n_types=n_types,
-        m_edges=m_edges,
+        m_edges=get_number("model", "edges_per_step", 1, minimum=1),
         f_matrix=f_matrix,
         schedule_kind=schedule_kind,
         decay_matrix=decay_matrix,
         decay_rho=decay_rho,
         seed_edges=seed_edges,
         initial_composition=initial_composition,
-        n_steps=get_int("run", "steps", 10_000, minimum=0),
-        snapshot_every=get_int("run", "snapshot_every", 1_000, minimum=1),
-        replicates=get_int("run", "replicates", 1, minimum=1),
-        master_seed=get_int("run", "master_seed", 0),
-        max_weight=get_int("compare", "d_max", max(30, m_edges + 10),
-                           minimum=m_edges),
-        cutoff=get_int("compare", "cutoff", None, minimum=1),
-        tv_tolerance=get_float("compare", "tv_tolerance", 0.02),
-        psi_tolerance=get_float("compare", "psi_tolerance", 0.02),
-        pass_fraction=get_float("compare", "pass_fraction", 0.95),
+        n_steps=get_number("run", "steps", 10_000, minimum=0),
+        snapshot_every=get_number("run", "snapshot_every", 1_000, minimum=1),
+        replicates=get_number("run", "replicates", 1, minimum=1),
+        master_seed=get_number("run", "master_seed", 0),
+        max_weight=get_number("compare", "d_max", None, minimum=1),
+        cutoff=get_number("compare", "cutoff", None, minimum=1),
+        tv_tolerance=get_number("compare", "tv_tolerance", 0.02, float),
+        psi_tolerance=get_number("compare", "psi_tolerance", 0.02, float),
+        pass_fraction=get_number("compare", "pass_fraction", 0.95, float),
     )

@@ -18,7 +18,7 @@ import numpy as np
 from . import matrices
 from .degrees import DegreeDistribution
 from .errors import BadArgs, BadQuantity, NotStochastic, ValidationError
-from .graph import (CONSTANT, PerturbationSchedule, SeedGraphSpec,
+from .graph import (CONSTANT, DECAYING, PerturbationSchedule, SeedGraphSpec,
                     check_graph_invariants, edge_type_proportions,
                     empirical_distribution, new_graph, pa_step, run)
 from .theory import (dirichlet_psi_sample, exact_attachment_probability,
@@ -69,7 +69,7 @@ class ExperimentConfig:
     snapshot_every: int = 1_000
     replicates: int = 1
     master_seed: int = 0
-    max_weight: int = 30                  # solver truncation (d_max)
+    max_weight: int | None = None         # d_max; None -> max(30, m+10)
     cutoff: int | None = None             # comparison weight K; None -> m+10
     tv_tolerance: float = 0.02
     psi_tolerance: float = 0.02
@@ -95,8 +95,17 @@ class ExperimentConfig:
             raise ValidationError(
                 "the urn model has no step-dependent columns; "
                 f"schedule must be {CONSTANT}, got {self.schedule_kind!r}")
+        if self.decay_matrix is not None and self.schedule_kind == CONSTANT:
+            raise ValidationError(
+                f"decay is set but the schedule is {CONSTANT}; only a "
+                f"{DECAYING} schedule reads it")
+        if self.max_weight is None:
+            self.max_weight = max(30, self.m_edges + 10)
         if self.cutoff is None:
             self.cutoff = self.m_edges + 10
+        if self.max_weight < self.m_edges:
+            raise ValidationError(
+                f"max_weight {self.max_weight} is below m {self.m_edges}")
         if self.cutoff > self.max_weight:
             raise ValidationError(
                 f"cutoff {self.cutoff} exceeds max_weight {self.max_weight}")

@@ -1,17 +1,17 @@
 """Deterministic numerics for the asymptotic degree distribution.
 
 Covers the stationary edge-type proportions (Perron left eigenvector of the
-perturbation limit), the recurrences for the asymptotic degree distribution
-in the perturbed and non-perturbed dynamics, the exact finite-step
+perturbation limit), one lattice walk that solves the degree recurrences of
+both the perturbed and the non-perturbed dynamics, the exact finite-step
 attachment probabilities with their limits, and the elementary binomial
 bound used to control the linearization error of those probabilities.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,9 @@ LATTICE_CAP = 10_000_000
 
 #: weight above which factorial products switch from exact integers to log-gamma
 EXACT_FACTORIAL_LIMIT = 20
+
+#: largest layer-total deviation; psi's 1e-12 slack alone moves one by 2e-12
+MARGINAL_TOLERANCE = 3e-12
 
 
 def stationary_type_distribution(type_flip_matrix, *, method: str = "auto",
@@ -67,12 +70,10 @@ def stationary_type_distribution(type_flip_matrix, *, method: str = "auto",
         transpose = flip.T
         psi = np.full(n, 1.0 / n)
         for _ in range(max_iterations):
-            nxt = 0.5 * (transpose @ psi + psi)
-            nxt /= nxt.sum()
-            if np.max(np.abs(nxt - psi)) <= tol * np.max(np.abs(nxt)):
-                psi = nxt
+            previous, psi = psi, 0.5 * (transpose @ psi + psi)
+            psi /= psi.sum()
+            if np.max(np.abs(psi - previous)) <= tol * np.max(np.abs(psi)):
                 break
-            psi = nxt
         else:
             raise NoConvergence(
                 f"power iteration did not converge in {max_iterations} steps")
@@ -87,21 +88,35 @@ def stationary_type_distribution(type_flip_matrix, *, method: str = "auto",
     return psi
 
 
-def _log_factorial(k: int) -> float:
-    return math.lgamma(k + 1)
-
-
 def _mass_of_fresh_vertex(d: Degree, m: int, assignment_rates) -> float:
-    # 2*m!/(m+2) * prod_l rate_l**d_l / d_l!
+    # 2*m!/(m+2) * prod_l rate_l**d_l / d_l!; kept apart from
+    # 2*_multinomial_pmf/(m+2), which rounds differently
     if m <= EXACT_FACTORIAL_LIMIT:
         value = 2.0 * math.factorial(m) / (m + 2)
         for d_l, rate in zip(d, assignment_rates):
             value *= rate ** d_l / math.factorial(d_l)
         return value
-    log_value = math.log(2.0) + _log_factorial(m) - math.log(m + 2)
+    log_value = math.log(2.0) + math.lgamma(m + 1) - math.log(m + 2)
     for d_l, rate in zip(d, assignment_rates):
         if d_l:
-            log_value += d_l * math.log(rate) - _log_factorial(d_l)
+            log_value += d_l * math.log(rate) - math.lgamma(d_l + 1)
+    return math.exp(log_value)
+
+
+def _multinomial_pmf(d: Degree, probabilities) -> float:
+    s = sum(d)
+    if s <= EXACT_FACTORIAL_LIMIT:
+        coeff = math.factorial(s)
+        value = float(coeff)
+        for d_l, p in zip(d, probabilities):
+            value *= p ** d_l / math.factorial(d_l)
+        return value
+    log_value = math.lgamma(s + 1)
+    for d_l, p in zip(d, probabilities):
+        if d_l:
+            if p == 0.0:
+                return 0.0
+            log_value += d_l * math.log(p) - math.lgamma(d_l + 1)
     return math.exp(log_value)
 
 
@@ -116,16 +131,53 @@ def _check_lattice(n: int, m: int, max_weight: int, lattice_cap: int) -> None:
             f"{lattice_cap} cells")
 
 
+@functools.lru_cache(maxsize=1)
+def _layers(n: int, m: int, max_weight: int) -> tuple:
+    # the lattice from weight m up, one tuple per weight; the last one is
+    # kept, since `study` walks the same lattice once per psi sample
+    return tuple(tuple(compositions_of_weight(s, n))
+                 for s in range(m, max_weight + 1))
+
+
+def _walk(n: int, m: int, max_weight: int, fresh, coefficient) -> dict:
+    """Masses on the degree lattice from weight m up to `max_weight`.
+
+    Weight-m vectors get `fresh(d)`; each heavier d gets
+    sum_l coefficient(d - e_l, l) * mass(d - e_l) / (s + 2), added over l
+    in order, skipping predecessors of zero mass. Lighter vectors have mass
+    zero and are omitted. Whatever the types do, every weight-s layer must
+    sum to the single-type closed form 2m(m+1)/(s(s+1)(s+2)); a deviation
+    past MARGINAL_TOLERANCE raises NoConvergence.
+    """
+    layers = _layers(n, m, max_weight)
+    masses = {d: fresh(d) for d in layers[0]}
+    for s, layer in enumerate(layers, m):
+        denom = s + 2
+        if s > m:
+            for d in layer:
+                acc = 0.0
+                for l in range(n):
+                    if d[l]:
+                        previous = d[:l] + (d[l] - 1,) + d[l + 1:]
+                        prev_mass = masses[previous]
+                        if prev_mass:
+                            acc += coefficient(previous, l) * prev_mass
+                masses[d] = acc / denom
+        total = sum(map(masses.__getitem__, layer))
+        marginal = 2.0 * m * (m + 1) / (s * (s + 1) * denom)
+        if not abs(total - marginal) <= MARGINAL_TOLERANCE:
+            raise NoConvergence(f"weight-{s} layer sums to {total:.17g}, "
+                                f"not the marginal {marginal:.17g}")
+    return masses
+
+
 def solve_recurrence(type_flip_matrix, m: int, max_weight: int, *,
                      lattice_cap: int = LATTICE_CAP) -> DegreeDistribution:
     """Asymptotic degree distribution of the perturbed dynamics.
 
-    Enumerates degree vectors by increasing weight up to `max_weight`.
     Weight-m vectors get the closed-form mass of a fresh vertex whose m
     edges carry independently assigned-and-flipped types; heavier vectors
-    accumulate mass from their weight-(s-1) predecessors with rate
-    (d - e_l) . F[:, l] / (s + 2). Vectors lighter than m have mass zero
-    and are omitted.
+    accumulate mass from their predecessors with rate (d - e_l) . F[:, l].
     """
     flip = matrices.as_row_stochastic(type_flip_matrix, what="F")
     n = flip.shape[0]
@@ -134,30 +186,17 @@ def solve_recurrence(type_flip_matrix, m: int, max_weight: int, *,
     assignment_rates = tuple(float(r) for r in psi @ flip)
     columns = tuple(tuple(float(v) for v in flip[:, l]) for l in range(n))
 
-    masses = {}
-    for s in range(m, max_weight + 1):
-        if s == m:
-            for d in compositions_of_weight(s, n):
-                masses[d] = _mass_of_fresh_vertex(d, m, assignment_rates)
-            continue
-        denom = s + 2
-        for d in compositions_of_weight(s, n):
-            acc = 0.0
-            for l in range(n):
-                if d[l] == 0:
-                    continue
-                previous = d[:l] + (d[l] - 1,) + d[l + 1:]
-                prev_mass = masses.get(previous, 0.0)
-                if prev_mass == 0.0:
-                    continue
-                column = columns[l]
-                rate = 0.0
-                for k in range(n):
-                    dk = previous[k]
-                    if dk:
-                        rate += dk * column[k]
-                acc += rate * prev_mass
-            masses[d] = acc / denom
+    def rate(previous, l):
+        # a sequential sum over k; np.dot would round differently
+        value = 0.0
+        for dk, f_kl in zip(previous, columns[l]):
+            if dk:
+                value += dk * f_kl
+        return value
+
+    masses = _walk(n, m, max_weight,
+                   lambda d: _mass_of_fresh_vertex(d, m, assignment_rates),
+                   rate)
     return DegreeDistribution(masses, THEORETICAL_PERTURBED, max_weight)
 
 
@@ -167,48 +206,19 @@ def solve_unperturbed_recurrence(psi, m: int, max_weight: int, *,
 
     Without perturbation the limiting type proportions are random; this
     solves the recurrence conditionally on a supplied realization, for
-    comparison studies against the deterministic perturbed answer.
+    comparison studies against the deterministic perturbed answer. A fresh
+    vertex's types are multinomial in psi, and a vertex gains a type-l edge
+    at rate (d - e_l)_l.
     """
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 1 or np.any(psi < 0) or abs(psi.sum() - 1.0) > 1e-12:
         raise BadPsi(f"psi {psi!r} is not a probability vector")
     n = psi.size
     _check_lattice(n, m, max_weight, lattice_cap)
-
-    masses = {}
-    for s in range(m, max_weight + 1):
-        denom = s + 2
-        fresh = s == m
-        for d in compositions_of_weight(s, n):
-            acc = 0.0
-            for l in range(n):
-                if d[l] == 0 or d[l] == 1:
-                    continue  # coefficient d_l - 1 vanishes at 1
-                previous = d[:l] + (d[l] - 1,) + d[l + 1:]
-                prev_mass = masses.get(previous, 0.0)
-                if prev_mass:
-                    acc += (d[l] - 1) * prev_mass
-            if fresh:
-                acc += 2.0 * _multinomial_pmf(d, psi)
-            masses[d] = acc / denom
+    masses = _walk(n, m, max_weight,
+                   lambda d: 2.0 * _multinomial_pmf(d, psi) / (m + 2),
+                   lambda previous, l: previous[l])
     return DegreeDistribution(masses, THEORETICAL_UNPERTURBED, max_weight)
-
-
-def _multinomial_pmf(d: Degree, probabilities) -> float:
-    s = sum(d)
-    if s <= EXACT_FACTORIAL_LIMIT:
-        coeff = math.factorial(s)
-        value = float(coeff)
-        for d_l, p in zip(d, probabilities):
-            value *= p ** d_l / math.factorial(d_l)
-        return value
-    log_value = _log_factorial(s)
-    for d_l, p in zip(d, probabilities):
-        if d_l:
-            if p == 0.0:
-                return 0.0
-            log_value += d_l * math.log(p) - _log_factorial(d_l)
-    return math.exp(log_value)
 
 
 def dirichlet_psi_sample(initial_type_counts, rng: np.random.Generator) -> np.ndarray:
@@ -263,18 +273,23 @@ def attachment_probability_term(d_prev, assignment, num_edges_prev: int,
     if num_edges_prev < 1 or 2 * num_edges_prev < s_prev:
         raise BadArgs("need 2*num_edges_prev >= weight of d_prev")
     flip = np.asarray(type_flip_matrix, dtype=float)
-
-    coeff = math.factorial(m) // math.factorial(m - total_new)
-    value = float(coeff)
     two_e = 2.0 * num_edges_prev
+    value = _cells_product(
+        float(math.factorial(m) // math.factorial(m - total_new)),
+        cell.tolist(), [v / two_e for v in d_prev], flip)
+    return value * (1.0 - s_prev / two_e) ** (m - total_new)
+
+
+def _cells_product(value: float, assignment, weights, flip) -> float:
+    # value * prod over cells c = assignment[k][l] > 0 of
+    # (weights[k] * F[k, l])**c / c!, one cell at a time
+    n = len(weights)
     for k in range(n):
         for l in range(n):
-            c = int(cell[k, l])
-            if c == 0:
-                continue
-            value /= math.factorial(c)
-            value *= ((d_prev[k] / two_e) * flip[k, l]) ** c
-    value *= (1.0 - s_prev / two_e) ** (m - total_new)
+            c = assignment[k][l]
+            if c:
+                value /= math.factorial(c)
+                value *= (weights[k] * flip[k, l]) ** c
     return value
 
 
@@ -319,35 +334,22 @@ def new_vertex_degree_probability(d, m: int, psi, type_flip_matrix) -> float:
     d = tuple(d)
     if sum(d) != m:
         return 0.0
-    n = len(d)
     psi = np.asarray(psi, dtype=float)
     flip = np.asarray(type_flip_matrix, dtype=float)
     total = 0.0
     for assignment in _assignments_with_gains(d):
-        coeff = math.factorial(m)
-        value = float(coeff)
-        for k in range(n):
-            for l in range(n):
-                c = assignment[k][l]
-                if c:
-                    value /= math.factorial(c)
-                    value *= (psi[k] * flip[k, l]) ** c
-        total += value
+        total += _cells_product(float(math.factorial(m)), assignment, psi, flip)
     return total
 
 
 def new_vertex_degree_limit(d, m: int, psi, type_flip_matrix) -> float:
-    """Closed form of the fresh-vertex degree law at the proportion limit."""
+    """Closed form of the fresh-vertex degree law at the proportion limit:
+    multinomial in the assignment rates psi @ F."""
     d = tuple(d)
     if sum(d) != m:
         return 0.0
-    psi = np.asarray(psi, dtype=float)
-    flip = np.asarray(type_flip_matrix, dtype=float)
-    rates = psi @ flip
-    value = float(math.factorial(m))
-    for d_l, rate in zip(d, rates):
-        value *= rate ** d_l / math.factorial(d_l)
-    return value
+    return _multinomial_pmf(d, np.asarray(psi, dtype=float)
+                            @ np.asarray(type_flip_matrix, dtype=float))
 
 
 def edge_gain_rate_limit(d, l: int, type_flip_matrix) -> float:
@@ -358,66 +360,6 @@ def edge_gain_rate_limit(d, l: int, type_flip_matrix) -> float:
     flip = np.asarray(type_flip_matrix, dtype=float)
     previous = d[:l] + (d[l] - 1,) + d[l + 1:]
     return float(np.dot(previous, flip[:, l])) / 2.0
-
-
-@dataclass
-class LimitDiagnostics:
-    """Finite-n attachment quantities on a step grid, with their limits."""
-
-    degree: Degree
-    steps: list
-    no_edge_rate: list          # u_n = n * (1 - P(no new edge))
-    no_edge_rate_limit: float   # weight / 2
-    edge_gain_rate: dict        # type l -> series of n * P(gain e_l)
-    edge_gain_rate_limits: dict
-    fresh_vertex_prob: list     # q_n
-    fresh_vertex_prob_limit: float
-
-
-def limit_diagnostics(d, m: int, schedule, initial_edges: int,
-                      steps) -> LimitDiagnostics:
-    """Evaluate the finite-step attachment formulas along a step grid.
-
-    The edge count is modelled as |E_{n-1}| = initial_edges + m*(n-1), so
-    the series is fully analytic; randomness never enters. The fresh-vertex
-    series uses the limiting proportions with the step-n flip matrix, which
-    isolates the schedule's own convergence.
-    """
-    d = tuple(int(v) for v in d)
-    if m < 1 or initial_edges < 1:
-        raise BadArgs("need m >= 1 and initial_edges >= 1")
-    steps = [int(n) for n in steps]
-    if any(n < 1 for n in steps):
-        raise BadArgs("steps must be >= 1")
-    psi = stationary_type_distribution(schedule.limit)
-    n_types = len(d)
-
-    no_edge = []
-    gain = {l: [] for l in range(n_types) if d[l] >= 1}
-    fresh = []
-    for n in steps:
-        edges_prev = initial_edges + m * (n - 1)
-        flip_n = schedule.matrix_at(n)
-        no_edge.append(n * (1.0 - exact_no_edge_probability(d, edges_prev, m)))
-        for l in gain:
-            previous = d[:l] + (d[l] - 1,) + d[l + 1:]
-            unit = tuple(1 if k == l else 0 for k in range(n_types))
-            gain[l].append(n * exact_attachment_probability(
-                previous, unit, edges_prev, m, flip_n))
-        fresh.append(new_vertex_degree_probability(d, m, psi, flip_n))
-
-    gain_limits = {l: edge_gain_rate_limit(d, l, schedule.limit) for l in gain}
-    return LimitDiagnostics(
-        degree=d,
-        steps=steps,
-        no_edge_rate=no_edge,
-        no_edge_rate_limit=sum(d) / 2.0,
-        edge_gain_rate=gain,
-        edge_gain_rate_limits=gain_limits,
-        fresh_vertex_prob=fresh,
-        fresh_vertex_prob_limit=new_vertex_degree_limit(d, m, psi,
-                                                        schedule.limit),
-    )
 
 
 def binomial_bound_holds(n: int, x: float) -> bool:

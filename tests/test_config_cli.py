@@ -437,3 +437,53 @@ def test_model_flags_override_a_config_in_every_subcommand(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg), "--n", "3",
                  "--out", str(tmp_path / "bad")]) == 2
     assert "types" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate-urn", "--n", "2", "--f", "symmetric:0.9", "--c0", "1,x"],
+     "--c0"),
+    (["solve-unperturbed", "--n", "2", "--psi", "0.5,x"], "--psi"),
+    (["solve-unperturbed", "--n", "2", "--e0", "1,z"], "--e0"),
+    (["diagnose", "--config", "cfg.ini", "--quantity", "u_n", "--d", "2,y"],
+     "--d"),
+    (["simulate-urn", "--config", "urn.ini"], "urn.initial_composition"),
+], ids=["c0", "psi", "e0", "d", "initial_composition"])
+def test_malformed_list_is_usage_error(tmp_path, monkeypatch, capsys, argv,
+                                       named):
+    write_config(tmp_path, MINIMAL)
+    write_config(tmp_path, MINIMAL.replace("kind = graph", "kind = urn")
+                 + "\n[urn]\ninitial_composition = 1,x\n", name="urn.ini")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "o"]) == 2
+    assert f"error: {named}:" in capsys.readouterr().err
+
+
+def test_decay_with_constant_schedule_is_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL + "decay = 0.1,-0.1,-0.1,0.1\n")
+    with pytest.raises(ValidationError, match="decay"):
+        parse_config(path)
+    assert main(["simulate-graph", "--config", str(path), "--steps", "5",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "schedule is constant" in capsys.readouterr().err
+
+
+def test_m_dependent_defaults_follow_an_m_flag(tmp_path, capsys):
+    # the config (m = 1) sets neither d_max nor cutoff
+    path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--m", "40",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["m_edges"] == 40
+    assert manifest["config"]["d_max"] == 50
+    # an explicit d_max still wins, and one below m is a usage error
+    explicit = write_config(tmp_path, MINIMAL + "\n[compare]\nd_max = 45\n"
+                            "cutoff = 42\n", name="explicit.ini")
+    assert main(["solve", "--config", str(explicit), "--m", "40",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["d_max"] == 45
+    assert main(["solve", "--config", str(explicit), "--m", "46",
+                 "--out", str(out)]) == 2
+    assert "below m" in capsys.readouterr().err

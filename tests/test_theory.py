@@ -18,11 +18,12 @@ from mtpa.errors import (BadArgs, BadCounts, BadIndexMatrix, BadPsi,
                          CapacityExceeded, NoConvergence, NotIrreducible,
                          NotStochastic)
 from mtpa.graph import PerturbationSchedule
+from mtpa import theory
+from mtpa.harness import ExperimentConfig, convergence_series
 from mtpa.theory import (attachment_probability_term, binomial_bound_holds,
                          dirichlet_psi_sample, edge_gain_rate_limit,
                          exact_attachment_probability,
-                         exact_no_edge_probability, limit_diagnostics,
-                         new_vertex_degree_limit,
+                         exact_no_edge_probability, new_vertex_degree_limit,
                          new_vertex_degree_probability, solve_recurrence,
                          solve_unperturbed_recurrence,
                          stationary_type_distribution)
@@ -139,6 +140,33 @@ def test_single_type_matches_closed_form_and_direct_recursion():
         for d in range(m, 61):
             assert abs(dist.mass((d,)) - closed_form_single_type(d, m)) < 1e-12
             assert abs(dist.mass((d,)) - direct[d]) < 1e-12
+
+
+def test_both_solvers_match_the_closed_form_past_exact_factorials():
+    # m > EXACT_FACTORIAL_LIMIT takes the log-gamma fresh-vertex branches
+    for m in (21, 30):
+        for dist in (solve_recurrence([[1.0]], m, m + 40),
+                     solve_unperturbed_recurrence([1.0], m, m + 40)):
+            for d in range(m, m + 41):
+                closed = closed_form_single_type(d, m)
+                assert abs(dist.mass((d,)) - closed) < 1e-12
+
+
+def test_marginal_oracle_rejects_a_wrong_fresh_source():
+    # the weight-m layer must total 2/(m+2); 1/(m+2) is off by half
+    with pytest.raises(NoConvergence, match="weight-3 layer"):
+        theory._walk(2, 3, 8, lambda d: 1.0 / 5 / 4,
+                     lambda previous, l: previous[l])
+    # a right source with a wrong coefficient fails one layer up
+    with pytest.raises(NoConvergence, match="weight-4 layer"):
+        theory._walk(1, 3, 8, lambda d: 2.0 / 5,
+                     lambda previous, l: previous[l] + 1)
+
+
+def test_marginal_oracle_accepts_psi_at_the_edge_of_its_slack():
+    for m in (5, 30):
+        solve_unperturbed_recurrence([0.3, 0.7 + 9e-13], m, m + 6)
+        solve_unperturbed_recurrence([0.3, 0.7 - 9e-13], m, m + 6)
 
 
 def test_symmetric_base_case_value():
@@ -348,28 +376,51 @@ def test_fresh_vertex_probability_hand_value_and_closed_form():
     assert new_vertex_degree_probability((1, 0), 2, psi, F_ASYM) == 0.0
 
 
+STEPS = (10, 100, 1000, 10_000)
+
+
+def series_at_steps(quantity, **kwargs) -> list:
+    """(value, limit) of an analytic convergence series at STEPS, on the
+    default two-edge seed graph with m = 2 and F_NEAR_ID."""
+    cfg = ExperimentConfig(model="graph", n_types=2, m_edges=2,
+                           f_matrix=F_NEAR_ID, n_steps=STEPS[-1],
+                           snapshot_every=STEPS[0])
+    _, rows = convergence_series(cfg, quantity, **kwargs)
+    return [(value, limit) for n, value, limit, _ in rows if n in STEPS]
+
+
 def test_limit_diagnostics_converges():
-    schedule = PerturbationSchedule(F_NEAR_ID)
-    diag = limit_diagnostics((2, 1), 2, schedule, 2, [10, 100, 1000, 10_000])
-    gaps = [abs(u - diag.no_edge_rate_limit) for u in diag.no_edge_rate]
+    u_n = series_at_steps("u_n", degree=(2, 1))
+    gaps = [abs(u - limit) for u, limit in u_n]
+    assert len(gaps) == len(STEPS)
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < 1e-3
-    assert abs(diag.edge_gain_rate_limits[0] - 0.5) < 1e-15
-    for l, series in diag.edge_gain_rate.items():
-        assert abs(series[-1] - diag.edge_gain_rate_limits[l]) < 1e-3
+    for l in (0, 1):
+        series = series_at_steps("np_el", degree=(2, 1), type_index=l)
+        value, limit = series[-1]
+        assert abs(value - limit) < 1e-3
+        if l == 0:
+            assert abs(limit - 0.5) < 1e-15
     # q_n equals its limit at every n for a constant schedule
-    for value in diag.fresh_vertex_prob:
-        assert abs(value - diag.fresh_vertex_prob_limit) < 1e-12
-    assert diag.fresh_vertex_prob_limit == 0.0  # weight 3 != m = 2
+    schedule = PerturbationSchedule(F_NEAR_ID)
+    psi = stationary_type_distribution(schedule.limit)
+    limit = new_vertex_degree_limit((2, 1), 2, psi, schedule.limit)
+    for n in STEPS:
+        value = new_vertex_degree_probability((2, 1), 2, psi,
+                                              schedule.matrix_at(n))
+        assert abs(value - limit) < 1e-12
+    assert limit == 0.0  # weight 3 != m = 2
 
 
 def test_limit_diagnostics_decaying_schedule_q_converges():
     decay = np.array([[0.05, -0.05], [-0.05, 0.05]])
     schedule = PerturbationSchedule(F_NEAR_ID, kind="decaying", decay=decay,
                                     rho=1.0)
-    diag = limit_diagnostics((1, 1), 2, schedule, 2, [10, 100, 1000, 10_000])
-    gaps = [abs(q - diag.fresh_vertex_prob_limit)
-            for q in diag.fresh_vertex_prob]
+    psi = stationary_type_distribution(schedule.limit)
+    limit = new_vertex_degree_limit((1, 1), 2, psi, schedule.limit)
+    gaps = [abs(new_vertex_degree_probability((1, 1), 2, psi,
+                                              schedule.matrix_at(n)) - limit)
+            for n in STEPS]
     assert gaps[-1] < gaps[0]
     assert gaps[-1] < 1e-4
 
