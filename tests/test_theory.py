@@ -13,12 +13,12 @@ import time
 import numpy as np
 import pytest
 
+from mtpa import theory
 from mtpa.degrees import compositions_of_weight
 from mtpa.errors import (BadArgs, BadCounts, BadIndexMatrix, BadPsi,
                          CapacityExceeded, NoConvergence, NotIrreducible,
                          NotStochastic)
 from mtpa.graph import PerturbationSchedule
-from mtpa import theory
 from mtpa.harness import ExperimentConfig, convergence_series
 from mtpa.theory import (attachment_probability_term, binomial_bound_holds,
                          dirichlet_psi_sample, edge_gain_rate_limit,
