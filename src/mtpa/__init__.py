@@ -14,12 +14,12 @@ from .harness import (ExperimentConfig, run_experiment, tv_distance,
                       replicate_stream)
 from .theory import (solve_recurrence, solve_unperturbed_recurrence,
                      stationary_type_distribution)
-from .urn import (ReplacementSampler, UrnState, assumption_audit,
+from .urn import (ColumnSampler, UrnState, assumption_audit,
                   bernoulli_column_sampler, new_urn, run_urn, urn_step)
 
 __all__ = [
-    "DegreeDistribution", "ExperimentConfig", "PerturbationSchedule",
-    "ReplacementSampler", "SeedGraphSpec", "TypedGraph", "UrnState",
+    "ColumnSampler", "DegreeDistribution", "ExperimentConfig",
+    "PerturbationSchedule", "SeedGraphSpec", "TypedGraph", "UrnState",
     "assumption_audit", "bernoulli_column_sampler", "empirical_distribution",
     "new_graph", "new_urn", "pa_step", "replicate_stream", "run",
     "run_experiment", "run_urn", "solve_recurrence",

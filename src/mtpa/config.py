@@ -11,7 +11,7 @@ shorthand ``symmetric:p`` expands to a matrix with p on the diagonal and
     f = 0.9,0.1,0.1,0.9      # or symmetric:0.9; defaults to 1 when types=1
     schedule = constant | decaying
     decay = 0.05,-0.05,-0.05,0.05   # zero-row-sum direction, optional
-    decay_rho = 1.0
+    decay_rho = 1.0          # decaying schedule only
 
     [run]
     steps = 10000
@@ -35,9 +35,10 @@ shorthand ``symmetric:p`` expands to a matrix with p on the diagonal and
 Every key is optional except [model] types (and f when types > 1). The
 d_max and cutoff defaults follow the final m, also when a flag sets it. A
 relative seed_graph path is taken from the config file's directory. Any
-section or key not listed above is an error, as are a decaying schedule
-with kind = urn (the urn has no step-dependent columns) and a decay with a
-constant schedule (which never reads it).
+section or key not listed above is an error, as are a schedule other than
+constant or decaying, a decaying schedule with kind = urn (the urn has no
+step-dependent columns), a decay or decay_rho with a constant schedule
+(which never reads them), and a d_max or cutoff below edges_per_step.
 """
 from __future__ import annotations
 
@@ -132,7 +133,7 @@ def config_fields(path) -> dict:
     decay_raw = get("model", "decay")
     decay_matrix = (None if decay_raw is None
                     else parse_matrix(decay_raw, n_types, what="decay"))
-    decay_rho = get_number("model", "decay_rho", 1.0, float)
+    decay_rho = get_number("model", "decay_rho", None, float)
 
     seed_edges = None
     seed_path = get("graph", "seed_graph")

@@ -46,14 +46,11 @@ def lattice_size(n_types: int, max_weight: int) -> int:
 class DegreeDistribution:
     """Sparse nonnegative mass function on degree vectors.
 
-    `provenance` records where the masses came from; `max_weight` is the
-    truncation weight for theoretical tables (masses are computed for all
-    vectors of weight up to it) and None for empirical censuses.
+    `provenance` records where the masses came from.
     """
 
     masses: dict
     provenance: str = EMPIRICAL
-    max_weight: int | None = None
 
     def mass(self, d: Iterable[int]) -> float:
         return self.masses.get(tuple(d), 0.0)

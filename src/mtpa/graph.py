@@ -95,9 +95,10 @@ class PerturbationSchedule:
         if kind not in (CONSTANT, DECAYING):
             raise ValidationError(f"unknown schedule kind {kind!r}")
         self.kind = kind
-        self.rho = float(rho)
+        self.rho = None
         self.decay = None
         if kind == DECAYING:
+            self.rho = float(rho)
             if decay is None:
                 raise ValidationError("decaying schedule needs a decay matrix")
             arr = np.asarray(decay, dtype=float)

@@ -62,7 +62,7 @@ class ExperimentConfig:
     f_matrix: np.ndarray
     schedule_kind: str = CONSTANT
     decay_matrix: np.ndarray | None = None
-    decay_rho: float = 1.0
+    decay_rho: float | None = None        # None -> 1.0 when decaying
     seed_edges: list | None = None        # None -> default seed graph
     initial_composition: list | None = None  # None -> seed type counts
     n_steps: int = 10_000
@@ -91,14 +91,22 @@ class ExperimentConfig:
         if len(self.f_matrix) != self.n_types:
             raise ValidationError(
                 f"f has {len(self.f_matrix)} rows for {self.n_types} types")
+        if self.schedule_kind not in (CONSTANT, DECAYING):
+            raise ValidationError(
+                f"unknown schedule kind {self.schedule_kind!r}")
         if self.model == URN and self.schedule_kind != CONSTANT:
             raise ValidationError(
                 "the urn model has no step-dependent columns; "
                 f"schedule must be {CONSTANT}, got {self.schedule_kind!r}")
-        if self.decay_matrix is not None and self.schedule_kind == CONSTANT:
-            raise ValidationError(
-                f"decay is set but the schedule is {CONSTANT}; only a "
-                f"{DECAYING} schedule reads it")
+        if self.schedule_kind == CONSTANT:
+            for key, value in (("decay", self.decay_matrix),
+                               ("decay_rho", self.decay_rho)):
+                if value is not None:
+                    raise ValidationError(
+                        f"{key} is set but the schedule is {CONSTANT}; only "
+                        f"a {DECAYING} schedule reads it")
+        elif self.decay_rho is None:
+            self.decay_rho = 1.0
         if self.max_weight is None:
             self.max_weight = max(30, self.m_edges + 10)
         if self.cutoff is None:
@@ -106,6 +114,10 @@ class ExperimentConfig:
         if self.max_weight < self.m_edges:
             raise ValidationError(
                 f"max_weight {self.max_weight} is below m {self.m_edges}")
+        if self.cutoff < self.m_edges:
+            raise ValidationError(
+                f"cutoff {self.cutoff} is below m {self.m_edges}; no vertex "
+                "weighs less than m, so the comparison would be empty")
         if self.cutoff > self.max_weight:
             raise ValidationError(
                 f"cutoff {self.cutoff} exceeds max_weight {self.max_weight}")

@@ -11,27 +11,19 @@ ROW_SUM_TOL = 1e-12
 STRUCTURAL_ZERO = 1e-15
 
 
-def as_row_stochastic(values, n_types: int | None = None, *, what: str = "matrix",
-                      tol: float = ROW_SUM_TOL) -> np.ndarray:
+def as_row_stochastic(values, *, what: str = "matrix") -> np.ndarray:
     """Coerce to a square float array and check each row sums to one.
 
-    Accepts a square array-like, or a flat row-major sequence of length
-    n_types**2 when `n_types` is given. Raises NotStochastic naming the
-    offending row (1-based).
+    Raises NotStochastic naming the offending row (1-based).
     """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1 and n_types is not None:
-        if arr.size != n_types * n_types:
-            raise NotStochastic(
-                f"{what} needs {n_types * n_types} entries, got {arr.size}")
-        arr = arr.reshape(n_types, n_types)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotStochastic(f"{what} must be square, got shape {arr.shape}")
-    if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
+    if np.any(arr < -ROW_SUM_TOL) or np.any(arr > 1.0 + ROW_SUM_TOL):
         raise NotStochastic(f"{what} has entries outside [0, 1]")
     sums = arr.sum(axis=1)
     for i, s in enumerate(sums):
-        if abs(s - 1.0) > tol:
+        if abs(s - 1.0) > ROW_SUM_TOL:
             raise NotStochastic(f"{what} row {i + 1} sums to {s!r}, not 1")
     return arr
 
@@ -64,10 +56,10 @@ def parse_matrix(text: str, n: int, *, what: str = "matrix") -> np.ndarray:
     return np.array(entries, dtype=float).reshape(n, n)
 
 
-def is_irreducible(matrix: np.ndarray, threshold: float = STRUCTURAL_ZERO) -> bool:
-    """Strong connectivity of the digraph with an arc k->l iff entry > threshold."""
-    arr = np.asarray(matrix, dtype=float)
-    adjacency = arr > threshold
+def is_irreducible(matrix: np.ndarray) -> bool:
+    """Strong connectivity of the digraph with arcs where entries exceed
+    STRUCTURAL_ZERO."""
+    adjacency = np.asarray(matrix, dtype=float) > STRUCTURAL_ZERO
     return _reaches_all(adjacency) and _reaches_all(adjacency.T)
 
 

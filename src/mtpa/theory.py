@@ -32,16 +32,13 @@ EXACT_FACTORIAL_LIMIT = 20
 MARGINAL_TOLERANCE = 3e-12
 
 
-def stationary_type_distribution(type_flip_matrix, *, method: str = "auto",
-                                 tol: float = 1e-13,
-                                 max_iterations: int = 100_000) -> np.ndarray:
+def stationary_type_distribution(type_flip_matrix) -> np.ndarray:
     """Asymptotic edge-type proportions psi, with psi @ F = psi and sum 1.
 
     For an irreducible row-stochastic F this is the unique stationary
     probability vector of the type-flip chain, i.e. the simplex-normalized
-    left Perron eigenvector. A dense linear solve is used up to 64 types
-    (the default); `method="power"` forces damped power iteration on the
-    transpose, which converges for periodic chains too.
+    left Perron eigenvector. One dense linear solve finds it, periodic
+    chains included: psi (F - I) = 0 with one equation replaced by sum 1.
 
     Raises NotStochastic, NotIrreducible, or NoConvergence.
     """
@@ -53,33 +50,14 @@ def stationary_type_distribution(type_flip_matrix, *, method: str = "auto",
             "F has boundary entries (exactly 0 or 1); the proportion limit "
             "was established for entries strictly inside (0, 1)",
             stacklevel=2)
-    if method == "auto":
-        method = "direct" if n <= 64 else "power"
-
-    if method == "direct":
-        system = flip.T - np.eye(n)
-        system[-1, :] = 1.0
-        rhs = np.zeros(n)
-        rhs[-1] = 1.0
-        try:
-            psi = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"direct solve failed: {exc}") from exc
-    elif method == "power":
-        # damping by (T + I)/2 keeps the eigenvector and removes periodicity
-        transpose = flip.T
-        psi = np.full(n, 1.0 / n)
-        for _ in range(max_iterations):
-            previous, psi = psi, 0.5 * (transpose @ psi + psi)
-            psi /= psi.sum()
-            if np.max(np.abs(psi - previous)) <= tol * np.max(np.abs(psi)):
-                break
-        else:
-            raise NoConvergence(
-                f"power iteration did not converge in {max_iterations} steps")
-    else:
-        raise BadArgs(f"unknown method {method!r}")
-
+    system = flip.T - np.eye(n)
+    system[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        psi = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"direct solve failed: {exc}") from exc
     psi = np.maximum(psi, 0.0)
     psi /= psi.sum()
     residual = float(np.max(np.abs(psi @ flip - psi)))
@@ -120,15 +98,15 @@ def _multinomial_pmf(d: Degree, probabilities) -> float:
     return math.exp(log_value)
 
 
-def _check_lattice(n: int, m: int, max_weight: int, lattice_cap: int) -> None:
+def _check_lattice(n: int, m: int, max_weight: int) -> None:
     if m < 1:
         raise BadArgs("m must be at least 1")
     if max_weight < m:
         raise BadArgs("max_weight must be at least m")
-    if lattice_size(n, max_weight) > lattice_cap:
+    if lattice_size(n, max_weight) > LATTICE_CAP:
         raise CapacityExceeded(
             f"lattice up to weight {max_weight} in {n} types exceeds "
-            f"{lattice_cap} cells")
+            f"{LATTICE_CAP} cells")
 
 
 @functools.lru_cache(maxsize=1)
@@ -171,8 +149,8 @@ def _walk(n: int, m: int, max_weight: int, fresh, coefficient) -> dict:
     return masses
 
 
-def solve_recurrence(type_flip_matrix, m: int, max_weight: int, *,
-                     lattice_cap: int = LATTICE_CAP) -> DegreeDistribution:
+def solve_recurrence(type_flip_matrix, m: int,
+                     max_weight: int) -> DegreeDistribution:
     """Asymptotic degree distribution of the perturbed dynamics.
 
     Weight-m vectors get the closed-form mass of a fresh vertex whose m
@@ -181,7 +159,7 @@ def solve_recurrence(type_flip_matrix, m: int, max_weight: int, *,
     """
     flip = matrices.as_row_stochastic(type_flip_matrix, what="F")
     n = flip.shape[0]
-    _check_lattice(n, m, max_weight, lattice_cap)
+    _check_lattice(n, m, max_weight)
     psi = stationary_type_distribution(flip)
     assignment_rates = tuple(float(r) for r in psi @ flip)
     columns = tuple(tuple(float(v) for v in flip[:, l]) for l in range(n))
@@ -197,11 +175,11 @@ def solve_recurrence(type_flip_matrix, m: int, max_weight: int, *,
     masses = _walk(n, m, max_weight,
                    lambda d: _mass_of_fresh_vertex(d, m, assignment_rates),
                    rate)
-    return DegreeDistribution(masses, THEORETICAL_PERTURBED, max_weight)
+    return DegreeDistribution(masses, THEORETICAL_PERTURBED)
 
 
-def solve_unperturbed_recurrence(psi, m: int, max_weight: int, *,
-                                 lattice_cap: int = LATTICE_CAP) -> DegreeDistribution:
+def solve_unperturbed_recurrence(psi, m: int,
+                                 max_weight: int) -> DegreeDistribution:
     """Degree distribution of the non-perturbed dynamics given proportions psi.
 
     Without perturbation the limiting type proportions are random; this
@@ -214,11 +192,11 @@ def solve_unperturbed_recurrence(psi, m: int, max_weight: int, *,
     if psi.ndim != 1 or np.any(psi < 0) or abs(psi.sum() - 1.0) > 1e-12:
         raise BadPsi(f"psi {psi!r} is not a probability vector")
     n = psi.size
-    _check_lattice(n, m, max_weight, lattice_cap)
+    _check_lattice(n, m, max_weight)
     masses = _walk(n, m, max_weight,
                    lambda d: 2.0 * _multinomial_pmf(d, psi) / (m + 2),
                    lambda previous, l: previous[l])
-    return DegreeDistribution(masses, THEORETICAL_UNPERTURBED, max_weight)
+    return DegreeDistribution(masses, THEORETICAL_UNPERTURBED)
 
 
 def dirichlet_psi_sample(initial_type_counts, rng: np.random.Generator) -> np.ndarray:

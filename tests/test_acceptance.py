@@ -295,7 +295,9 @@ def test_criterion_9_conservation_checks(graph_compare_run,
           f"graph report clean; urn violations: {len(urn_violations)}")
 
 
-def test_criterion_10_reproducibility(graph_compare_run):
+def test_criterion_10_reproducibility(graph_compare_run, monkeypatch):
+    # the first run was serial; two workers must give the same bytes
+    monkeypatch.setenv("MTPA_THREADS", "2")
     out2 = graph_compare_run["root"] / "run2"
     start = time.perf_counter()
     code = main(["compare", "--config", str(graph_compare_run["config"]),
@@ -306,5 +308,5 @@ def test_criterion_10_reproducibility(graph_compare_run):
         == (out2 / name).read_bytes()
         for name in ("report.txt", "replicates.csv", "errors.csv"))
     check(10, "byte-identical reruns", code == 0 and identical,
-          f"report.txt, replicates.csv, errors.csv identical across reruns; "
-          f"{elapsed:.0f}s")
+          f"report.txt, replicates.csv, errors.csv identical across serial "
+          f"and two-worker runs; {elapsed:.0f}s")

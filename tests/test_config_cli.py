@@ -459,12 +459,36 @@ def test_malformed_list_is_usage_error(tmp_path, monkeypatch, capsys, argv,
 
 
 def test_decay_with_constant_schedule_is_usage_error(tmp_path, capsys):
-    path = write_config(tmp_path, MINIMAL + "decay = 0.1,-0.1,-0.1,0.1\n")
-    with pytest.raises(ValidationError, match="decay"):
+    for line in ("decay = 0.1,-0.1,-0.1,0.1", "decay_rho = 7"):
+        path = write_config(tmp_path, MINIMAL + line + "\n")
+        key = line.split(" =")[0]
+        with pytest.raises(ValidationError, match=f"^{key} is set"):
+            parse_config(path)
+        assert main(["simulate-graph", "--config", str(path), "--steps", "5",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "schedule is constant" in capsys.readouterr().err
+
+
+def test_unknown_schedule_is_usage_error(tmp_path, capsys):
+    # solve, study and diagnose u_n never build the schedule itself
+    path = write_config(tmp_path, MINIMAL + "schedule = bogus\n")
+    for argv in (["solve"], ["study", "--psi-samples", "2"],
+                 ["diagnose", "--quantity", "u_n", "--d", "1,0"]):
+        assert main(argv + ["--config", str(path),
+                            "--out", str(tmp_path / "o")]) == 2
+        assert "unknown schedule kind 'bogus'" in capsys.readouterr().err
+
+
+def test_cutoff_below_m_is_usage_error(tmp_path, capsys):
+    # no vertex weighs less than m, so the comparison would pass vacuously
+    path = write_config(tmp_path, MINIMAL.replace("edges_per_step = 1",
+                                                  "edges_per_step = 2")
+                        + "\n[run]\nsteps = 10\n\n[compare]\ncutoff = 1\n")
+    with pytest.raises(ValidationError, match="cutoff 1 is below m 2"):
         parse_config(path)
-    assert main(["simulate-graph", "--config", str(path), "--steps", "5",
+    assert main(["compare", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
-    assert "schedule is constant" in capsys.readouterr().err
+    assert "cutoff 1 is below m 2" in capsys.readouterr().err
 
 
 def test_m_dependent_defaults_follow_an_m_flag(tmp_path, capsys):

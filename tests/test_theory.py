@@ -99,35 +99,34 @@ def test_stationary_single_type():
 
 def test_stationary_residual_on_random_matrices():
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        raw = rng.random((4, 4)) + 0.05
+    for n in [4] * 20 + [65, 200]:
+        raw = rng.random((n, n)) + 0.05
         f = raw / raw.sum(axis=1, keepdims=True)
         psi = stationary_type_distribution(f)
         assert np.max(np.abs(psi @ f - psi)) <= 1e-12
         assert abs(psi.sum() - 1.0) < 1e-12
 
 
-def test_stationary_power_method_agrees_with_direct():
-    direct = stationary_type_distribution(F_ASYM, method="direct")
-    power = stationary_type_distribution(F_ASYM, method="power")
-    assert np.max(np.abs(direct - power)) < 1e-11
-
-
 def test_stationary_periodic_chain_with_power_method():
-    with pytest.warns(UserWarning):
-        psi = stationary_type_distribution([[0.0, 1.0], [1.0, 0.0]],
-                                           method="power")
-    assert np.max(np.abs(psi - 0.5)) < 1e-12
+    # cycles of period 2 and 65 have the uniform law
+    for n in (2, 65):
+        with pytest.warns(UserWarning):
+            psi = stationary_type_distribution(np.roll(np.eye(n), 1, axis=1))
+        assert np.max(np.abs(psi - 1.0 / n)) < 1e-12
 
 
-def test_stationary_rejects_bad_matrices():
+def test_stationary_rejects_bad_matrices(monkeypatch):
     with pytest.raises(NotStochastic):
         stationary_type_distribution([[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(NotIrreducible):
         stationary_type_distribution([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(NoConvergence):
-        stationary_type_distribution(F_ASYM, method="power", max_iterations=1,
-                                     tol=1e-16)
+
+    def failing_solve(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    with pytest.raises(NoConvergence, match="direct solve failed"):
+        stationary_type_distribution(F_ASYM)
 
 
 # --------------------------------------------------------------------------
@@ -207,13 +206,16 @@ def test_permutation_symmetry_is_exact():
         assert mass == b.mass((d[1], d[0]))
 
 
-def test_solver_argument_errors():
+def test_solver_argument_errors(monkeypatch):
     with pytest.raises(BadArgs):
         solve_recurrence(F_ASYM, 0, 5)
     with pytest.raises(BadArgs):
         solve_recurrence(F_ASYM, 3, 2)
+    monkeypatch.setattr(theory, "LATTICE_CAP", 10)
     with pytest.raises(CapacityExceeded):
-        solve_recurrence(F_ASYM, 1, 20, lattice_cap=10)
+        solve_recurrence(F_ASYM, 1, 20)
+    with pytest.raises(CapacityExceeded):
+        solve_unperturbed_recurrence([0.5, 0.5], 1, 20)
 
 
 # --------------------------------------------------------------------------
