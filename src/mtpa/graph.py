@@ -10,8 +10,15 @@ at the start of the step; bookkeeping is applied once at the end.
 The endpoint pool stores two slots per edge (one per endpoint), so a uniform
 slot draw is an exact degree-proportional vertex draw, and the slot's edge
 type is at the same time a uniform draw over the chosen vertex's incident
-edges. No weighted structures are ever rebuilt: weights only grow by
-appends.
+edges.
+
+`pa_step` applies one step with scalar code and is the reference. `grow`
+applies many steps at once and is what runs use. The pool only grows by
+appends, so the pool size at every step is known in advance, and all the
+steps' uniforms can be drawn in one call. Each new edge then depends only
+on the slot it drew: its endpoint is that slot's vertex, and its type is
+its flip map applied to that slot's type. `grow` follows these chains
+through the pool in vectorized rounds and gives the same graph bit for bit.
 """
 from __future__ import annotations
 
@@ -122,6 +129,23 @@ class PerturbationSchedule:
             return self._constant_cdf
         return matrices.row_cdfs(self.matrix_at(n))
 
+    def cdf_table(self, first: int, count: int) -> np.ndarray:
+        """`row_cdfs_at(n)` for steps n = first .. first+count-1, as one
+        (count, N, N) array; a constant schedule gives its one table, shape
+        (1, N, N).
+
+        Each step's scale is Python's `float(n) ** rho`, as in `matrix_at`:
+        `np.power` differs from it in the last bit for some n.
+        """
+        if self.kind == CONSTANT:
+            return np.asarray(self._constant_cdf)[None]
+        scale = np.array([float(n) ** self.rho
+                          for n in range(first, first + count)])
+        raw = np.clip(self.limit + self.decay / scale[:, None, None], 0.0, 1.0)
+        table = np.cumsum(raw / raw.sum(axis=2, keepdims=True), axis=2)
+        table[:, :, -1] = 1.0
+        return table
+
 
 class GraphSnapshot(NamedTuple):
     n: int
@@ -129,15 +153,22 @@ class GraphSnapshot(NamedTuple):
     distribution: DegreeDistribution
 
 
+def _index_dtype(slots: int):
+    """Pool indices are int32 until the pool reaches 2**31 slots."""
+    return np.int32 if slots < 2**31 else np.int64
+
+
 class TypedGraph:
-    """Full mutable state of the growing multigraph.
+    """Full mutable state of the growing multigraph, in numpy arrays.
 
     Vertices are dense 0-based ids; seed vertices keep their sorted input
-    order. `census` maps degree tuples to vertex counts, `endpoint_pool` and
-    `pool_types` hold two slots per edge for O(1) degree-proportional
+    order. `endpoint_pool` (vertex per slot) and `pool_types` (the owning
+    edge's type per slot) hold two slots per edge for degree-proportional
     sampling. The pool is also the edge list: edge i joins
     `endpoint_pool[2i]` and `endpoint_pool[2i+1]` with type `pool_types[2i]`;
-    for a grown edge the first slot is the newcomer.
+    for a grown edge the first slot is the newcomer. `per_vertex_degree` is
+    a (vertices, n_types) array, and `census` maps degree tuples to vertex
+    counts.
     """
 
     __slots__ = ("n_types", "num_vertices", "endpoint_pool",
@@ -147,10 +178,11 @@ class TypedGraph:
     def __init__(self, n_types: int):
         self.n_types = n_types
         self.num_vertices = 0
-        self.endpoint_pool = []    # vertex id per slot, 2 slots per edge
-        self.pool_types = []       # owning edge's type per slot
-        self.per_vertex_degree = []  # vertex id -> degree tuple
-        self.census = {}           # degree tuple -> vertex count
+        self.endpoint_pool = np.zeros(0, np.int32)
+        # the smallest signed integer type that holds every type index
+        self.pool_types = np.zeros(0, np.min_scalar_type(-n_types))
+        self.per_vertex_degree = np.zeros((0, n_types), np.int64)
+        self.census = {}
         self.type_counts = [0] * n_types
         self.step_index = 0
         self.initial_num_vertices = 0
@@ -159,6 +191,39 @@ class TypedGraph:
     @property
     def num_edges(self) -> int:
         return len(self.endpoint_pool) // 2
+
+
+def _degree_counts(vertices: np.ndarray, types: np.ndarray, n_vertices: int,
+                   n_types: int) -> np.ndarray:
+    """(n_vertices, n_types) count of the slots of each vertex and type."""
+    keys = vertices.astype(np.int64) * n_types + types
+    return np.bincount(keys, minlength=n_vertices * n_types).reshape(
+        n_vertices, n_types)
+
+
+def _census(degrees: np.ndarray, previous: dict | None = None) -> dict:
+    """Histogram of the degree rows, as degree tuple -> vertex count, in
+    lexicographic order of the tuples.
+
+    Each row is keyed by one int64 (mixed radix over the columns, ranked
+    densely before a column that would overflow it), since np.unique over
+    rows (axis=0) is several times slower than over scalars. Degrees that
+    were already in `previous` keep its key objects, so the snapshots of a
+    run share them instead of holding a copy each.
+    """
+    key = np.zeros(len(degrees), np.int64)
+    span = 1
+    for column in degrees.T:
+        radix = int(column.max(initial=0)) + 1
+        if span * radix >= 2**63:
+            key = np.unique(key, return_inverse=True)[1]
+            span = int(key.max(initial=0)) + 1
+        key = key * radix + column
+        span *= radix
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    known = {d: d for d in previous or ()}
+    return {known.get(d, d): count for d, count in
+            zip(map(tuple, degrees[first].tolist()), counts.tolist())}
 
 
 def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
@@ -176,29 +241,26 @@ def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
     index = {v: i for i, v in enumerate(vertex_ids)}
 
     graph = TypedGraph(n)
-    graph.num_vertices = len(vertex_ids)
-    graph.initial_num_vertices = len(vertex_ids)
-    degrees = [[0] * n for _ in vertex_ids]
+    ends, types = [], []
     for a, b, t in seed_spec.edges:
         if a == b:
             raise LoopEdge(f"seed edge ({a}, {b}) is a loop")
         if not 0 <= t < n:
             raise ValidationError(f"edge type index {t} outside [0, {n})")
-        ia, ib = index[a], index[b]
-        graph.endpoint_pool.append(ia)
-        graph.endpoint_pool.append(ib)
-        graph.pool_types.append(t)
-        graph.pool_types.append(t)
-        graph.type_counts[t] += 1
-        degrees[ia][t] += 1
-        degrees[ib][t] += 1
+        ends += (index[a], index[b])
+        types.append(t)
+    graph.type_counts = np.bincount(types, minlength=n).tolist()
     for t, count in enumerate(graph.type_counts):
         if count == 0:
             raise MissingType(t + 1)
-    graph.initial_num_edges = graph.num_edges
-    graph.per_vertex_degree = [tuple(deg) for deg in degrees]
-    for deg in graph.per_vertex_degree:
-        graph.census[deg] = graph.census.get(deg, 0) + 1
+    graph.num_vertices = len(vertex_ids)
+    graph.initial_num_vertices = len(vertex_ids)
+    graph.initial_num_edges = len(types)
+    graph.endpoint_pool = np.array(ends, _index_dtype(len(ends)))
+    graph.pool_types = np.repeat(np.array(types, graph.pool_types.dtype), 2)
+    graph.per_vertex_degree = _degree_counts(
+        graph.endpoint_pool, graph.pool_types, graph.num_vertices, n)
+    graph.census = _census(graph.per_vertex_degree)
     return graph
 
 
@@ -210,6 +272,7 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     initial type at once, see module docstring) and one perturbation draw.
     Degrees, census, pool and type counts all update atomically at the end,
     so every probability inside the step is a function of the frozen state.
+    This is the scalar reference that `grow` must reproduce.
     """
     n = graph.step_index + 1
     pool_v = graph.endpoint_pool
@@ -227,7 +290,7 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
         slot = int(us[2 * i] * frozen)
         if slot == frozen:
             slot -= 1
-        endpoint = pool_v[slot]
+        endpoint = int(pool_v[slot])
         row = cdfs[pool_t[slot]]
         u = us[2 * i + 1]
         final = 0
@@ -237,23 +300,26 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
 
     type_counts = graph.type_counts
     new_degree = [0] * n_types
+    new_slots, new_types = [], []
     gained = {}
     for endpoint, final in chosen:
         type_counts[final] += 1
         new_degree[final] += 1
-        pool_v.append(new_vertex)
-        pool_v.append(endpoint)
-        pool_t.append(final)
-        pool_t.append(final)
+        new_slots += (new_vertex, endpoint)
+        new_types += (final, final)
         inc = gained.get(endpoint)
         if inc is None:
             gained[endpoint] = inc = [0] * n_types
         inc[final] += 1
+    graph.endpoint_pool = np.concatenate(
+        (pool_v, np.array(new_slots, _index_dtype(frozen + 2 * m))))
+    graph.pool_types = np.concatenate(
+        (pool_t, np.array(new_types, pool_t.dtype)))
 
     census = graph.census
-    degrees = graph.per_vertex_degree
+    degrees = np.concatenate((graph.per_vertex_degree, [new_degree]))
     for endpoint, inc in gained.items():
-        old = degrees[endpoint]
+        old = tuple(degrees[endpoint].tolist())
         new = tuple(o + i for o, i in zip(old, inc))
         remaining = census[old] - 1
         if remaining:
@@ -263,10 +329,102 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
         census[new] = census.get(new, 0) + 1
         degrees[endpoint] = new
     newcomer = tuple(new_degree)
-    degrees.append(newcomer)
     census[newcomer] = census.get(newcomer, 0) + 1
+    graph.per_vertex_degree = degrees
     graph.num_vertices = new_vertex + 1
     graph.step_index = n
+    return graph
+
+
+def grow(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
+         n_steps: int, rng: np.random.Generator) -> TypedGraph:
+    """Apply `n_steps` growth steps at once, from any state.
+
+    Draws the same uniforms in the same order as `n_steps` calls of
+    `pa_step`, and leaves the same graph bit for bit. New edge e of step j
+    (0-based in this call) is pool edge start/2 + e, with e = j*m + i. It
+    drew slot s < frozen_j = start + 2mj. Its endpoint is the vertex of
+    slot s, which for a grown odd slot is again the endpoint of that slot's
+    edge. Its type is its flip map (the step's flip outcome for each parent
+    type) applied to the type of slot s's edge. Both chains end in the
+    pool as it was (or, for endpoints, at a newcomer slot). Endpoints are
+    resolved by pointer doubling, types one generation per round; both
+    take rounds that grow with the log of the number of edges.
+    """
+    if n_steps < 0:
+        raise ValidationError("n_steps must be nonnegative")
+    if n_steps == 0:
+        return graph
+    start = len(graph.endpoint_pool)
+    if start == 0:
+        raise EmptyPool("graph has no edges to sample from")
+    n_types = graph.n_types
+    first_vertex, first_edge = graph.num_vertices, start // 2
+    k = m * n_steps
+    idx = _index_dtype(start + 2 * k)
+
+    draws = rng.random(2 * k)
+    step = np.arange(k, dtype=idx) // m
+    frozen = start + 2 * m * step
+    slot = np.minimum((draws[0::2] * frozen).astype(idx), frozen - 1)
+    del frozen
+
+    # flip[e, t]: the type edge e takes when its parent slot has type t,
+    # i.e. how many of the step's CDF entries row t lie at or below e's
+    # flip uniform (the last entry is 1.0 and never does)
+    table = schedule.cdf_table(graph.step_index + 1, n_steps)
+    row = step if len(table) > 1 else 0
+    flip_u = draws[1::2]
+    flip = np.zeros((k, n_types), graph.pool_types.dtype)
+    for t in range(n_types):
+        for c in range(n_types - 1):
+            flip[:, t] += table[row, t, c] <= flip_u
+    del draws, flip_u, table
+
+    # types, in rounds: an edge whose parent edge's type is known takes
+    # its flip of that type; round r settles the edges r generations below
+    # the pool as it was
+    parent = slot // 2
+    edge_type = np.full(k, -1, flip.dtype)
+    seed_side = np.flatnonzero(parent < first_edge)
+    edge_type[seed_side] = flip[seed_side,
+                                graph.pool_types[2 * parent[seed_side]]]
+    pending = np.flatnonzero(parent >= first_edge)
+    while pending.size:
+        parent_type = edge_type[parent[pending] - first_edge]
+        known = parent_type >= 0
+        ready = pending[known]
+        edge_type[ready] = flip[ready, parent_type[known]]
+        pending = pending[~known]
+    del flip, parent, seed_side
+
+    # endpoints, by pointer doubling: a grown odd slot holds the endpoint
+    # its own edge drew
+    pending = np.flatnonzero((slot >= start) & (slot % 2 == 1))
+    while pending.size:
+        slot[pending] = slot[(slot[pending] - start) // 2]
+        hop = slot[pending]
+        pending = pending[(hop >= start) & (hop % 2 == 1)]
+    new_slots = np.empty(2 * k, idx)
+    new_slots[0::2] = first_vertex + step
+    seed_side = slot < start
+    new_slots[1::2] = np.where(seed_side,
+                               graph.endpoint_pool[np.where(seed_side, slot, 0)],
+                               first_vertex + (slot - start) // (2 * m))
+    del slot, step, seed_side
+    new_types = np.repeat(edge_type, 2)
+
+    vertices = first_vertex + n_steps
+    degrees = _degree_counts(new_slots, new_types, vertices, n_types)
+    degrees[:first_vertex] += graph.per_vertex_degree
+    gained = np.bincount(edge_type, minlength=n_types).tolist()
+    graph.type_counts = [a + b for a, b in zip(graph.type_counts, gained)]
+    graph.endpoint_pool = np.concatenate((graph.endpoint_pool, new_slots))
+    graph.pool_types = np.concatenate((graph.pool_types, new_types))
+    graph.per_vertex_degree = degrees
+    graph.census = _census(degrees, graph.census)
+    graph.num_vertices = vertices
+    graph.step_index += n_steps
     return graph
 
 
@@ -299,18 +457,26 @@ def run(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     if snapshot_every < 1:
         raise ValidationError("snapshot_every must be at least 1")
     snapshots = [_snapshot(graph)]
-    for step in range(1, n_steps + 1):
-        pa_step(graph, schedule, m, rng)
-        if step % snapshot_every == 0 or step == n_steps:
-            snapshots.append(_snapshot(graph))
+    done = 0
+    while done < n_steps:
+        chunk = min(snapshot_every, n_steps - done)
+        grow(graph, schedule, m, chunk, rng)
+        done += chunk
+        snapshots.append(_snapshot(graph))
     return snapshots
 
 
 def check_graph_invariants(graph: TypedGraph, m: int) -> list:
-    """Exact conservation checks; returns human-readable violations (empty = ok)."""
+    """Exact conservation checks; returns human-readable violations (empty = ok).
+
+    Besides the counts, the census must be the histogram of the per-vertex
+    degrees, and those must be a recount of the pool.
+    """
     violations = []
     steps = graph.step_index
     pool_v, pool_t = graph.endpoint_pool, graph.pool_types
+    n_types, vertices = graph.n_types, graph.num_vertices
+    degrees = graph.per_vertex_degree
     edges = graph.num_edges
     if edges != graph.initial_num_edges + m * steps:
         violations.append(
@@ -320,21 +486,30 @@ def check_graph_invariants(graph: TypedGraph, m: int) -> list:
         violations.append("type counts do not sum to the edge count")
     if any(c <= 0 for c in graph.type_counts):
         violations.append("a type has no edges")
-    if sum(graph.census.values()) != graph.num_vertices:
+    if sum(graph.census.values()) != vertices:
         violations.append("census does not sum to the vertex count")
-    if graph.num_vertices != graph.initial_num_vertices + steps:
+    if vertices != graph.initial_num_vertices + steps:
         violations.append("vertex count != initial + steps")
-    if len(pool_v) % 2 or len(pool_t) != len(pool_v):
+    paired = len(pool_v) % 2 == 0 and len(pool_t) == len(pool_v)
+    if not paired:
         violations.append("endpoint pool and type pool are not 2 slots per edge")
-    handshake = sum(sum(d) for d in graph.per_vertex_degree)
+    handshake = int(degrees.sum())
     if handshake != len(pool_v):
         violations.append(f"handshake: degree total {handshake} != 2*|E|")
+    if graph.census != _census(degrees):
+        violations.append(
+            "census is not the histogram of the per-vertex degrees")
     edge_types = pool_t[0::2]
-    if edge_types != pool_t[1::2]:
+    if not np.array_equal(edge_types, pool_t[1::2]):
         violations.append("the two slots of an edge disagree on its type")
-    recount = [0] * graph.n_types
-    for t in edge_types:
-        recount[t] += 1
+    if (np.any(pool_t < 0) or np.any(pool_t >= n_types)
+            or np.any(pool_v < 0) or np.any(pool_v >= vertices)):
+        violations.append("a slot names a vertex or type out of range")
+        return violations
+    recount = np.bincount(edge_types, minlength=n_types).tolist()
     if recount != graph.type_counts:
         violations.append("type counts disagree with the edge pool")
+    if paired and not np.array_equal(
+            _degree_counts(pool_v, pool_t, vertices, n_types), degrees):
+        violations.append("per-vertex degrees disagree with the pool")
     return violations

@@ -20,7 +20,7 @@ from .degrees import DegreeDistribution
 from .errors import BadArgs, BadQuantity, NotStochastic, ValidationError
 from .graph import (CONSTANT, DECAYING, PerturbationSchedule, SeedGraphSpec,
                     check_graph_invariants, edge_type_proportions,
-                    empirical_distribution, new_graph, pa_step, run)
+                    empirical_distribution, grow, new_graph, run)
 from .theory import (dirichlet_psi_sample, exact_attachment_probability,
                      edge_gain_rate_limit, exact_no_edge_probability,
                      solve_recurrence, solve_unperturbed_recurrence,
@@ -219,9 +219,7 @@ class ComparisonReport:
 def _graph_replicate(cfg: ExperimentConfig, index: int):
     rng = replicate_stream(cfg.master_seed, index)
     graph = new_graph(cfg.seed_spec())
-    schedule = cfg.schedule()
-    for _ in range(cfg.n_steps):
-        pa_step(graph, schedule, cfg.m_edges, rng)
+    grow(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps, rng)
     violations = check_graph_invariants(graph, cfg.m_edges)
     emp = empirical_distribution(graph)
     truncated = DegreeDistribution({d: p for d, p in emp.masses.items()

@@ -78,18 +78,26 @@ class UrnSnapshot(NamedTuple):
 
 
 def new_urn(initial_composition, m: int, sampler: ColumnSampler) -> UrnState:
-    """Validate the initial ball counts against the sampler's colours."""
-    comp = list(initial_composition)
-    if len(comp) != sampler.n_colours:
+    """Validate the initial ball counts against the sampler's colours.
+
+    A count must be a whole number; 2.0 is taken as 2, and 1.5 is an error.
+    """
+    given = list(initial_composition)
+    if len(given) != sampler.n_colours:
         raise ValidationError(
-            f"composition has {len(comp)} colours, sampler expects {sampler.n_colours}")
+            f"composition has {len(given)} colours, sampler expects {sampler.n_colours}")
+    try:
+        comp = [int(c) for c in given]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"ball counts must be whole numbers: {exc}") from exc
+    if comp != given:
+        raise ValidationError(f"ball counts must be whole numbers, got {given}")
     if any(c < 0 for c in comp):
         raise NegativeCount(f"negative ball count in {comp}")
     if sum(comp) <= 0:
         raise EmptyUrn("initial composition has no balls")
     if m < 1:
         raise ValidationError("m must be at least 1")
-    comp = [int(c) for c in comp]
     return UrnState(composition=comp, m=m, initial_total=sum(comp))
 
 

@@ -11,7 +11,7 @@ from mtpa.errors import (EmptyGraph, EmptyPool, LoopEdge, MissingType,
                          ValidationError)
 from mtpa.graph import (DECAYING, PerturbationSchedule, SeedGraphSpec,
                         TypedGraph, check_graph_invariants,
-                        empirical_distribution, new_graph, pa_step, run)
+                        empirical_distribution, grow, new_graph, pa_step, run)
 from mtpa.harness import replicate_stream
 
 F_NEAR_ID = [[0.9, 0.1], [0.1, 0.9]]
@@ -46,7 +46,7 @@ def test_default_seed_two_vertices_one_edge_per_type():
     g = new_graph(SeedGraphSpec.default(2))
     assert g.num_vertices == 2
     assert g.type_counts == [1, 1]
-    assert g.per_vertex_degree == [(1, 1), (1, 1)]
+    assert g.per_vertex_degree.tolist() == [[1, 1], [1, 1]]
     assert g.census == {(1, 1): 2}
     assert len(g.endpoint_pool) == 4
 
@@ -272,7 +272,7 @@ def test_pa_step_two_edges_newcomer_degree_law():
     for _ in range(n):
         g = new_graph(SeedGraphSpec.default(2))
         pa_step(g, schedule, 2, rng)
-        both_one += g.per_vertex_degree[-1] == (2, 0)
+        both_one += tuple(g.per_vertex_degree[-1]) == (2, 0)
         (_, b1, _), (_, b2, _) = last_edges(g, 2)
         same_endpoint += b1 == b2
     assert abs(both_one / n - 0.25) < three_sigma(0.25, n)
@@ -327,9 +327,40 @@ def test_invariants_flag_a_corrupted_pool():
     violations = check_graph_invariants(g, 2)
     assert any("disagree on its type" in v for v in violations)
     g.pool_types[-1] = 1 - g.pool_types[-1]
-    g.pool_types.pop()
+    g.pool_types = g.pool_types[:-1]
     violations = check_graph_invariants(g, 2)
     assert any("2 slots per edge" in v for v in violations)
+
+
+def test_invariants_flag_a_corrupted_census():
+    schedule = PerturbationSchedule(F_NEAR_ID)
+    g = new_graph(SeedGraphSpec.default(2))
+    grow(g, schedule, 2, 50, replicate_stream(40, 0))
+    assert check_graph_invariants(g, 2) == []
+    # move one vertex to a degree no vertex has: the census still sums to
+    # the vertex count, but it is no longer the degrees' histogram
+    degree = next(iter(g.census))
+    g.census[degree] -= 1
+    g.census[(99, 0)] = 1
+    assert check_graph_invariants(g, 2) == [
+        "census is not the histogram of the per-vertex degrees"]
+
+
+def test_invariants_flag_a_corrupted_degree():
+    schedule = PerturbationSchedule(F_NEAR_ID)
+    g = new_graph(SeedGraphSpec.default(2))
+    grow(g, schedule, 2, 50, replicate_stream(41, 0))
+    # move one unit of degree between types, and follow it in the census,
+    # so only the recount of the pool can see it
+    old = tuple(g.per_vertex_degree[5].tolist())
+    g.per_vertex_degree[5] += (1, -1) if old[1] else (-1, 1)
+    new = tuple(g.per_vertex_degree[5].tolist())
+    g.census[old] -= 1
+    if not g.census[old]:
+        del g.census[old]
+    g.census[new] = g.census.get(new, 0) + 1
+    assert check_graph_invariants(g, 2) == [
+        "per-vertex degrees disagree with the pool"]
 
 
 def test_empty_pool_propagates_from_pa_step():
@@ -407,9 +438,7 @@ def test_type_permutation_equivariance_distributional():
         reps, steps = 40, 2000
         for r in range(reps):
             g = new_graph(SeedGraphSpec.default(2))
-            rng = replicate_stream(512 + lane, r)
-            for _ in range(steps):
-                pa_step(g, schedule, 1, rng)
+            grow(g, schedule, 1, steps, replicate_stream(512 + lane, r))
             for d, c in g.census.items():
                 acc[d] = acc.get(d, 0) + c
         total = sum(acc.values())

@@ -1,0 +1,205 @@
+"""Differential tests: the whole-run engine `grow` against `pa_step`.
+
+`grow` must draw the same uniforms in the same order as a loop of
+`pa_step` calls and leave the same graph bit for bit: pools, type counts,
+per-vertex degrees and census, every snapshot of a run, and the state of
+the generator afterwards.
+"""
+from __future__ import annotations
+
+import random
+import struct
+
+import numpy as np
+import pytest
+
+from mtpa.degrees import DegreeDistribution
+from mtpa.graph import (CONSTANT, DECAYING, PerturbationSchedule,
+                        SeedGraphSpec, _census, _index_dtype,
+                        check_graph_invariants, empirical_distribution,
+                        edge_type_proportions, grow, new_graph, pa_step, run)
+from mtpa.harness import replicate_stream, tv_distance
+from mtpa.theory import solve_recurrence
+
+SEEDS = range(5)
+
+
+def flip_matrix(n: int) -> np.ndarray:
+    """A positive, asymmetric row-stochastic matrix, fixed per size."""
+    rows = np.random.default_rng(100 + n).dirichlet(np.ones(n), size=n)
+    return 0.5 * rows + 0.5 * np.eye(n) if n > 1 else np.ones((1, 1))
+
+
+def make_schedule(n: int, rho) -> PerturbationSchedule:
+    if rho is None:
+        return PerturbationSchedule(flip_matrix(n), CONSTANT)
+    # large enough to clip entries at 0 and 1 in the first steps
+    decay = 0.9 * (np.eye(n) - np.full((n, n), 1.0 / n))
+    return PerturbationSchedule(flip_matrix(n), DECAYING, decay, rho)
+
+
+def seed_spec(kind: str, n: int, tmp_path) -> SeedGraphSpec:
+    if kind == "default":
+        return SeedGraphSpec.default(n)
+    if kind == "parallel":
+        # the criterion-3 seed: 100 parallel edges of each type
+        return SeedGraphSpec(n, [(0, 1, t) for t in range(n) for _ in range(100)])
+    # vertex ids with gaps, read from a file
+    path = tmp_path / "gaps.txt"
+    ids = [3, 7, 12, 40, 41]
+    lines = [f"{ids[i]} {ids[(i + 1) % 5]} {i % n + 1}" for i in range(5)]
+    lines.append(f"12 40 {n}")
+    path.write_text("\n".join(lines) + "\n")
+    return SeedGraphSpec.from_file(path, n)
+
+
+def reference_run(graph, schedule, m, n_steps, snapshot_every, rng) -> list:
+    """`run` as a loop of `pa_step`: snapshots at every `snapshot_every`
+    steps and at the last one."""
+    snaps = [(graph.step_index, edge_type_proportions(graph),
+              empirical_distribution(graph).masses)]
+    for step in range(1, n_steps + 1):
+        pa_step(graph, schedule, m, rng)
+        if step % snapshot_every == 0 or step == n_steps:
+            snaps.append((graph.step_index, edge_type_proportions(graph),
+                          empirical_distribution(graph).masses))
+    return snaps
+
+
+def assert_same_graph(a, b):
+    for name in ("endpoint_pool", "pool_types", "per_vertex_degree"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype, name
+        assert np.array_equal(left, right), name
+    assert a.type_counts == b.type_counts
+    assert a.census == b.census
+    assert (a.num_vertices, a.step_index) == (b.num_vertices, b.step_index)
+
+
+def assert_same_stream(rng_a, rng_b):
+    assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("rho", [None, 0.5, 0.37, 1.7],
+                         ids=["constant", "rho0.5", "rho0.37", "rho1.7"])
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("n_types", [1, 2, 3])
+@pytest.mark.parametrize("seed_kind", ["default", "parallel", "gaps"])
+def test_run_matches_pa_step(seed_kind, n_types, m, rho, tmp_path):
+    schedule = make_schedule(n_types, rho)
+    spec = seed_spec(seed_kind, n_types, tmp_path)
+    for seed in SEEDS:
+        # 130 steps with a snapshot every 40: the last interval is short
+        ref, eng = new_graph(spec), new_graph(spec)
+        rng_ref, rng_eng = replicate_stream(seed, 0), replicate_stream(seed, 0)
+        expected = reference_run(ref, schedule, m, 130, 40, rng_ref)
+        got = run(eng, schedule, m, 130, 40, rng_eng)
+        assert [(s.n, s.psi, s.distribution.masses) for s in got] == expected
+        assert [s.n for s in got] == [0, 40, 80, 120, 130]
+        assert_same_graph(ref, eng)
+        assert_same_stream(rng_ref, rng_eng)
+        assert check_graph_invariants(eng, m) == []
+
+
+@pytest.mark.parametrize("rho", [None, 0.5])
+def test_grow_continues_a_graph_stepped_by_pa_step(rho):
+    schedule = make_schedule(3, rho)
+    for seed in SEEDS:
+        ref = new_graph(SeedGraphSpec.default(3))
+        rng_ref = replicate_stream(seed, 0)
+        for _ in range(37):
+            pa_step(ref, schedule, 2, rng_ref)
+        eng = new_graph(SeedGraphSpec.default(3))
+        rng_eng = replicate_stream(seed, 0)
+        for _ in range(37):
+            pa_step(eng, schedule, 2, rng_eng)
+        for _ in range(250):
+            pa_step(ref, schedule, 2, rng_ref)
+        grow(eng, schedule, 2, 250, rng_eng)
+        assert_same_graph(ref, eng)
+        assert_same_stream(rng_ref, rng_eng)
+        assert check_graph_invariants(eng, 2) == []
+
+
+def test_zero_steps_draw_nothing():
+    schedule = make_schedule(2, 0.5)
+    g = new_graph(SeedGraphSpec.default(2))
+    rng, untouched = replicate_stream(3, 0), replicate_stream(3, 0)
+    assert grow(g, schedule, 2, 0, rng) is g
+    snaps = run(g, schedule, 2, 0, 7, rng)
+    assert [s.n for s in snaps] == [0]
+    assert_same_graph(g, new_graph(SeedGraphSpec.default(2)))
+    assert_same_stream(rng, untouched)
+
+
+def test_long_run_matches_pa_step():
+    # deep ancestry chains: many rounds of pointer doubling
+    schedule = make_schedule(2, None)
+    ref, eng = new_graph(SeedGraphSpec.default(2)), new_graph(SeedGraphSpec.default(2))
+    rng_ref, rng_eng = replicate_stream(9, 0), replicate_stream(9, 0)
+    for _ in range(5000):
+        pa_step(ref, schedule, 3, rng_ref)
+    grow(eng, schedule, 3, 5000, rng_eng)
+    assert_same_graph(ref, eng)
+    assert_same_stream(rng_ref, rng_eng)
+
+
+def test_cdf_table_matches_row_cdfs_at():
+    limit = flip_matrix(3)
+    decay = 0.9 * (np.eye(3) - np.full((3, 3), 1.0 / 3))
+    for rho in (0.5, 1.0, 0.37, 1.7, 0.123):
+        schedule = PerturbationSchedule(limit, DECAYING, decay, rho)
+        table = schedule.cdf_table(1, 4000)
+        for n in range(1, 4001):
+            assert table[n - 1].tolist() == [list(r) for r in schedule.row_cdfs_at(n)]
+        later = schedule.cdf_table(123_456, 3)
+        for i in range(3):
+            assert later[i].tolist() == [
+                list(r) for r in schedule.row_cdfs_at(123_456 + i)]
+    constant = PerturbationSchedule(limit)
+    assert constant.cdf_table(1, 50).tolist() == [
+        [list(r) for r in constant.row_cdfs_at(1)]]
+
+
+def test_census_keys_past_int64():
+    # six columns up to 2**20 overflow a mixed-radix int64 key, so the
+    # census ranks the partial keys on the way
+    rng = np.random.default_rng(5)
+    degrees = rng.integers(0, 3, size=(4000, 6)) * (2**20 // 2)
+    degrees[::7, 0] = 2**20
+    counts = {}
+    for row in degrees.tolist():
+        counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+    census = _census(degrees)
+    assert census == counts
+    assert list(census) == sorted(counts)
+
+
+def test_index_dtype_widens_at_two_to_the_31():
+    assert _index_dtype(2**31 - 1) == np.int32
+    assert _index_dtype(2**31) == np.int64
+
+
+def test_tv_distance_does_not_depend_on_census_order():
+    # the census comes out in sorted order, pa_step's in insertion order:
+    # the TV of a census must be the same bytes in any order
+    schedule = make_schedule(2, None)
+    g = new_graph(SeedGraphSpec.default(2))
+    grow(g, schedule, 2, 3000, replicate_stream(8, 0))
+    theory = solve_recurrence(schedule.limit, 2, 16)
+    theory_cut = DegreeDistribution(
+        {d: p for d, p in theory.masses.items() if sum(d) <= 8})
+    items = list(g.census.items())
+
+    def tv_bytes(census_items):
+        g.census = dict(census_items)
+        emp = empirical_distribution(g)
+        cut = DegreeDistribution({d: p for d, p in emp.masses.items()
+                                  if sum(d) <= 8})
+        return struct.pack("<d", tv_distance(cut, theory_cut, 8))
+
+    expected = tv_bytes(items)
+    shuffler = random.Random(0)
+    for _ in range(300):
+        shuffler.shuffle(items)
+        assert tv_bytes(items) == expected

@@ -174,7 +174,7 @@ def test_graph_proportions_match_urn_in_distribution():
     # terminal proportions across seeds must be KS-indistinguishable
     scipy_stats = pytest.importorskip("scipy.stats")
     from mtpa.graph import (PerturbationSchedule, SeedGraphSpec,
-                            edge_type_proportions, new_graph, pa_step)
+                            edge_type_proportions, grow, new_graph)
     from mtpa.urn import bernoulli_column_sampler, new_urn, run_urn
 
     seeds = 40
@@ -183,9 +183,7 @@ def test_graph_proportions_match_urn_in_distribution():
     graph_sample = []
     for r in range(seeds):
         g = new_graph(SeedGraphSpec.default(2))
-        rng = replicate_stream(62, r)
-        for _ in range(steps):
-            pa_step(g, schedule, 1, rng)
+        grow(g, schedule, 1, steps, replicate_stream(62, r))
         graph_sample.append(edge_type_proportions(g)[0])
 
     sampler = bernoulli_column_sampler(np.asarray(F_NEAR_ID))

@@ -46,6 +46,16 @@ def test_new_urn_validation():
         new_urn([1, 1, 1], 1, sampler)
 
 
+def test_new_urn_rejects_fractional_counts():
+    sampler = bernoulli_column_sampler(F_ASYM)
+    for bad in ([1.5, 0.7], [2, 0.5], [float("nan"), 1], [float("inf"), 1]):
+        with pytest.raises(ValidationError, match="whole numbers"):
+            new_urn(bad, 1, sampler)
+    urn = new_urn([2.0, np.int64(3)], 1, sampler)
+    assert urn.composition == [2, 3]
+    assert all(type(c) is int for c in urn.composition)
+
+
 def test_ball_conservation_formula():
     sampler = bernoulli_column_sampler(F_ASYM)
     urn = new_urn([3, 1], 5, sampler)
