@@ -111,9 +111,10 @@ class PerturbationSchedule:
             arr = np.asarray(decay, dtype=float)
             if arr.shape != self.limit.shape:
                 raise ValidationError("decay matrix shape does not match F")
-            if np.max(np.abs(arr.sum(axis=1))) > matrices.ROW_SUM_TOL:
+            # written so that a NaN fails them
+            if not np.all(np.abs(arr.sum(axis=1)) <= matrices.ROW_SUM_TOL):
                 raise ValidationError("decay matrix rows must sum to 0")
-            if self.rho <= 0:
+            if not self.rho > 0:
                 raise ValidationError("decay exponent rho must be positive")
             self.decay = arr
         self._constant_cdf = matrices.row_cdfs(self.limit)

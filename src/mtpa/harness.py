@@ -17,7 +17,8 @@ import numpy as np
 
 from . import matrices
 from .degrees import DegreeDistribution
-from .errors import BadArgs, BadQuantity, NotStochastic, ValidationError
+from .errors import (BadArgs, BadPsi, BadQuantity, NotStochastic,
+                     ValidationError)
 from .graph import (CONSTANT, DECAYING, PerturbationSchedule, SeedGraphSpec,
                     check_graph_invariants, edge_type_proportions,
                     empirical_distribution, grow, new_graph, run)
@@ -431,24 +432,20 @@ def perturbed_vs_unperturbed_study(cfg: ExperimentConfig, n_psi_samples: int,
         counts = cfg.seed_spec().type_counts()
         psi_samples = [dirichlet_psi_sample(counts, rng)
                        for _ in range(n_psi_samples)]
-    else:
-        psi_samples = [np.asarray(p, dtype=float) for p in psi_samples]
-    if not psi_samples:
+    if not len(psi_samples):
         raise BadArgs("need at least one psi sample")
+    if any(np.shape(psi) != (cfg.n_types,) for psi in psi_samples):
+        raise BadPsi(f"every psi sample needs {cfg.n_types} entries")
 
     perturbed = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
-    degrees = [d for d, _ in perturbed.items_sorted() if sum(d) <= cfg.cutoff]
-    values = {d: [] for d in degrees}
-    for psi in psi_samples:
-        dist = solve_unperturbed_recurrence(psi, cfg.m_edges, cfg.max_weight)
-        for d in degrees:
-            values[d].append(dist.mass(d))
-    mean = {d: float(np.mean(values[d])) for d in degrees}
-    std = {d: float(np.std(values[d])) for d in degrees}
+    # one walk carries every sample, one column each
+    mean, std = solve_unperturbed_recurrence(
+        np.array(psi_samples, dtype=float).T, cfg.m_edges, cfg.max_weight)
+    degrees = [d for d in mean if sum(d) <= cfg.cutoff]
     return StudyReport(
         n_samples=len(psi_samples),
         degrees=degrees,
-        unperturbed_mean=mean,
-        unperturbed_std=std,
+        unperturbed_mean={d: mean[d] for d in degrees},
+        unperturbed_std={d: std[d] for d in degrees},
         perturbed={d: perturbed.mass(d) for d in degrees},
     )

@@ -14,12 +14,13 @@ STRUCTURAL_ZERO = 1e-15
 def as_row_stochastic(values, *, what: str = "matrix") -> np.ndarray:
     """Coerce to a square float array and check each row sums to one.
 
-    Raises NotStochastic naming the offending row (1-based).
+    Raises NotStochastic naming the offending row (1-based); a NaN entry
+    is outside [0, 1] too.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotStochastic(f"{what} must be square, got shape {arr.shape}")
-    if np.any(arr < -ROW_SUM_TOL) or np.any(arr > 1.0 + ROW_SUM_TOL):
+    if not np.all((arr >= -ROW_SUM_TOL) & (arr <= 1.0 + ROW_SUM_TOL)):
         raise NotStochastic(f"{what} has entries outside [0, 1]")
     sums = arr.sum(axis=1)
     for i, s in enumerate(sums):

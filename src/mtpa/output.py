@@ -18,19 +18,27 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> Path:
+def write_csv(path, header, rows, template=None) -> Path:
+    """A header line, then one line per row.
+
+    Each value goes through `fmt`, unless `template`, a `str.format`
+    string for one whole line, says how to write a row's values.
+    """
     path = Path(path)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        if template is None:
+            for row in rows:
+                fh.write(",".join(fmt(v) for v in row) + "\n")
+        else:
+            fh.writelines(template.format(*row) for row in rows)
     return path
 
 
 def write_distribution_csv(path, dist: DegreeDistribution, n_types: int) -> Path:
     header = [f"d_{i + 1}" for i in range(n_types)] + ["mass", "provenance"]
-    rows = [d + (mass, dist.provenance) for d, mass in dist.items_sorted()]
-    return write_csv(path, header, rows)
+    rows = (d + (mass, dist.provenance) for d, mass in dist.items_sorted())
+    return write_csv(path, header, rows, "{}," * n_types + "{:.17g},{}\n")
 
 
 def write_graph_snapshots(out_dir, snapshots, n_types: int):
@@ -40,11 +48,10 @@ def write_graph_snapshots(out_dir, snapshots, n_types: int):
     psi_rows = [(s.n,) + s.psi for s in snapshots]
     psi_path = write_csv(out_dir / "psi.csv", psi_header, psi_rows)
     dist_header = ["n"] + [f"d_{i + 1}" for i in range(n_types)] + ["mass"]
-    dist_rows = []
-    for snap in snapshots:
-        for d, mass in snap.distribution.items_sorted():
-            dist_rows.append((snap.n,) + d + (mass,))
-    dist_path = write_csv(out_dir / "distribution.csv", dist_header, dist_rows)
+    dist_rows = ((snap.n,) + d + (mass,) for snap in snapshots
+                 for d, mass in snap.distribution.items_sorted())
+    dist_path = write_csv(out_dir / "distribution.csv", dist_header, dist_rows,
+                          "{}," * (n_types + 1) + "{:.17g}\n")
     return psi_path, dist_path
 
 

@@ -8,7 +8,6 @@ bound used to control the linearization error of those probabilities.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -109,43 +108,91 @@ def _check_lattice(n: int, m: int, max_weight: int) -> None:
             f"{LATTICE_CAP} cells")
 
 
-@functools.lru_cache(maxsize=1)
-def _layers(n: int, m: int, max_weight: int) -> tuple:
-    # the lattice from weight m up, one tuple per weight; the last one is
-    # kept, since `study` walks the same lattice once per psi sample
-    return tuple(tuple(compositions_of_weight(s, n))
-                 for s in range(m, max_weight + 1))
+def _compositions(n: int, m: int, max_weight: int):
+    """Each weight layer from m up to `max_weight`, as an (n, K) array whose
+    columns are the layer's degree vectors in lexicographic order."""
+    # parts[p - 1] holds the compositions of the current weight into p parts:
+    # those with a zero head come first, then the lighter ones plus e_0
+    parts = [np.zeros((p, 1), dtype=np.int64) for p in range(1, n + 1)]
+    for s in range(1, max_weight + 1):
+        heavier = [np.full((1, 1), s, dtype=np.int64)]
+        for lighter in parts[1:]:
+            zero_head = np.zeros((1, heavier[-1].shape[1]), dtype=np.int64)
+            bumped = lighter.copy()
+            bumped[0] += 1
+            heavier.append(np.hstack((np.vstack((zero_head, heavier[-1])),
+                                      bumped)))
+        parts = heavier
+        if s >= m:
+            yield parts[-1]
+
+
+def _lex_rank(degrees: np.ndarray, weight: int, binomials: list) -> np.ndarray:
+    # position of each column in its weight layer's lexicographic order: at
+    # each part, count the vectors that agree before it and are smaller there,
+    # with binomials[q][r] = C(r + q, q) vectors of weight r in q + 1 parts
+    n = degrees.shape[0]
+    rank = np.zeros(degrees.shape[1], dtype=np.int64)
+    rest = weight
+    for i in range(n - 1):
+        table = binomials[n - 1 - i]
+        after = rest - degrees[i]
+        rank += table[rest] - table[after]
+        rest = after
+    return rank
+
+
+def _walk_layers(n: int, m: int, max_weight: int, fresh, coefficient):
+    """Masses on the degree lattice, one weight layer at a time.
+
+    Yields (s, degrees, masses) for each weight s from m up to `max_weight`:
+    `degrees` is an (n, K) array whose columns are the weight-s vectors in
+    lexicographic order, and `masses` a (K, S) array with one column per
+    source. Weight-m vectors get `fresh(d)`, a float or S of them. Each
+    heavier d gets sum_l coefficient(d - e_l, l) * mass(d - e_l) / (s + 2),
+    added over l in order, skipping predecessors of zero mass; `coefficient`
+    takes the predecessors as an (n, k) array and returns k rates. Lighter
+    vectors have mass zero and are omitted. Whatever the types do, every
+    weight-s layer of every source must sum to the single-type closed form
+    2m(m+1)/(s(s+1)(s+2)); a deviation past MARGINAL_TOLERANCE raises
+    NoConvergence before the layer is yielded.
+    """
+    binomials = [np.array([math.comb(r + q, q) for r in range(max_weight + 1)],
+                          dtype=np.int64) for q in range(n)]
+    layers = _compositions(n, m, max_weight)
+    degrees = next(layers)
+    masses = np.array([fresh(d) for d in zip(*degrees.tolist())],
+                      dtype=float).reshape(degrees.shape[1], -1)
+    for s in range(m, max_weight + 1):
+        denom = s + 2
+        if s > m:
+            degrees = next(layers)
+            acc = np.zeros((degrees.shape[1], masses.shape[1]))
+            for l in range(n):
+                cells = np.flatnonzero(degrees[l])
+                previous = degrees[:, cells]
+                previous[l] -= 1
+                term = masses[_lex_rank(previous, s - 1, binomials)]
+                np.multiply(coefficient(previous, l)[:, None], term, out=term,
+                            where=term != 0.0)
+                acc[cells] += term
+            masses = acc / denom
+        total = masses.sum(axis=0)
+        marginal = 2.0 * m * (m + 1) / (s * (s + 1) * denom)
+        off = np.flatnonzero(~(np.abs(total - marginal) <= MARGINAL_TOLERANCE))
+        if off.size:
+            raise NoConvergence(f"weight-{s} layer sums to "
+                                f"{total[off[0]]:.17g}, not the marginal "
+                                f"{marginal:.17g}")
+        yield s, degrees, masses
 
 
 def _walk(n: int, m: int, max_weight: int, fresh, coefficient) -> dict:
-    """Masses on the degree lattice from weight m up to `max_weight`.
-
-    Weight-m vectors get `fresh(d)`; each heavier d gets
-    sum_l coefficient(d - e_l, l) * mass(d - e_l) / (s + 2), added over l
-    in order, skipping predecessors of zero mass. Lighter vectors have mass
-    zero and are omitted. Whatever the types do, every weight-s layer must
-    sum to the single-type closed form 2m(m+1)/(s(s+1)(s+2)); a deviation
-    past MARGINAL_TOLERANCE raises NoConvergence.
-    """
-    layers = _layers(n, m, max_weight)
-    masses = {d: fresh(d) for d in layers[0]}
-    for s, layer in enumerate(layers, m):
-        denom = s + 2
-        if s > m:
-            for d in layer:
-                acc = 0.0
-                for l in range(n):
-                    if d[l]:
-                        previous = d[:l] + (d[l] - 1,) + d[l + 1:]
-                        prev_mass = masses[previous]
-                        if prev_mass:
-                            acc += coefficient(previous, l) * prev_mass
-                masses[d] = acc / denom
-        total = sum(map(masses.__getitem__, layer))
-        marginal = 2.0 * m * (m + 1) / (s * (s + 1) * denom)
-        if not abs(total - marginal) <= MARGINAL_TOLERANCE:
-            raise NoConvergence(f"weight-{s} layer sums to {total:.17g}, "
-                                f"not the marginal {marginal:.17g}")
+    """The first source's masses of `_walk_layers`, keyed by degree tuple in
+    `sort_key` order."""
+    masses = {}
+    for _, degrees, layer in _walk_layers(n, m, max_weight, fresh, coefficient):
+        masses.update(zip(zip(*degrees.tolist()), layer[:, 0].tolist()))
     return masses
 
 
@@ -162,14 +209,13 @@ def solve_recurrence(type_flip_matrix, m: int,
     _check_lattice(n, m, max_weight)
     psi = stationary_type_distribution(flip)
     assignment_rates = tuple(float(r) for r in psi @ flip)
-    columns = tuple(tuple(float(v) for v in flip[:, l]) for l in range(n))
+    columns = [flip[:, l].tolist() for l in range(n)]
 
     def rate(previous, l):
-        # a sequential sum over k; np.dot would round differently
-        value = 0.0
-        for dk, f_kl in zip(previous, columns[l]):
-            if dk:
-                value += dk * f_kl
+        # summed over k in order; np.dot would round differently
+        value = np.zeros(previous.shape[1])
+        for d_k, f_kl in zip(previous, columns[l]):
+            value += d_k * f_kl
         return value
 
     masses = _walk(n, m, max_weight,
@@ -178,8 +224,7 @@ def solve_recurrence(type_flip_matrix, m: int,
     return DegreeDistribution(masses, THEORETICAL_PERTURBED)
 
 
-def solve_unperturbed_recurrence(psi, m: int,
-                                 max_weight: int) -> DegreeDistribution:
+def solve_unperturbed_recurrence(psi, m: int, max_weight: int):
     """Degree distribution of the non-perturbed dynamics given proportions psi.
 
     Without perturbation the limiting type proportions are random; this
@@ -187,16 +232,34 @@ def solve_unperturbed_recurrence(psi, m: int,
     comparison studies against the deterministic perturbed answer. A fresh
     vertex's types are multinomial in psi, and a vertex gains a type-l edge
     at rate (d - e_l)_l.
+
+    `psi` may also be an (N, S) array whose columns are S realizations. The
+    rate does not depend on psi, so one walk carries them all, a layer at a
+    time, each column's masses equal bit for bit to its own solve. The
+    result is then the pair of dicts (mean, std): the mean and the standard
+    deviation of each mass over the columns, keyed in `sort_key` order.
     """
     psi = np.asarray(psi, dtype=float)
-    if psi.ndim != 1 or np.any(psi < 0) or abs(psi.sum() - 1.0) > 1e-12:
-        raise BadPsi(f"psi {psi!r} is not a probability vector")
-    n = psi.size
+    samples = list(psi.T) if psi.ndim == 2 else [psi]
+    if psi.ndim not in (1, 2) or not samples:
+        raise BadPsi(f"psi of shape {psi.shape} is not one or more "
+                     "probability vectors")
+    for sample in samples:
+        if not np.all(sample >= 0) or not abs(sample.sum() - 1.0) <= 1e-12:
+            raise BadPsi(f"psi {sample!r} is not a probability vector")
+    n = psi.shape[0]
     _check_lattice(n, m, max_weight)
-    masses = _walk(n, m, max_weight,
-                   lambda d: 2.0 * _multinomial_pmf(d, psi) / (m + 2),
-                   lambda previous, l: previous[l])
-    return DegreeDistribution(masses, THEORETICAL_UNPERTURBED)
+    walk = (n, m, max_weight,
+            lambda d: [2.0 * _multinomial_pmf(d, p) / (m + 2) for p in samples],
+            lambda previous, l: previous[l])
+    if psi.ndim == 1:
+        return DegreeDistribution(_walk(*walk), THEORETICAL_UNPERTURBED)
+    mean, std = {}, {}
+    for _, degrees, masses in _walk_layers(*walk):
+        cells = list(zip(*degrees.tolist()))
+        mean.update(zip(cells, masses.mean(axis=1).tolist()))
+        std.update(zip(cells, masses.std(axis=1).tolist()))
+    return mean, std
 
 
 def dirichlet_psi_sample(initial_type_counts, rng: np.random.Generator) -> np.ndarray:

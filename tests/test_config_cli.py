@@ -157,6 +157,16 @@ def test_solve_unperturbed_cli(tmp_path, capsys):
     assert rows[0][3] == "THEORETICAL_UNPERTURBED"
 
 
+def test_non_finite_psi_and_f_are_usage_errors(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["solve-unperturbed", "--n", "2", "--m", "1",
+                 "--psi", "nan,0.5", "--out", out]) == 2
+    assert "is not a probability vector" in capsys.readouterr().err
+    assert main(["solve", "--n", "2", "--f", "0.5,0.5,nan,0.5",
+                 "--out", out]) == 2
+    assert "has entries outside [0, 1]" in capsys.readouterr().err
+
+
 def test_manifest_lists_outputs_with_correct_digests(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", "--n", "1", "--m", "1", "--dmax", "10",

@@ -116,6 +116,16 @@ def test_schedule_validation():
                              decay=[[0.1, -0.1], [0.0, 0.0]], rho=0.0)
 
 
+def test_schedule_rejects_non_finite_decay():
+    nan, inf = float("nan"), float("inf")
+    for decay in ([[nan, 0.0], [0.0, 0.0]], [[inf, 0.0], [0.0, -inf]]):
+        with pytest.raises(ValidationError, match="rows must sum to 0"):
+            PerturbationSchedule(F_NEAR_ID, kind=DECAYING, decay=decay)
+    with pytest.raises(ValidationError, match="rho must be positive"):
+        PerturbationSchedule(F_NEAR_ID, kind=DECAYING,
+                             decay=[[0.1, -0.1], [0.0, 0.0]], rho=nan)
+
+
 def test_decaying_schedule_stays_stochastic_and_converges():
     decay = [[0.4, -0.4], [-0.4, 0.4]]
     schedule = PerturbationSchedule(F_NEAR_ID, kind=DECAYING, decay=decay,

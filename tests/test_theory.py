@@ -255,6 +255,23 @@ def test_unperturbed_rejects_bad_psi():
         solve_unperturbed_recurrence([0.7, 0.7], 1, 5)
 
 
+def test_unperturbed_rejects_non_finite_psi():
+    nan, inf = float("nan"), float("inf")
+    for psi in ([nan, 0.5], [0.5, nan], [nan, nan], [inf, 0.5], [inf, -inf]):
+        with pytest.raises(BadPsi, match="not a probability vector"):
+            solve_unperturbed_recurrence(psi, 1, 5)
+
+
+def test_solvers_reject_non_finite_flip_entries():
+    nan, inf = float("nan"), float("inf")
+    for flip in ([[0.5, 0.5], [nan, 0.5]], [[nan, nan], [0.5, 0.5]],
+                 [[inf, 0.5], [0.5, 0.5]], [[0.5, 0.5], [-inf, 1.0]]):
+        with pytest.raises(NotStochastic, match="outside"):
+            stationary_type_distribution(flip)
+        with pytest.raises(NotStochastic, match="outside"):
+            solve_recurrence(flip, 1, 5)
+
+
 # --------------------------------------------------------------------------
 # Dirichlet proportions
 
