@@ -37,6 +37,10 @@ class NegativeCount(MtpaError):
     """A ball count is negative."""
 
 
+class BrokenUrn(MtpaError):
+    """A run's composition breaks ball conservation or has a negative count."""
+
+
 class BadMatrix(MtpaError):
     """A matrix argument violates its stochasticity contract."""
 

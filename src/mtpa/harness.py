@@ -437,11 +437,12 @@ def perturbed_vs_unperturbed_study(cfg: ExperimentConfig, n_psi_samples: int,
     if any(np.shape(psi) != (cfg.n_types,) for psi in psi_samples):
         raise BadPsi(f"every psi sample needs {cfg.n_types} entries")
 
-    perturbed = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
-    # one walk carries every sample, one column each
+    # a weight layer depends only on lighter ones, so both walks stop at
+    # the cutoff; one walk carries every sample, one column each
+    perturbed = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.cutoff)
     mean, std = solve_unperturbed_recurrence(
-        np.array(psi_samples, dtype=float).T, cfg.m_edges, cfg.max_weight)
-    degrees = [d for d in mean if sum(d) <= cfg.cutoff]
+        np.array(psi_samples, dtype=float).T, cfg.m_edges, cfg.cutoff)
+    degrees = list(mean)
     return StudyReport(
         n_samples=len(psi_samples),
         degrees=degrees,

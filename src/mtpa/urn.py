@@ -15,8 +15,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices
-from .errors import (BadMatrix, EmptyUrn, NegativeCount, NotStochastic,
-                     ValidationError)
+from .errors import (BadMatrix, BrokenUrn, EmptyUrn, NegativeCount,
+                     NotStochastic, ValidationError)
+
+# most steps one run_urn chunk advances
+MAX_CHUNK_STEPS = 4096
 
 
 @dataclass
@@ -101,44 +104,123 @@ def new_urn(initial_composition, m: int, sampler: ColumnSampler) -> UrnState:
     return UrnState(composition=comp, m=m, initial_total=sum(comp))
 
 
-def _advance(comp: list, total: int, m: int, us: list, cdfs, picks: list) -> int:
-    """Advance `comp` over a buffer of uniforms; return the new ball total.
-
-    Each step takes 2*m uniforms, so the buffer may hold many steps: the
-    first m pick colours from the frozen composition into `picks`, the next
-    m draw the picked colours' columns from their row CDFs `cdfs`.
-    """
-    for pos in range(0, len(us), 2 * m):
-        for i in range(m):
-            x = us[pos + i] * total
-            j = 0
-            acc = comp[0]
-            while x >= acc:
-                j += 1
-                acc += comp[j]
-            picks[i] = j
-        for i in range(m):
-            row = cdfs[picks[i]]
-            u = us[pos + m + i]
-            k = 0
-            while u >= row[k]:
-                k += 1
-            comp[k] += 1
-        total += m
-    return total
+def _draw(x: float, comp, u: float, cdfs) -> int:
+    """One draw: the colour whose cumulative count first exceeds
+    x = u_pick * total in `comp`, flipped by its row CDF in `cdfs` with the
+    uniform `u`. Returns the colour that gains the ball."""
+    j = 0
+    acc = comp[0]
+    while x >= acc:
+        j += 1
+        acc += comp[j]
+    row = cdfs[j]
+    k = 0
+    while u >= row[k]:
+        k += 1
+    return k
 
 
 def urn_step(urn: UrnState, sampler: ColumnSampler,
              rng: np.random.Generator) -> UrnState:
     """One step: m colour draws from the frozen composition, then m columns.
 
-    Consumes 2*m uniforms; `run_urn` is tested against repeated calls.
+    Consumes 2*m uniforms, the m picks first; this is the reference that
+    `run_urn` is tested against.
     """
     m = urn.m
-    _advance(urn.composition, urn.total, m, rng.random(2 * m).tolist(),
-             sampler.row_cdfs, [0] * m)
+    total = urn.total
+    us = rng.random(2 * m).tolist()
+    gained = [_draw(us[i] * total, urn.composition, us[m + i], sampler.row_cdfs)
+              for i in range(m)]
+    for k in gained:
+        urn.composition[k] += 1
     urn.step_index += 1
     return urn
+
+
+def _passed(values: np.ndarray, bounds) -> np.ndarray:
+    """How many of `bounds` each entry of `values` is at or above; each
+    bound broadcasts against `values`."""
+    count = np.zeros(values.shape, dtype=np.intp)
+    for bound in bounds:
+        count += values >= bound
+    return count
+
+
+def _flips(u: np.ndarray, pick: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The colour each draw gains: how many entries of its picked colour's
+    row CDF (all but the last, which is 1.0) its uniform is at or above."""
+    return _passed(u, [column[pick] for column in cdf.T[:-1]])
+
+
+def _gains_before(gained: np.ndarray, n: int) -> np.ndarray:
+    """(K+1, n+1): row j counts the draws of the steps before step j that
+    gained each colour, colour n standing for a draw still in doubt."""
+    steps = len(gained)
+    keys = (np.arange(steps)[:, None] * (n + 1) + gained).ravel()
+    counts = np.bincount(keys, minlength=steps * (n + 1)).reshape(steps, n + 1)
+    before = np.zeros((steps + 1, n + 1), dtype=np.intp)
+    np.cumsum(counts, axis=0, out=before[1:])
+    return before
+
+
+def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
+                 sampler: ColumnSampler) -> np.ndarray:
+    """Balls each colour gains over len(us) steps from composition `comp`.
+
+    Row j of `us` holds step j's 2*m uniforms. Step j's total is known in
+    advance, total + m*j, and each colour boundary (a cumulative count) lies
+    between its chunk-start value and that plus m*j. A draw whose
+    x = u * total_j passes the same boundaries under both bounds is settled:
+    its colour, and so its flip, is known without stepping. One round then
+    tightens the bounds to the settled draws' exact gains plus one ball per
+    draw still in doubt before step j; what stays in doubt is stepped in
+    order with `_draw`. Every product and compare is the one `urn_step`
+    makes, so the gains are the same bit for bit.
+    """
+    steps, n = len(us), len(comp)
+    cdf = np.array(sampler.row_cdfs)
+    grown = m * np.arange(steps, dtype=float)
+    x = us[:, :m] * (total + grown)[:, None]
+    flip_u = us[:, m:]
+    edges = np.cumsum(comp)[:-1]
+    pick = _passed(x, edges)
+    # settled when x passes the high bound of the last boundary it passes
+    # at the low bound, and so, the boundaries being sorted, of all before it
+    last_passed = np.concatenate(([-np.inf], edges))[pick]
+    settled = x >= last_passed + grown[:, None]
+    gained = np.where(settled, _flips(flip_u, pick, cdf), n)
+
+    rows, draws = np.nonzero(~settled)
+    if len(rows):
+        before = _gains_before(gained, n)[rows]
+        low = (edges + np.cumsum(before[:, :n - 1], axis=1)).T
+        xs = x[rows, draws]
+        pick = _passed(xs, low)
+        known = pick == _passed(xs, low + before[:, n])
+        rows_k, draws_k = rows[known], draws[known]
+        gained[rows_k, draws_k] = _flips(flip_u[rows_k, draws_k], pick[known], cdf)
+        rows, draws = rows[~known], draws[~known]
+
+    before = _gains_before(gained, n)
+    gains = before[-1, :n]
+    if len(rows):
+        resolved = [0] * n
+        current, pending = -1, []
+        for j, base, x_j, u in zip(rows.tolist(), (comp + before[rows, :n]).tolist(),
+                                   x[rows, draws].tolist(),
+                                   flip_u[rows, draws].tolist()):
+            if j != current:
+                # the draws of one step share its start-of-step composition
+                for k in pending:
+                    resolved[k] += 1
+                current, pending = j, []
+                step_comp = [a + b for a, b in zip(base, resolved)]
+            pending.append(_draw(x_j, step_comp, u, sampler.row_cdfs))
+        for k in pending:
+            resolved[k] += 1
+        gains = gains + resolved
+    return gains
 
 
 def _snapshot(urn: UrnState) -> UrnSnapshot:
@@ -149,8 +231,13 @@ def run_urn(urn: UrnState, sampler: ColumnSampler, n_steps: int,
             snapshot_every: int, rng: np.random.Generator) -> list:
     """Run the urn, recording (step, composition, fractions) snapshots.
 
-    Same trajectory and uniform stream as repeated urn_step calls; uniforms
-    are drawn in chunks of at most 8192, cut at snapshot boundaries.
+    Same trajectory and uniform stream as repeated urn_step calls. Steps go
+    in chunks of K, cut at snapshot boundaries, with K at most
+    `MAX_CHUNK_STEPS` and at most total // (2m): the m*K balls a chunk adds
+    then stay within half the total its draws are settled against (see
+    `_chunk_gains`). Each chunk draws its 2m*K uniforms with one call and
+    ends with the checks of `check_urn_invariants`; a violation raises
+    BrokenUrn.
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
@@ -158,20 +245,21 @@ def run_urn(urn: UrnState, sampler: ColumnSampler, n_steps: int,
         raise ValidationError("snapshot_every must be at least 1")
     snapshots = [_snapshot(urn)]
     m = urn.m
-    per_step = 2 * m
-    block_steps = max(1, 8192 // per_step)
-    picks = [0] * m
-    total = urn.total
-    start = urn.step_index
+    comp = np.array(urn.composition, dtype=np.int64)
     step = 0
     while step < n_steps:
         boundary = min(n_steps, (step // snapshot_every + 1) * snapshot_every)
-        chunk = min(block_steps, boundary - step)
-        us = rng.random(chunk * per_step).tolist()
-        total = _advance(urn.composition, total, m, us, sampler.row_cdfs, picks)
+        total = urn.total
+        chunk = max(1, min(MAX_CHUNK_STEPS, total // (2 * m), boundary - step))
+        us = rng.random(chunk * 2 * m).reshape(chunk, 2 * m)
+        comp += _chunk_gains(comp, total, m, us, sampler)
+        urn.composition[:] = comp.tolist()
+        urn.step_index += chunk
         step += chunk
+        violations = check_urn_invariants(urn)
+        if violations:
+            raise BrokenUrn("; ".join(violations))
         if step == boundary:
-            urn.step_index = start + step
             snapshots.append(_snapshot(urn))
     return snapshots
 

@@ -270,7 +270,7 @@ def test_explicit_psi_study_equals_a_loop_of_solves():
         study_by_loop(cfg, [np.asarray(p, dtype=float) for p in samples]))
 
 
-def test_study_checks_every_layer_but_keeps_only_the_cutoff(monkeypatch):
+def test_study_walks_only_to_the_cutoff(monkeypatch):
     cfg = ExperimentConfig(model="graph", n_types=3, m_edges=1,
                            f_matrix=[[0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
                                      [0.1, 0.1, 0.8]],
@@ -286,10 +286,35 @@ def test_study_checks_every_layer_but_keeps_only_the_cutoff(monkeypatch):
     monkeypatch.setattr(theory, "_walk_layers", recording)
     study = perturbed_vs_unperturbed_study(cfg, 5)
     # the perturbed solve, then one walk with a column per sample
-    assert walked == ([(s, 1) for s in range(1, 21)]
-                      + [(s, 5) for s in range(1, 21)])
+    assert walked == [(s, 1) for s in range(1, 7)] + [(s, 5) for s in range(1, 7)]
     assert max(sum(d) for d in study.degrees) == 6
     assert len(study.degrees) == math.comb(6 + 3, 3) - 1
+
+
+def study_to_max_weight(cfg, psi_samples) -> harness.StudyReport:
+    """The study walked to max_weight, then cut at the cutoff."""
+    perturbed = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
+    mean, std = solve_unperturbed_recurrence(
+        np.array(psi_samples, dtype=float).T, cfg.m_edges, cfg.max_weight)
+    degrees = [d for d in mean if sum(d) <= cfg.cutoff]
+    return harness.StudyReport(
+        n_samples=len(psi_samples), degrees=degrees,
+        unperturbed_mean={d: mean[d] for d in degrees},
+        unperturbed_std={d: std[d] for d in degrees},
+        perturbed={d: perturbed.mass(d) for d in degrees})
+
+
+@pytest.mark.parametrize("m, max_weight, cutoff",
+                         ((1, 40, 11), (1, 12, 12), (2, 25, 2), (3, 20, 9)))
+def test_study_to_the_cutoff_equals_a_walk_to_max_weight(m, max_weight, cutoff):
+    cfg = ExperimentConfig(model="graph", n_types=3, m_edges=m,
+                           f_matrix=[[0.7, 0.2, 0.1], [0.1, 0.8, 0.1],
+                                     [0.2, 0.2, 0.6]],
+                           max_weight=max_weight, cutoff=cutoff)
+    samples = dirichlet_samples(cfg, 50)
+    assert_same_report(
+        perturbed_vs_unperturbed_study(cfg, 0, psi_samples=samples),
+        study_to_max_weight(cfg, samples))
 
 
 def test_study_validates_every_explicit_sample():
