@@ -207,7 +207,7 @@ def _cmd_solve(args) -> int:
     config = {"n_types": cfg.n_types, "m_edges": cfg.m_edges, "d_max": dmax,
               "f": [float(v) for v in cfg.f_matrix.ravel()]}
     _manifest(args, out, config, args.seed, [path])
-    print(f"wrote {path} ({len(dist.masses)} degree vectors, "
+    print(f"wrote {path} ({len(dist)} degree vectors, "
           f"total mass {dist.total():.6f})")
     return 0
 

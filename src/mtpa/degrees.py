@@ -2,13 +2,16 @@
 
 A generalized degree is a length-N tuple of nonnegative integers counting a
 vertex's incident edges of each type. Its weight is the plain total degree.
-Distributions are sparse maps from degree tuples to probability mass.
+A distribution holds its degree vectors as rows in `sort_key` order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
+
+import numpy as np
 
 Degree = tuple  # tuple[int, ...]
 
@@ -42,24 +45,43 @@ def lattice_size(n_types: int, max_weight: int) -> int:
     return math.comb(max_weight + n_types, n_types)
 
 
-@dataclass
-class DegreeDistribution:
-    """Sparse nonnegative mass function on degree vectors.
+def degree_dtype(max_degree: int):
+    """The smallest signed integer type that holds 0 to `max_degree`."""
+    return np.min_scalar_type(-int(max_degree) - 1)
 
+
+@dataclass(eq=False)
+class DegreeDistribution:
+    """Sparse nonnegative mass function on degree vectors, as columns.
+
+    Row k of the (K, N) integer array `degrees` is a degree vector and
+    `values[k]` its mass; the rows are distinct and in `sort_key` order.
     `provenance` records where the masses came from.
     """
 
-    masses: dict
+    degrees: np.ndarray
+    values: np.ndarray
     provenance: str = EMPIRICAL
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @cached_property
+    def masses(self) -> dict:
+        """Degree tuple -> mass, in row order, built on first use."""
+        return dict(zip(map(tuple, self.degrees.tolist()),
+                        self.values.tolist()))
 
     def mass(self, d: Iterable[int]) -> float:
         return self.masses.get(tuple(d), 0.0)
 
     def total(self) -> float:
-        return sum(self.masses.values())
+        # one float at a time: a list of them would outweigh the columns
+        return sum(map(float, self.values))
 
-    def items_sorted(self) -> list:
-        return sorted(self.masses.items(), key=lambda item: sort_key(item[0]))
-
-    def support(self) -> set:
-        return set(self.masses)
+    def truncated(self, max_weight: int) -> "DegreeDistribution":
+        """The rows of weight at most `max_weight`, a prefix of the rows."""
+        end = int(np.searchsorted(self.degrees.sum(axis=1), max_weight,
+                                  side="right"))
+        return DegreeDistribution(self.degrees[:end], self.values[:end],
+                                  self.provenance)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices
-from .degrees import DegreeDistribution, EMPIRICAL
+from .degrees import DegreeDistribution, EMPIRICAL, degree_dtype
 from .errors import (EmptyGraph, EmptyPool, LoopEdge, MissingType, ParseError,
                      ValidationError)
 
@@ -168,12 +168,12 @@ class TypedGraph:
     sampling. The pool is also the edge list: edge i joins
     `endpoint_pool[2i]` and `endpoint_pool[2i+1]` with type `pool_types[2i]`;
     for a grown edge the first slot is the newcomer. `per_vertex_degree` is
-    a (vertices, n_types) array, and `census` maps degree tuples to vertex
-    counts.
+    a (vertices, n_types) array; the census is derived from it on demand
+    (`empirical_distribution`).
     """
 
     __slots__ = ("n_types", "num_vertices", "endpoint_pool",
-                 "pool_types", "per_vertex_degree", "census", "type_counts",
+                 "pool_types", "per_vertex_degree", "type_counts",
                  "step_index", "initial_num_vertices", "initial_num_edges")
 
     def __init__(self, n_types: int):
@@ -183,7 +183,6 @@ class TypedGraph:
         # the smallest signed integer type that holds every type index
         self.pool_types = np.zeros(0, np.min_scalar_type(-n_types))
         self.per_vertex_degree = np.zeros((0, n_types), np.int64)
-        self.census = {}
         self.type_counts = [0] * n_types
         self.step_index = 0
         self.initial_num_vertices = 0
@@ -202,15 +201,14 @@ def _degree_counts(vertices: np.ndarray, types: np.ndarray, n_vertices: int,
         n_vertices, n_types)
 
 
-def _census(degrees: np.ndarray, previous: dict | None = None) -> dict:
-    """Histogram of the degree rows, as degree tuple -> vertex count, in
-    lexicographic order of the tuples.
+def _census(degrees: np.ndarray) -> tuple:
+    """Histogram of the degree rows: the distinct rows in `sort_key` order,
+    as a small-int array, and how many times each occurs.
 
     Each row is keyed by one int64 (mixed radix over the columns, ranked
     densely before a column that would overflow it), since np.unique over
-    rows (axis=0) is several times slower than over scalars. Degrees that
-    were already in `previous` keep its key objects, so the snapshots of a
-    run share them instead of holding a copy each.
+    rows (axis=0) is several times slower than over scalars. Key order is
+    lexicographic order, so a stable sort by weight gives `sort_key` order.
     """
     key = np.zeros(len(degrees), np.int64)
     span = 1
@@ -222,9 +220,9 @@ def _census(degrees: np.ndarray, previous: dict | None = None) -> dict:
         key = key * radix + column
         span *= radix
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    known = {d: d for d in previous or ()}
-    return {known.get(d, d): count for d, count in
-            zip(map(tuple, degrees[first].tolist()), counts.tolist())}
+    rows = degrees[first].astype(degree_dtype(degrees.max(initial=0)))
+    order = np.argsort(rows.sum(axis=1), kind="stable")
+    return rows[order], counts[order]
 
 
 def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
@@ -261,7 +259,6 @@ def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
     graph.pool_types = np.repeat(np.array(types, graph.pool_types.dtype), 2)
     graph.per_vertex_degree = _degree_counts(
         graph.endpoint_pool, graph.pool_types, graph.num_vertices, n)
-    graph.census = _census(graph.per_vertex_degree)
     return graph
 
 
@@ -271,7 +268,7 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
 
     Consumes exactly 2*m uniforms: per edge one slot draw (endpoint and
     initial type at once, see module docstring) and one perturbation draw.
-    Degrees, census, pool and type counts all update atomically at the end,
+    Degrees, pool and type counts all update atomically at the end,
     so every probability inside the step is a function of the frozen state.
     This is the scalar reference that `grow` must reproduce.
     """
@@ -299,38 +296,20 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
             final += 1
         chosen.append((endpoint, final))
 
-    type_counts = graph.type_counts
-    new_degree = [0] * n_types
+    degrees = np.concatenate((graph.per_vertex_degree,
+                              np.zeros((1, n_types), np.int64)))
     new_slots, new_types = [], []
-    gained = {}
     for endpoint, final in chosen:
-        type_counts[final] += 1
-        new_degree[final] += 1
+        graph.type_counts[final] += 1
+        degrees[new_vertex, final] += 1
+        degrees[endpoint, final] += 1
         new_slots += (new_vertex, endpoint)
         new_types += (final, final)
-        inc = gained.get(endpoint)
-        if inc is None:
-            gained[endpoint] = inc = [0] * n_types
-        inc[final] += 1
     graph.endpoint_pool = np.concatenate(
         (pool_v, np.array(new_slots, _index_dtype(frozen + 2 * m))))
     graph.pool_types = np.concatenate(
         (pool_t, np.array(new_types, pool_t.dtype)))
 
-    census = graph.census
-    degrees = np.concatenate((graph.per_vertex_degree, [new_degree]))
-    for endpoint, inc in gained.items():
-        old = tuple(degrees[endpoint].tolist())
-        new = tuple(o + i for o, i in zip(old, inc))
-        remaining = census[old] - 1
-        if remaining:
-            census[old] = remaining
-        else:
-            del census[old]
-        census[new] = census.get(new, 0) + 1
-        degrees[endpoint] = new
-    newcomer = tuple(new_degree)
-    census[newcomer] = census.get(newcomer, 0) + 1
     graph.per_vertex_degree = degrees
     graph.num_vertices = new_vertex + 1
     graph.step_index = n
@@ -423,7 +402,6 @@ def grow(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     graph.endpoint_pool = np.concatenate((graph.endpoint_pool, new_slots))
     graph.pool_types = np.concatenate((graph.pool_types, new_types))
     graph.per_vertex_degree = degrees
-    graph.census = _census(degrees, graph.census)
     graph.num_vertices = vertices
     graph.step_index += n_steps
     return graph
@@ -436,8 +414,8 @@ def edge_type_proportions(graph: TypedGraph) -> tuple:
 
 def empirical_distribution(graph: TypedGraph) -> DegreeDistribution:
     """Census normalized by the number of vertices."""
-    v = float(graph.num_vertices)
-    return DegreeDistribution({d: c / v for d, c in graph.census.items()},
+    rows, counts = _census(graph.per_vertex_degree)
+    return DegreeDistribution(rows, counts / float(graph.num_vertices),
                               EMPIRICAL)
 
 
@@ -470,8 +448,8 @@ def run(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
 def check_graph_invariants(graph: TypedGraph, m: int) -> list:
     """Exact conservation checks; returns human-readable violations (empty = ok).
 
-    Besides the counts, the census must be the histogram of the per-vertex
-    degrees, and those must be a recount of the pool.
+    Besides the counts, the per-vertex degrees must be a recount of the
+    pool.
     """
     violations = []
     steps = graph.step_index
@@ -487,8 +465,6 @@ def check_graph_invariants(graph: TypedGraph, m: int) -> list:
         violations.append("type counts do not sum to the edge count")
     if any(c <= 0 for c in graph.type_counts):
         violations.append("a type has no edges")
-    if sum(graph.census.values()) != vertices:
-        violations.append("census does not sum to the vertex count")
     if vertices != graph.initial_num_vertices + steps:
         violations.append("vertex count != initial + steps")
     paired = len(pool_v) % 2 == 0 and len(pool_t) == len(pool_v)
@@ -497,9 +473,6 @@ def check_graph_invariants(graph: TypedGraph, m: int) -> list:
     handshake = int(degrees.sum())
     if handshake != len(pool_v):
         violations.append(f"handshake: degree total {handshake} != 2*|E|")
-    if graph.census != _census(degrees):
-        violations.append(
-            "census is not the histogram of the per-vertex degrees")
     edge_types = pool_t[0::2]
     if not np.array_equal(edge_types, pool_t[1::2]):
         violations.append("the two slots of an edge disagree on its type")

@@ -9,7 +9,6 @@ value is an error.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -154,7 +153,7 @@ def tv_distance(p: DegreeDistribution, q: DegreeDistribution,
                 cutoff: int) -> float:
     """Half the L1 distance, over the union support truncated at `cutoff`."""
     total = 0.0
-    for d in p.support() | q.support():
+    for d in set(p.masses) | set(q.masses):
         if sum(d) <= cutoff:
             total += abs(p.mass(d) - q.mass(d))
     return 0.5 * total
@@ -222,9 +221,7 @@ def _graph_replicate(cfg: ExperimentConfig, index: int):
     graph = new_graph(cfg.seed_spec())
     grow(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps, rng)
     violations = check_graph_invariants(graph, cfg.m_edges)
-    emp = empirical_distribution(graph)
-    truncated = DegreeDistribution({d: p for d, p in emp.masses.items()
-                                    if sum(d) <= cfg.cutoff})
+    truncated = empirical_distribution(graph).truncated(cfg.cutoff)
     return ReplicateResult(index, None, edge_type_proportions(graph), 0.0,
                            violations), truncated
 
@@ -245,6 +242,8 @@ def _map_replicates(cfg: ExperimentConfig, task) -> list:
     workers = max_workers(cfg.replicates)
     if workers == 1:
         return [task(r) for r in indices]
+    # imported here: it loads multiprocessing, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, indices))
 
@@ -268,8 +267,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     mean_tv = None
     if cfg.model == GRAPH:
         theory = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
-        theory_cut = DegreeDistribution(
-            {d: p for d, p in theory.masses.items() if sum(d) <= cfg.cutoff})
+        theory_cut = theory.truncated(cfg.cutoff)
         unaccounted = 1.0 - theory_cut.total()
         error_acc = dict.fromkeys(theory_cut.masses, 0.0)
         for result, truncated in raw:

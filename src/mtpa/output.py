@@ -5,6 +5,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .degrees import DegreeDistribution
 
 
@@ -18,27 +20,54 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows, template=None) -> Path:
-    """A header line, then one line per row.
+#: rows formatted per pass of the column writer, which bounds its memory
+CHUNK_ROWS = 1 << 13
 
-    Each value goes through `fmt`, unless `template`, a `str.format`
-    string for one whole line, says how to write a row's values.
-    """
+
+def write_csv(path, header, rows) -> Path:
+    """A header line, then one line per row, each value through `fmt`."""
     path = Path(path)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if template is None:
-            for row in rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
-        else:
-            fh.writelines(template.format(*row) for row in rows)
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+    return path
+
+
+def _column_text(column: np.ndarray, end: str) -> np.ndarray:
+    """Each entry as `fmt` writes it, then `end`, as an object array. Each
+    distinct value is formatted once; reals are told apart by their bits,
+    so that -0.0 keeps its own text."""
+    real = column.dtype == np.float64
+    distinct, inverse = np.unique(column.view(np.int64) if real else column,
+                                  return_inverse=True)
+    if real:
+        distinct = distinct.view(np.float64)
+    return np.array([fmt(v) + end for v in distinct.tolist()],
+                    dtype=object)[inverse]
+
+
+def _write_columns(path, header, columns, reals, end: str) -> Path:
+    """A header line, then line k: entry k of each integer array in
+    `columns` and of the float64 `reals`, comma separated, then `end`;
+    formatted a column at a time, CHUNK_ROWS lines per pass."""
+    path = Path(path)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(reals), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            cells = np.empty((len(reals[rows]), len(columns) + 1), object)
+            for j, column in enumerate(columns):
+                cells[:, j] = _column_text(column[rows], ",")
+            cells[:, -1] = _column_text(reals[rows], end)
+            fh.write("".join(cells.ravel().tolist()))
     return path
 
 
 def write_distribution_csv(path, dist: DegreeDistribution, n_types: int) -> Path:
     header = [f"d_{i + 1}" for i in range(n_types)] + ["mass", "provenance"]
-    rows = (d + (mass, dist.provenance) for d, mass in dist.items_sorted())
-    return write_csv(path, header, rows, "{}," * n_types + "{:.17g},{}\n")
+    return _write_columns(path, header, list(dist.degrees.T), dist.values,
+                          f",{dist.provenance}\n")
 
 
 def write_graph_snapshots(out_dir, snapshots, n_types: int):
@@ -48,10 +77,12 @@ def write_graph_snapshots(out_dir, snapshots, n_types: int):
     psi_rows = [(s.n,) + s.psi for s in snapshots]
     psi_path = write_csv(out_dir / "psi.csv", psi_header, psi_rows)
     dist_header = ["n"] + [f"d_{i + 1}" for i in range(n_types)] + ["mass"]
-    dist_rows = ((snap.n,) + d + (mass,) for snap in snapshots
-                 for d, mass in snap.distribution.items_sorted())
-    dist_path = write_csv(out_dir / "distribution.csv", dist_header, dist_rows,
-                          "{}," * (n_types + 1) + "{:.17g}\n")
+    dists = [s.distribution for s in snapshots]
+    n = np.repeat([s.n for s in snapshots], list(map(len, dists)))
+    degrees = np.concatenate([d.degrees for d in dists])
+    values = np.concatenate([d.values for d in dists])
+    dist_path = _write_columns(out_dir / "distribution.csv", dist_header,
+                               [n, *degrees.T], values, "\n")
     return psi_path, dist_path
 
 

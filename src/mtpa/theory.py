@@ -17,7 +17,7 @@ import numpy as np
 from . import matrices
 from .degrees import (Degree, DegreeDistribution, THEORETICAL_PERTURBED,
                       THEORETICAL_UNPERTURBED, compositions_of_weight,
-                      lattice_size)
+                      degree_dtype, lattice_size)
 from .errors import (BadArgs, BadCounts, BadIndexMatrix, BadPsi,
                      CapacityExceeded, NoConvergence)
 
@@ -187,13 +187,15 @@ def _walk_layers(n: int, m: int, max_weight: int, fresh, coefficient):
         yield s, degrees, masses
 
 
-def _walk(n: int, m: int, max_weight: int, fresh, coefficient) -> dict:
-    """The first source's masses of `_walk_layers`, keyed by degree tuple in
-    `sort_key` order."""
-    masses = {}
-    for _, degrees, layer in _walk_layers(n, m, max_weight, fresh, coefficient):
-        masses.update(zip(zip(*degrees.tolist()), layer[:, 0].tolist()))
-    return masses
+def _walk(n: int, m: int, max_weight: int, fresh, coefficient) -> tuple:
+    """The layers of `_walk_layers` one after the other, in `sort_key`
+    order: a (K, n) small-int array of degree vectors and the (K, S) array
+    of their masses."""
+    dtype = degree_dtype(max_weight)
+    degrees, masses = zip(*((layer_degrees.T.astype(dtype), layer)
+                            for _, layer_degrees, layer in _walk_layers(
+                                n, m, max_weight, fresh, coefficient)))
+    return np.concatenate(degrees), np.concatenate(masses)
 
 
 def solve_recurrence(type_flip_matrix, m: int,
@@ -218,10 +220,10 @@ def solve_recurrence(type_flip_matrix, m: int,
             value += d_k * f_kl
         return value
 
-    masses = _walk(n, m, max_weight,
-                   lambda d: _mass_of_fresh_vertex(d, m, assignment_rates),
-                   rate)
-    return DegreeDistribution(masses, THEORETICAL_PERTURBED)
+    degrees, masses = _walk(
+        n, m, max_weight,
+        lambda d: _mass_of_fresh_vertex(d, m, assignment_rates), rate)
+    return DegreeDistribution(degrees, masses[:, 0], THEORETICAL_PERTURBED)
 
 
 def solve_unperturbed_recurrence(psi, m: int, max_weight: int):
@@ -252,14 +254,13 @@ def solve_unperturbed_recurrence(psi, m: int, max_weight: int):
     walk = (n, m, max_weight,
             lambda d: [2.0 * _multinomial_pmf(d, p) / (m + 2) for p in samples],
             lambda previous, l: previous[l])
+    degrees, masses = _walk(*walk)
     if psi.ndim == 1:
-        return DegreeDistribution(_walk(*walk), THEORETICAL_UNPERTURBED)
-    mean, std = {}, {}
-    for _, degrees, masses in _walk_layers(*walk):
-        cells = list(zip(*degrees.tolist()))
-        mean.update(zip(cells, masses.mean(axis=1).tolist()))
-        std.update(zip(cells, masses.std(axis=1).tolist()))
-    return mean, std
+        return DegreeDistribution(degrees, masses[:, 0],
+                                  THEORETICAL_UNPERTURBED)
+    cells = list(map(tuple, degrees.tolist()))
+    return (dict(zip(cells, masses.mean(axis=1).tolist())),
+            dict(zip(cells, masses.std(axis=1).tolist())))
 
 
 def dirichlet_psi_sample(initial_type_counts, rng: np.random.Generator) -> np.ndarray:

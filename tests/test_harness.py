@@ -1,10 +1,15 @@
 """Harness tests: TV metric, replicated experiments, diagnostics, studies."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from mtpa.degrees import DegreeDistribution
+import mtpa
+from mtpa.degrees import DegreeDistribution, sort_key
 from mtpa.errors import BadArgs, BadQuantity, ValidationError
 from mtpa.harness import (ExperimentConfig, convergence_series, max_workers,
                           perturbed_vs_unperturbed_study, replicate_stream,
@@ -14,7 +19,9 @@ F_NEAR_ID = [[0.9, 0.1], [0.1, 0.9]]
 
 
 def dist(masses):
-    return DegreeDistribution(dict(masses))
+    items = sorted(masses.items(), key=lambda item: sort_key(item[0]))
+    return DegreeDistribution(np.array([d for d, _ in items]),
+                              np.array([p for _, p in items]))
 
 
 # --------------------------------------------------------------------------
@@ -151,6 +158,18 @@ def test_parallel_execution_matches_serial(monkeypatch):
         [r.tv for r in parallel.replicates]
     assert [r.psi for r in serial.replicates] == \
         [r.psi for r in parallel.replicates]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # serial runs never start a pool, so they must not pay for importing one
+    src = os.path.dirname(os.path.dirname(mtpa.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, mtpa.cli; print(sorted(name for name in "
+            "('multiprocessing', 'concurrent.futures.process') "
+            "if name in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_experiment_urn_mode():

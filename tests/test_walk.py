@@ -221,7 +221,7 @@ def test_every_psi_sample_is_validated():
 def study_by_loop(cfg, psi_samples) -> harness.StudyReport:
     """The study as it was written: one unperturbed solve per sample."""
     perturbed = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
-    degrees = [d for d, _ in perturbed.items_sorted() if sum(d) <= cfg.cutoff]
+    degrees = [d for d in perturbed.masses if sum(d) <= cfg.cutoff]
     values = {d: [] for d in degrees}
     for psi in psi_samples:
         dist = solve_unperturbed_recurrence(psi, cfg.m_edges, cfg.max_weight)
