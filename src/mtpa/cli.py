@@ -16,7 +16,7 @@ from . import __version__, matrices
 from .config import config_fields, parse_list
 from .errors import MtpaError, ValidationError
 from .graph import SeedGraphSpec, new_graph, run
-from .harness import (GRAPH, ExperimentConfig, convergence_series,
+from .harness import (ExperimentConfig, convergence_series,
                       perturbed_vs_unperturbed_study, replicate_stream,
                       run_experiment)
 from .output import (write_csv, write_distribution_csv, write_graph_snapshots,
@@ -25,8 +25,9 @@ from .theory import solve_recurrence, solve_unperturbed_recurrence
 from .urn import assumption_audit, bernoulli_column_sampler, new_urn, run_urn
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="experiment config file")
+def _add_common(sub: argparse.ArgumentParser, config=False) -> None:
+    sub.add_argument("--config", required=config,
+                     help="experiment config file")
     sub.add_argument("--seed", type=int, help="master seed (overrides config)")
     sub.add_argument("--out", default="mtpa_out", help="output directory")
     sub.add_argument("--replicates", type=int, help="override replicate count")
@@ -87,11 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("compare",
                               help="replicated simulation vs theory, with "
                                    "PASS/FAIL report")
-    _add_common(sub)
+    _add_common(sub, config=True)
     sub.set_defaults(handler=_cmd_compare)
 
     sub = commands.add_parser("diagnose", help="convergence series")
-    _add_common(sub)
+    _add_common(sub, config=True)
     sub.add_argument("--quantity", required=True,
                      help="psi | tv | u_n | np_el")
     sub.add_argument("--d", help="target degree, comma list")
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("study",
                               help="spread of the non-perturbed answer vs "
                                    "the deterministic perturbed one")
-    _add_common(sub)
+    _add_common(sub, config=True)
     sub.add_argument("--psi-samples", type=int, default=1000,
                      dest="psi_samples")
     sub.set_defaults(handler=_cmd_study)
@@ -126,13 +127,13 @@ def _resolve_config(args, model: str | None = None,
                     need_f: bool = True) -> ExperimentConfig:
     """The one path from a config file and flags to a config.
 
-    A config file supplies its fields; without one, --n is required and F
-    comes from --f or --f-file (the identity when there is one type or the
-    command never reads F). Every flag given then overrides its field the
-    same way in every subcommand, and the defaults that depend on m follow
-    the final m.
+    The fields a config file sets are laid under the flags, each flag
+    overriding its field the same way in every subcommand; ExperimentConfig
+    then supplies every default and runs every range check. Without a
+    config file --n is required. A command that never reads F
+    (`need_f=False`) gets the identity when no F is given.
     """
-    fields = config_fields(args.config) if args.config else {"model": GRAPH}
+    fields = config_fields(args.config) if args.config else {}
     fields.update({field: getattr(args, flag)
                    for flag, field in _FIELD_FLAGS.items()
                    if getattr(args, flag, None) is not None})
@@ -145,17 +146,13 @@ def _resolve_config(args, model: str | None = None,
         fields["f_matrix"] = matrices.read_matrix(args.f_file)
     elif getattr(args, "f", None):
         fields["f_matrix"] = matrices.parse_matrix(args.f, n_types, what="f")
+    elif not need_f:
+        fields.setdefault("f_matrix", np.eye(n_types))
     if getattr(args, "seed_graph", None):
         fields["seed_edges"] = SeedGraphSpec.from_file(args.seed_graph,
                                                        n_types).edges
     if getattr(args, "c0", None):
         fields["initial_composition"] = parse_list(args.c0, int, "--c0")
-    if "f_matrix" not in fields:
-        if n_types > 1 and need_f:
-            raise ValidationError("--f (or --f-file, or a config file) is "
-                                  "required when --n > 1")
-        fields["f_matrix"] = np.eye(n_types)
-    fields.setdefault("m_edges", 1)
     return ExperimentConfig(**fields)
 
 
@@ -240,8 +237,6 @@ def _cmd_solve_unperturbed(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if not args.config:
-        raise ValidationError("compare requires --config")
     cfg = _resolve_config(args)
     out = _out_dir(args)
     report = run_experiment(cfg)
@@ -274,12 +269,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    if not args.config:
-        raise ValidationError("diagnose requires --config")
     cfg = _resolve_config(args)
-    degree = None
-    if args.d:
-        degree = tuple(parse_list(args.d, int, "--d"))
+    degree = None if args.d is None else parse_list(args.d, int, "--d")
     type_index = None if args.l is None else args.l - 1
     header, rows = convergence_series(cfg, args.quantity, degree=degree,
                                       type_index=type_index)
@@ -309,8 +300,6 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    if not args.config:
-        raise ValidationError("study requires --config")
     cfg = _resolve_config(args)
     study = perturbed_vs_unperturbed_study(cfg, args.psi_samples)
     out = _out_dir(args)

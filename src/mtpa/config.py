@@ -32,11 +32,12 @@ shorthand ``symmetric:p`` expands to a matrix with p on the diagonal and
     psi_tolerance = 0.02
     pass_fraction = 0.95
 
-Every key is optional except [model] types (and f when types > 1). The
-d_max and cutoff defaults follow the final m, also when a flag sets it. A
-relative seed_graph path is taken from the config file's directory. Any
-section or key not listed above is an error, as are a schedule other than
-constant or decaying, a decaying schedule with kind = urn (the urn has no
+Every key is optional except [model] types (and f when types > 1), and a
+key that is set may not be empty. ExperimentConfig holds the defaults, so
+d_max and cutoff follow the final m, also when a flag sets it. A relative
+seed_graph path is taken from the config file's directory. Any section or
+key not listed above is an error, as are a schedule other than constant or
+decaying, a decaying schedule with kind = urn (the urn has no
 step-dependent columns), a decay or decay_rho with a constant schedule
 (which never reads them), and a d_max or cutoff below edges_per_step.
 """
@@ -46,18 +47,23 @@ import configparser
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .graph import CONSTANT, SeedGraphSpec
+from .graph import SeedGraphSpec
 from .harness import ExperimentConfig
 from .matrices import parse_matrix
 
-KEYS = {
-    "model": {"kind", "types", "edges_per_step", "f", "schedule", "decay",
-              "decay_rho"},
-    "run": {"steps", "snapshot_every", "replicates", "master_seed"},
-    "graph": {"seed_graph"},
-    "urn": {"initial_composition"},
-    "compare": {"d_max", "cutoff", "tv_tolerance", "psi_tolerance",
-                "pass_fraction"},
+# section -> key -> the ExperimentConfig field it sets
+FIELDS = {
+    "model": {"kind": "model", "types": "n_types", "edges_per_step": "m_edges",
+              "f": "f_matrix", "schedule": "schedule_kind",
+              "decay": "decay_matrix", "decay_rho": "decay_rho"},
+    "run": {"steps": "n_steps", "snapshot_every": "snapshot_every",
+            "replicates": "replicates", "master_seed": "master_seed"},
+    "graph": {"seed_graph": "seed_edges"},
+    "urn": {"initial_composition": "initial_composition"},
+    "compare": {"d_max": "max_weight", "cutoff": "cutoff",
+                "tv_tolerance": "tv_tolerance",
+                "psi_tolerance": "psi_tolerance",
+                "pass_fraction": "pass_fraction"},
 }
 
 
@@ -74,21 +80,23 @@ def _check_keys(parser: configparser.ConfigParser) -> None:
     if parser.defaults():
         raise ValidationError(f"unknown config section [{parser.default_section}]")
     for section in parser.sections():
-        if section not in KEYS:
+        if section not in FIELDS:
             raise ValidationError(f"unknown config section [{section}]")
         for key in parser.options(section):
-            if key not in KEYS[section]:
+            if key not in FIELDS[section]:
                 raise ValidationError(f"unknown config key {section}.{key}")
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read and validate a config file, applying documented defaults."""
+    """Read a config file into a validated ExperimentConfig."""
     return ExperimentConfig(**config_fields(path))
 
 
 def config_fields(path) -> dict:
-    """The ExperimentConfig keyword arguments a config file sets; d_max and
-    cutoff stay None unless set, so they follow an m given later."""
+    """Only the ExperimentConfig fields the file sets, each parsed to its
+    type; a value that does not parse is an error naming its section.key.
+    ExperimentConfig supplies the defaults and range checks; only types is
+    checked here, as parsing f, decay and seed_graph needs it."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path) as fh:
@@ -99,70 +107,41 @@ def config_fields(path) -> dict:
         raise ParseError(f"config {path}: {exc}") from exc
     _check_keys(parser)
 
-    def get(section, key, fallback=None):
-        return parser.get(section, key, fallback=fallback)
-
-    def get_number(section, key, fallback, cast=int, minimum=None):
-        raw = get(section, key)
-        if raw is None:
-            return fallback
+    def parsed(section, key, cast):
+        raw = parser.get(section, key)
+        if not raw:
+            raise ValidationError(f"{section}.{key} is empty")
         try:
-            value = cast(raw)
+            return cast(raw)
         except ValueError as exc:
             raise ValidationError(f"{section}.{key}: {exc}") from exc
-        if minimum is not None and value < minimum:
-            raise ValidationError(f"{section}.{key} must be >= {minimum}")
-        return value
 
-    kind = (get("model", "kind", "graph") or "graph").strip().lower()
-    if kind not in ("graph", "urn"):
-        raise ValidationError(f"model.kind must be graph or urn, got {kind!r}")
-    n_types = get_number("model", "types", None, minimum=1)
-    if n_types is None:
+    if not parser.has_option("model", "types"):
         raise ValidationError("model.types is required")
+    n_types = parsed("model", "types", int)
+    if n_types < 1:
+        raise ValidationError(f"model.types must be >= 1, got {n_types}")
 
-    f_raw = get("model", "f")
-    if f_raw is None:
-        if n_types != 1:
-            raise ValidationError("model.f is required when types > 1")
-        f_matrix = [[1.0]]
-    else:
-        f_matrix = parse_matrix(f_raw, n_types, what="f")
+    def seed_edges(raw):
+        return SeedGraphSpec.from_file(Path(path).parent / raw, n_types).edges
 
-    schedule_kind = (get("model", "schedule", CONSTANT) or CONSTANT).strip().lower()
-    decay_raw = get("model", "decay")
-    decay_matrix = (None if decay_raw is None
-                    else parse_matrix(decay_raw, n_types, what="decay"))
-    decay_rho = get_number("model", "decay_rho", None, float)
-
-    seed_edges = None
-    seed_path = get("graph", "seed_graph")
-    if seed_path:
-        seed_file = Path(path).parent / seed_path.strip()
-        seed_edges = SeedGraphSpec.from_file(seed_file, n_types).edges
-
-    composition_raw = get("urn", "initial_composition")
-    initial_composition = (None if composition_raw is None
-                           else parse_list(composition_raw, int,
-                                           "urn.initial_composition"))
-
-    return dict(
-        model=kind,
-        n_types=n_types,
-        m_edges=get_number("model", "edges_per_step", 1, minimum=1),
-        f_matrix=f_matrix,
-        schedule_kind=schedule_kind,
-        decay_matrix=decay_matrix,
-        decay_rho=decay_rho,
-        seed_edges=seed_edges,
-        initial_composition=initial_composition,
-        n_steps=get_number("run", "steps", 10_000, minimum=0),
-        snapshot_every=get_number("run", "snapshot_every", 1_000, minimum=1),
-        replicates=get_number("run", "replicates", 1, minimum=1),
-        master_seed=get_number("run", "master_seed", 0),
-        max_weight=get_number("compare", "d_max", None, minimum=1),
-        cutoff=get_number("compare", "cutoff", None, minimum=1),
-        tv_tolerance=get_number("compare", "tv_tolerance", 0.02, float),
-        psi_tolerance=get_number("compare", "psi_tolerance", 0.02, float),
-        pass_fraction=get_number("compare", "pass_fraction", 0.95, float),
-    )
+    casts = {  # every field not named here is an int
+        "model": str.lower,
+        "n_types": lambda raw: n_types,  # parsed and checked above
+        "f_matrix": lambda raw: parse_matrix(raw, n_types, what="f"),
+        "schedule_kind": str.lower,
+        "decay_matrix": lambda raw: parse_matrix(raw, n_types, what="decay"),
+        "decay_rho": float,
+        "seed_edges": seed_edges,
+        "initial_composition": lambda raw: parse_list(
+            raw, int, "urn.initial_composition"),
+        "tv_tolerance": float,
+        "psi_tolerance": float,
+        "pass_fraction": float,
+    }
+    fields = {}
+    for section in parser.sections():
+        for key in parser.options(section):
+            name = FIELDS[section][key]
+            fields[name] = parsed(section, key, casts.get(name, int))
+    return fields

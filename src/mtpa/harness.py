@@ -8,6 +8,7 @@ value is an error.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -54,12 +55,13 @@ def max_workers(replicates: int) -> int:
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved parameters of one comparison experiment."""
+    """Parameters of one experiment, and the one place that holds every
+    default and range check, for config-file and flag values alike."""
 
-    model: str
     n_types: int
-    m_edges: int
-    f_matrix: np.ndarray
+    model: str = GRAPH
+    m_edges: int = 1
+    f_matrix: np.ndarray | None = None    # None -> identity when n_types == 1
     schedule_kind: str = CONSTANT
     decay_matrix: np.ndarray | None = None
     decay_rho: float | None = None        # None -> 1.0 when decaying
@@ -77,13 +79,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.model not in (GRAPH, URN):
-            raise ValidationError(f"unknown model {self.model!r}")
-        if self.n_types < 1 or self.m_edges < 1:
-            raise ValidationError("types and edges_per_step must be >= 1")
-        if self.replicates < 1:
-            raise ValidationError("replicates must be >= 1")
-        if self.n_steps < 0 or self.snapshot_every < 1:
-            raise ValidationError("steps must be >= 0, snapshot_every >= 1")
+            raise ValidationError(
+                f"model must be {GRAPH} or {URN}, got {self.model!r}")
+        for name, value, low in (("types", self.n_types, 1),
+                                 ("edges_per_step", self.m_edges, 1),
+                                 ("steps", self.n_steps, 0),
+                                 ("snapshot_every", self.snapshot_every, 1),
+                                 ("replicates", self.replicates, 1),
+                                 ("master_seed", self.master_seed, 0)):
+            if value < low:
+                raise ValidationError(f"{name} must be >= {low}, got {value}")
+        for name in ("tv_tolerance", "psi_tolerance", "pass_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
+        if self.f_matrix is None:
+            if self.n_types != 1:
+                raise ValidationError("f is required when types > 1 "
+                                      "(model.f, --f or --f-file)")
+            self.f_matrix = [[1.0]]
         try:
             self.f_matrix = matrices.as_row_stochastic(self.f_matrix, what="f")
         except NotStochastic as exc:
@@ -176,7 +189,9 @@ class ComparisonReport:
     replicates: list                 # ReplicateResult, by index
     psi_reference: tuple
     mean_tv: float | None            # graph model only
-    psi_ok_fraction: float
+    tv_passed: bool | None           # graph model only
+    psi_ok: int                      # replicates with psi within tolerance
+    psi_passed: bool
     unaccounted_theory_mass: float | None
     per_degree_errors: dict          # d -> (mean empirical, theoretical)
     tv_tolerance: float
@@ -190,29 +205,28 @@ class ComparisonReport:
         return not self.failures
 
     def summary_lines(self) -> list:
+        """The report as text, with the verdicts `run_experiment` reached."""
+        verdict = {True: "PASS", False: "FAIL"}
         lines = [f"model: {self.model}",
                  f"replicates: {len(self.replicates)}"]
         if self.mean_tv is not None:
-            verdict = "PASS" if self.mean_tv <= self.tv_tolerance else "FAIL"
             lines.append(
                 f"mean TV distance (cutoff {self.cutoff}): {self.mean_tv:.6f} "
-                f"(tolerance {self.tv_tolerance:g}): {verdict}")
+                f"(tolerance {self.tv_tolerance:g}): "
+                f"{verdict[self.tv_passed]}")
             lines.append(
                 "unaccounted theoretical mass beyond cutoff: "
                 f"{self.unaccounted_theory_mass:.6f}")
-        ok = sum(1 for r in self.replicates
-                 if r.psi_error <= self.psi_tolerance)
-        verdict = ("PASS" if self.psi_ok_fraction >= self.pass_fraction
-                   else "FAIL")
         lines.append(
-            f"psi within {self.psi_tolerance:g}: {ok}/{len(self.replicates)} "
-            f"(required fraction {self.pass_fraction:g}): {verdict}")
+            f"psi within {self.psi_tolerance:g}: "
+            f"{self.psi_ok}/{len(self.replicates)} "
+            f"(required fraction {self.pass_fraction:g}): "
+            f"{verdict[self.psi_passed]}")
         violations = [v for r in self.replicates for v in r.violations]
-        lines.append("conservation checks: "
-                     + ("PASS" if not violations else "FAIL"))
+        lines.append("conservation checks: " + verdict[not violations])
         for v in violations:
             lines.append(f"  violation: {v}")
-        lines.append("overall: " + ("PASS" if self.passed else "FAIL"))
+        lines.append("overall: " + verdict[self.passed])
         return lines
 
 
@@ -264,7 +278,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     failures = []
     unaccounted = None
     per_degree = {}
-    mean_tv = None
+    mean_tv = tv_passed = None
     if cfg.model == GRAPH:
         theory = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
         theory_cut = theory.truncated(cfg.cutoff)
@@ -277,13 +291,14 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         per_degree = {d: (acc / len(results), theory_cut.mass(d))
                       for d, acc in error_acc.items()}
         mean_tv = float(np.mean([r.tv for r in results]))
-        if mean_tv > cfg.tv_tolerance:
+        tv_passed = mean_tv <= cfg.tv_tolerance
+        if not tv_passed:
             failures.append(
                 f"mean TV {mean_tv:.6f} exceeds {cfg.tv_tolerance:g}")
 
     ok = sum(1 for r in results if r.psi_error <= cfg.psi_tolerance)
-    psi_ok_fraction = ok / len(results)
-    if psi_ok_fraction < cfg.pass_fraction:
+    psi_passed = ok / len(results) >= cfg.pass_fraction
+    if not psi_passed:
         failures.append(
             f"only {ok}/{len(results)} replicates have terminal proportions "
             f"within {cfg.psi_tolerance:g}")
@@ -296,7 +311,9 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         replicates=results,
         psi_reference=tuple(float(v) for v in psi_ref),
         mean_tv=mean_tv,
-        psi_ok_fraction=psi_ok_fraction,
+        tv_passed=tv_passed,
+        psi_ok=ok,
+        psi_passed=psi_passed,
         unaccounted_theory_mass=unaccounted,
         per_degree_errors=per_degree,
         tv_tolerance=cfg.tv_tolerance,
@@ -334,14 +351,36 @@ def _analytic_grid(cfg: ExperimentConfig) -> list:
     return [(n, initial_edges + cfg.m_edges * (n - 1)) for n in grid if n >= 1]
 
 
+# quantity -> the targets its series reads
+SERIES_TARGETS = {"psi": (), "tv": (), "u_n": ("degree",), "un": ("degree",),
+                  "np_el": ("degree", "type")}
+
+
 def convergence_series(cfg: ExperimentConfig, quantity: str, *,
                        degree=None, type_index: int | None = None):
     """Per-snapshot series of a convergence diagnostic with its limit.
 
     PSI and TV are simulated per replicate; U_N and NP_EL are analytic in
     the modelled edge count initial_edges + m*(n-1). Returns (header, rows).
+    Each quantity takes exactly the targets it reads; `type_index` counts
+    from 0, but messages count types from 1, as the CLI's --l does.
     """
     name = quantity.strip().lower()
+    if name not in SERIES_TARGETS:
+        raise BadQuantity(f"unknown quantity {quantity!r}")
+    for target, value in (("degree", degree), ("type", type_index)):
+        if (value is None) == (target in SERIES_TARGETS[name]):
+            raise BadArgs(f"the {name} series "
+                          f"{'needs' if value is None else 'reads no'} "
+                          f"target {target}")
+    if degree is not None:
+        degree = tuple(int(v) for v in degree)
+        if len(degree) != cfg.n_types:
+            raise BadArgs(f"target degree has {len(degree)} entries for "
+                          f"{cfg.n_types} types")
+    if type_index is not None and not 0 <= type_index < cfg.n_types:
+        raise BadArgs(f"target type {type_index + 1} is not one of "
+                      f"1..{cfg.n_types}")
     if name == "psi":
         psi_ref = stationary_type_distribution(cfg.f_matrix)
         header = (["replicate", "n"]
@@ -365,37 +404,29 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
                                           enumerate(series) for row in rows]
 
     if name in ("u_n", "un"):
-        if degree is None:
-            raise BadArgs("u_n series needs a target degree")
-        d = tuple(int(v) for v in degree)
-        limit = sum(d) / 2.0
+        limit = sum(degree) / 2.0
         header = ["n", "u_n", "limit", "abs_error"]
         rows = []
         for n, edges_prev in _analytic_grid(cfg):
-            value = n * (1.0 - exact_no_edge_probability(d, edges_prev,
+            value = n * (1.0 - exact_no_edge_probability(degree, edges_prev,
                                                          cfg.m_edges))
             rows.append((n, value, limit, abs(value - limit)))
         return header, rows
 
-    if name == "np_el":
-        if degree is None or type_index is None:
-            raise BadArgs("np_el series needs a target degree and type")
-        d = tuple(int(v) for v in degree)
-        l = int(type_index)
-        schedule = cfg.schedule()
-        limit = edge_gain_rate_limit(d, l, schedule.limit)
-        previous = d[:l] + (d[l] - 1,) + d[l + 1:]
-        unit = tuple(1 if k == l else 0 for k in range(len(d)))
-        header = ["n", "n_times_p", "limit", "abs_error"]
-        rows = []
-        for n, edges_prev in _analytic_grid(cfg):
-            value = n * exact_attachment_probability(
-                previous, unit, edges_prev, cfg.m_edges,
-                schedule.matrix_at(n))
-            rows.append((n, value, limit, abs(value - limit)))
-        return header, rows
-
-    raise BadQuantity(f"unknown quantity {quantity!r}")
+    # np_el
+    d, l = degree, type_index
+    schedule = cfg.schedule()
+    limit = edge_gain_rate_limit(d, l, schedule.limit)
+    previous = d[:l] + (d[l] - 1,) + d[l + 1:]
+    unit = tuple(1 if k == l else 0 for k in range(len(d)))
+    header = ["n", "n_times_p", "limit", "abs_error"]
+    rows = []
+    for n, edges_prev in _analytic_grid(cfg):
+        value = n * exact_attachment_probability(
+            previous, unit, edges_prev, cfg.m_edges,
+            schedule.matrix_at(n))
+        rows.append((n, value, limit, abs(value - limit)))
+    return header, rows
 
 
 @dataclass

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from mtpa.cli import main
-from mtpa.config import parse_config
+from mtpa.cli import _resolve_config, build_parser, main
+from mtpa.config import config_fields, parse_config
 from mtpa.errors import ParseError, ValidationError
 from mtpa.matrices import read_matrix
 from mtpa.output import file_digest
@@ -370,7 +370,8 @@ def test_config_grammar_matches_allowed_keys():
             grammar[section] = set()
         elif section and "=" in line:
             grammar[section].add(line.split("=", 1)[0].strip())
-    assert grammar == config.KEYS
+    assert grammar == {section: set(keys)
+                       for section, keys in config.FIELDS.items()}
 
 
 @pytest.mark.parametrize("text, named", [
@@ -521,3 +522,91 @@ def test_m_dependent_defaults_follow_an_m_flag(tmp_path, capsys):
     assert main(["solve", "--config", str(explicit), "--m", "46",
                  "--out", str(out)]) == 2
     assert "below m" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# one place for every default and range check: ExperimentConfig
+
+def test_config_fields_are_only_what_the_file_sets(tmp_path):
+    fields = config_fields(write_config(tmp_path, MINIMAL))
+    assert set(fields) == {"model", "n_types", "m_edges", "f_matrix"}
+
+
+def test_flags_and_a_config_resolve_alike(tmp_path):
+    parser = build_parser()
+    flags = parser.parse_args(["simulate-graph", "--n", "2",
+                               "--f", "symmetric:0.9"])
+    config = parser.parse_args(["simulate-graph", "--config",
+                                str(write_config(tmp_path, MINIMAL))])
+    assert (_resolve_config(flags, model="graph").resolved()
+            == _resolve_config(config, model="graph").resolved())
+
+
+@pytest.mark.parametrize("text, named", [
+    (MINIMAL.replace("kind = graph", "kind ="), "model.kind is empty"),
+    (MINIMAL + "schedule =\n", "model.schedule is empty"),
+    (MINIMAL + "\n[graph]\nseed_graph =\n", "graph.seed_graph is empty"),
+    (MINIMAL + "\n[run]\nsteps =\n", "run.steps is empty"),
+], ids=["kind", "schedule", "seed_graph", "steps"])
+def test_empty_value_is_usage_error(tmp_path, capsys, text, named):
+    path = write_config(tmp_path, text)
+    assert main(["simulate-graph", "--config", str(path), "--steps", "5",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-graph", "--n", "2", "--f", "symmetric:0.9", "--steps", "5",
+     "--seed", "-1"],
+    ["simulate-urn", "--n", "2", "--f", "symmetric:0.9", "--steps", "5",
+     "--seed", "-1"],
+    ["compare", "--config", "seed.ini"],
+    ["solve", "--n", "2", "--f", "symmetric:0.9", "--seed", "-2"],
+], ids=["simulate-graph", "simulate-urn", "compare", "solve"])
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    write_config(tmp_path, MINIMAL + "\n[run]\nsteps = 5\nmaster_seed = -3\n",
+                 name="seed.ini")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "o"]) == 2
+    assert "master_seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerances, named", [
+    ("tv_tolerance = nan\npass_fraction = nan\n", "tv_tolerance"),
+    ("psi_tolerance = inf\n", "psi_tolerance"),
+    ("pass_fraction = -inf\n", "pass_fraction"),
+], ids=["nan", "inf", "-inf"])
+def test_non_finite_tolerance_is_usage_error(tmp_path, capsys, tolerances,
+                                             named):
+    path = write_config(tmp_path, MINIMAL + "\n[run]\nsteps = 50\n"
+                        "\n[compare]\n" + tolerances)
+    assert main(["compare", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{named} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.txt").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["np_el", "--d", "1,2,3", "--l", "1"], "has 3 entries for 2 types"),
+    (["np_el", "--d", "1,2", "--l", "5"], "target type 5 is not one of 1..2"),
+    (["np_el", "--d", "1,2", "--l", "0"], "target type 0 is not one of 1..2"),
+    (["u_n", "--d", "1"], "has 1 entries for 2 types"),
+    (["u_n", "--d", "1,1", "--l", "1"], "the u_n series reads no target type"),
+    (["psi", "--d", "1,1"], "the psi series reads no target degree"),
+    (["tv", "--l", "1"], "the tv series reads no target type"),
+    (["np_el", "--l", "1"], "the np_el series needs target degree"),
+], ids=["np_el-d3", "np_el-l5", "np_el-l0", "u_n-d1", "u_n-l", "psi-d",
+        "tv-l", "np_el-no-d"])
+def test_diagnose_targets_are_checked(tmp_path, capsys, argv, message):
+    path = write_config(tmp_path, MINIMAL + "\n[run]\nsteps = 20\n"
+                        "snapshot_every = 10\n")
+    assert main(["diagnose", "--config", str(path), "--quantity"] + argv
+                + ["--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_only_commands_require_a_config(capsys):
+    for command in ("compare", "diagnose", "study"):
+        assert main([command, "--quantity", "psi"] if command == "diagnose"
+                    else [command]) == 2
+        assert "required: --config" in capsys.readouterr().err

@@ -142,6 +142,26 @@ def test_run_experiment_records_tolerance_failures():
     assert any("overall: FAIL" in line for line in report.summary_lines())
 
 
+def test_tolerance_equal_to_mean_tv_passes():
+    mean_tv = run_experiment(small_graph_cfg()).mean_tv
+    report = run_experiment(small_graph_cfg(tv_tolerance=mean_tv))
+    assert report.mean_tv == report.tv_tolerance
+    assert report.tv_passed and report.passed
+    tv_line = next(line for line in report.summary_lines()
+                   if line.startswith("mean TV"))
+    assert tv_line.endswith(": PASS")
+
+
+def test_summary_prints_the_stored_verdicts():
+    # the text repeats the verdicts run_experiment reached, never re-decides
+    report = run_experiment(small_graph_cfg())
+    report.tv_passed = report.psi_passed = False
+    report.failures = ["forced"]
+    lines = report.summary_lines()
+    assert lines[2].endswith(": FAIL") and lines[4].endswith(": FAIL")
+    assert lines[-1] == "overall: FAIL"
+
+
 def test_run_experiment_is_reproducible():
     a = run_experiment(small_graph_cfg())
     b = run_experiment(small_graph_cfg())
