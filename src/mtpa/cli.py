@@ -25,102 +25,57 @@ from .theory import solve_recurrence, solve_unperturbed_recurrence
 from .urn import assumption_audit, bernoulli_column_sampler, new_urn, run_urn
 
 
-def _add_common(sub: argparse.ArgumentParser, config=False) -> None:
-    sub.add_argument("--config", required=config,
-                     help="experiment config file")
-    sub.add_argument("--seed", type=int, help="master seed (overrides config)")
-    sub.add_argument("--out", default="mtpa_out", help="output directory")
-    sub.add_argument("--replicates", type=int, help="override replicate count")
-    sub.add_argument("--steps", type=int, help="override step count")
-    sub.add_argument("--snapshot-every", type=int, dest="snapshot_every",
-                     help="override snapshot interval")
-
-
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", "--types", type=int, dest="n_types",
-                     help="number of edge types")
-    sub.add_argument("--m", type=int, dest="m_edges",
-                     help="edges (or draws) per step")
-    sub.add_argument("--f", help="row-major comma list or symmetric:p")
-    sub.add_argument("--f-file", dest="f_file",
-                     help="matrix file: N then N*N reals")
+# flag -> its argparse keywords, for every command that takes the flag
+FLAGS = {
+    "--config": dict(help="experiment config file"),
+    "--seed": dict(type=int, dest="master_seed",
+                   help="master seed (overrides config)"),
+    "--out": dict(default="mtpa_out", help="output directory"),
+    "--replicates": dict(type=int, help="override replicate count"),
+    "--steps": dict(type=int, dest="n_steps", help="override step count"),
+    "--snapshot-every": dict(type=int, help="override snapshot interval"),
+    "--n": dict(type=int, dest="n_types", help="number of edge types"),
+    "--m": dict(type=int, dest="m_edges", help="edges (or draws) per step"),
+    "--f": dict(help="row-major comma list or symmetric:p"),
+    "--f-file": dict(help="matrix file: N then N*N reals"),
+    "--seed-graph": dict(help="seed edge-list file (a b t per line)"),
+    "--c0": dict(help="initial composition, comma list"),
+    "--dmax": dict(type=int, help="truncation weight"),
+    "--psi": dict(help="type proportions, comma list"),
+    "--e0": dict(help="seed type counts for Dirichlet proportions "
+                      "(single-edge steps only)"),
+    "--quantity": dict(help="psi | tv | u_n | np_el"),
+    "--d": dict(help="target degree, comma list"),
+    "--l": dict(type=int, help="target type (1-based)"),
+    "--samples": dict(type=int, default=10_000,
+                      help="replacement matrices to sample"),
+    "--psi-samples": dict(type=int, default=1000,
+                          help="Dirichlet type proportions to sample"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per COMMANDS entry, taking only the flags it lists (a
+    trailing ! marks a required one) and no abbreviation of any flag."""
     parser = argparse.ArgumentParser(
-        prog="mtpa",
+        prog="mtpa", allow_abbrev=False,
         description="Preferential attachment with perturbed multi-type "
                     "edges: simulate, solve, and verify.")
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("simulate-graph",
-                              help="simulate the typed-edge growth model")
-    _add_common(sub)
-    _add_model_flags(sub)
-    sub.add_argument("--seed-graph", dest="seed_graph",
-                     help="seed edge-list file (a b t per line)")
-    sub.set_defaults(handler=_cmd_simulate_graph, model="graph")
-
-    sub = commands.add_parser("simulate-urn", help="simulate the urn")
-    _add_common(sub)
-    _add_model_flags(sub)
-    sub.add_argument("--c0", help="initial composition, comma list")
-    sub.set_defaults(handler=_cmd_simulate_urn, model="urn")
-
-    sub = commands.add_parser("solve",
-                              help="asymptotic degree distribution (perturbed)")
-    _add_common(sub)
-    _add_model_flags(sub)
-    sub.add_argument("--dmax", type=int, help="truncation weight")
-    sub.set_defaults(handler=_cmd_solve)
-
-    sub = commands.add_parser("solve-unperturbed",
-                              help="conditional distribution without perturbation")
-    _add_common(sub)
-    _add_model_flags(sub)
-    sub.add_argument("--dmax", type=int, help="truncation weight")
-    sub.add_argument("--psi", help="type proportions, comma list")
-    sub.add_argument("--e0", help="seed type counts for Dirichlet proportions "
-                                  "(single-edge steps only)")
-    sub.set_defaults(handler=_cmd_solve_unperturbed)
-
-    sub = commands.add_parser("compare",
-                              help="replicated simulation vs theory, with "
-                                   "PASS/FAIL report")
-    _add_common(sub, config=True)
-    sub.set_defaults(handler=_cmd_compare)
-
-    sub = commands.add_parser("diagnose", help="convergence series")
-    _add_common(sub, config=True)
-    sub.add_argument("--quantity", required=True,
-                     help="psi | tv | u_n | np_el")
-    sub.add_argument("--d", help="target degree, comma list")
-    sub.add_argument("--l", type=int, help="target type (1-based)")
-    sub.set_defaults(handler=_cmd_diagnose)
-
-    sub = commands.add_parser("audit",
-                              help="sample replacement matrices and audit them")
-    _add_common(sub)
-    _add_model_flags(sub)
-    sub.add_argument("--samples", type=int, default=10_000)
-    sub.set_defaults(handler=_cmd_audit)
-
-    sub = commands.add_parser("study",
-                              help="spread of the non-perturbed answer vs "
-                                   "the deterministic perturbed one")
-    _add_common(sub, config=True)
-    sub.add_argument("--psi-samples", type=int, default=1000,
-                     dest="psi_samples")
-    sub.set_defaults(handler=_cmd_study)
-
+    for name, (handler, help_text, flags) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            option = flag.rstrip("!")
+            sub.add_argument(option, required=flag.endswith("!"),
+                             **FLAGS[option])
+        sub.set_defaults(handler=handler)
     return parser
 
 
-# flag -> ExperimentConfig field, for flags that set a field as given
-_FIELD_FLAGS = {"seed": "master_seed", "steps": "n_steps",
-                "replicates": "replicates", "snapshot_every": "snapshot_every",
-                "n_types": "n_types", "m_edges": "m_edges"}
+# the dests of the flags that set their ExperimentConfig field as given
+_FIELD_FLAGS = ("master_seed", "n_steps", "replicates", "snapshot_every",
+                "n_types", "m_edges")
 
 
 def _resolve_config(args, model: str | None = None,
@@ -134,9 +89,8 @@ def _resolve_config(args, model: str | None = None,
     (`need_f=False`) gets the identity when no F is given.
     """
     fields = config_fields(args.config) if args.config else {}
-    fields.update({field: getattr(args, flag)
-                   for flag, field in _FIELD_FLAGS.items()
-                   if getattr(args, flag, None) is not None})
+    fields.update({field: getattr(args, field) for field in _FIELD_FLAGS
+                   if getattr(args, field, None) is not None})
     if model is not None:
         fields["model"] = model
     n_types = fields.get("n_types")
@@ -203,7 +157,7 @@ def _cmd_solve(args) -> int:
     path = write_distribution_csv(out / "distribution.csv", dist, cfg.n_types)
     config = {"n_types": cfg.n_types, "m_edges": cfg.m_edges, "d_max": dmax,
               "f": [float(v) for v in cfg.f_matrix.ravel()]}
-    _manifest(args, out, config, args.seed, [path])
+    _manifest(args, out, config, args.master_seed, [path])
     print(f"wrote {path} ({len(dist)} degree vectors, "
           f"total mass {dist.total():.6f})")
     return 0
@@ -231,7 +185,7 @@ def _cmd_solve_unperturbed(args) -> int:
     path = write_distribution_csv(out / "distribution.csv", dist, n)
     config = {"n_types": n, "m_edges": m, "d_max": dmax,
               "psi": [float(v) for v in psi]}
-    _manifest(args, out, config, args.seed, [path])
+    _manifest(args, out, config, args.master_seed, [path])
     print(f"wrote {path}")
     return 0
 
@@ -312,6 +266,34 @@ def _cmd_study(args) -> int:
     _manifest(args, out, cfg.resolved(), cfg.master_seed, [path])
     print(f"wrote {path} (max spread {study.max_std:.4f})")
     return 0
+
+
+_MODEL = "--config --seed --out --n --m --f --f-file"
+_RUN = "--config! --seed --out --replicates --steps --snapshot-every"
+
+# command -> (handler, help, the flags it reads)
+COMMANDS = {
+    "simulate-graph": (_cmd_simulate_graph,
+                       "simulate the typed-edge growth model",
+                       _MODEL + " --steps --snapshot-every --seed-graph"),
+    "simulate-urn": (_cmd_simulate_urn, "simulate the urn",
+                     _MODEL + " --steps --snapshot-every --c0"),
+    "solve": (_cmd_solve, "asymptotic degree distribution (perturbed)",
+              _MODEL + " --dmax"),
+    "solve-unperturbed": (_cmd_solve_unperturbed,
+                          "conditional distribution without perturbation",
+                          "--config --seed --out --n --m --dmax --psi --e0"),
+    "compare": (_cmd_compare,
+                "replicated simulation vs theory, with PASS/FAIL report",
+                _RUN),
+    "diagnose": (_cmd_diagnose, "convergence series",
+                 _RUN + " --quantity! --d --l"),
+    "audit": (_cmd_audit, "sample replacement matrices and audit them",
+              "--config --seed --out --n --f --f-file --samples"),
+    "study": (_cmd_study, "spread of the non-perturbed answer vs the "
+                          "deterministic perturbed one",
+              "--config! --seed --out --psi-samples"),
+}
 
 
 def main(argv=None) -> int:

@@ -32,6 +32,9 @@ shorthand ``symmetric:p`` expands to a matrix with p on the diagonal and
     psi_tolerance = 0.02
     pass_fraction = 0.95
 
+With one type, symmetric:p is the 1x1 matrix [[p]], which is
+row-stochastic only for p = 1.
+
 Every key is optional except [model] types (and f when types > 1), and a
 key that is set may not be empty. ExperimentConfig holds the defaults, so
 d_max and cutoff follow the final m, also when a flag sets it. A relative

@@ -22,6 +22,7 @@ through the pool in vectorized rounds and gives the same graph bit for bit.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -117,35 +118,29 @@ class PerturbationSchedule:
             if not self.rho > 0:
                 raise ValidationError("decay exponent rho must be positive")
             self.decay = arr
-        self._constant_cdf = matrices.row_cdfs(self.limit)
 
-    def matrix_at(self, n: int) -> np.ndarray:
-        if self.kind == CONSTANT:
-            return self.limit
-        raw = np.clip(self.limit + self.decay / float(n) ** self.rho, 0.0, 1.0)
-        return raw / raw.sum(axis=1, keepdims=True)
+    def _matrices(self, first: int, count: int) -> np.ndarray:
+        """The matrices of steps n = first .. first+count-1, as one
+        (count, N, N) array; a constant schedule gives its one matrix,
+        shape (1, N, N).
 
-    def row_cdfs_at(self, n: int) -> tuple:
-        if self.kind == CONSTANT:
-            return self._constant_cdf
-        return matrices.row_cdfs(self.matrix_at(n))
-
-    def cdf_table(self, first: int, count: int) -> np.ndarray:
-        """`row_cdfs_at(n)` for steps n = first .. first+count-1, as one
-        (count, N, N) array; a constant schedule gives its one table, shape
-        (1, N, N).
-
-        Each step's scale is Python's `float(n) ** rho`, as in `matrix_at`:
-        `np.power` differs from it in the last bit for some n.
+        Each step's scale is Python's `float(n) ** rho`: `np.power` differs
+        from it in the last bit for some n.
         """
         if self.kind == CONSTANT:
-            return np.asarray(self._constant_cdf)[None]
+            return self.limit[None]
         scale = np.array([float(n) ** self.rho
                           for n in range(first, first + count)])
         raw = np.clip(self.limit + self.decay / scale[:, None, None], 0.0, 1.0)
-        table = np.cumsum(raw / raw.sum(axis=2, keepdims=True), axis=2)
-        table[:, :, -1] = 1.0
-        return table
+        return raw / raw.sum(axis=2, keepdims=True)
+
+    def matrix_at(self, n: int) -> np.ndarray:
+        return self._matrices(n, 1)[0]
+
+    def cdf_table(self, first: int, count: int) -> np.ndarray:
+        """The flip law (`matrices.row_cdfs`) of the same steps, and the
+        same shape, as `_matrices(first, count)`."""
+        return matrices.row_cdfs(self._matrices(first, count))
 
 
 class GraphSnapshot(NamedTuple):
@@ -278,7 +273,7 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     frozen = len(pool_v)
     if frozen == 0:
         raise EmptyPool("graph has no edges to sample from")
-    cdfs = schedule.row_cdfs_at(n)
+    cdfs = schedule.cdf_table(n, 1)[0].tolist()
     us = rng.random(2 * m).tolist()
 
     n_types = graph.n_types
@@ -288,13 +283,8 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
         slot = int(us[2 * i] * frozen)
         if slot == frozen:
             slot -= 1
-        endpoint = int(pool_v[slot])
-        row = cdfs[pool_t[slot]]
-        u = us[2 * i + 1]
-        final = 0
-        while u >= row[final]:
-            final += 1
-        chosen.append((endpoint, final))
+        final = bisect_right(cdfs[pool_t[slot]], us[2 * i + 1])
+        chosen.append((int(pool_v[slot]), final))
 
     degrees = np.concatenate((graph.per_vertex_degree,
                               np.zeros((1, n_types), np.int64)))

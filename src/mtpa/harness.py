@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -352,7 +353,7 @@ def _analytic_grid(cfg: ExperimentConfig) -> list:
 
 
 # quantity -> the targets its series reads
-SERIES_TARGETS = {"psi": (), "tv": (), "u_n": ("degree",), "un": ("degree",),
+SERIES_TARGETS = {"psi": (), "tv": (), "u_n": ("degree",),
                   "np_el": ("degree", "type")}
 
 
@@ -363,7 +364,10 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
     PSI and TV are simulated per replicate; U_N and NP_EL are analytic in
     the modelled edge count initial_edges + m*(n-1). Returns (header, rows).
     Each quantity takes exactly the targets it reads; `type_index` counts
-    from 0, but messages count types from 1, as the CLI's --l does.
+    from 0, but messages count types from 1, as the CLI's --l does. The
+    degree a series reads (d, or d - e_l for NP_EL) must be one a vertex
+    can hold: degrees only grow, so every vertex weighs at least the lesser
+    of m and the lightest seed vertex's degree.
     """
     name = quantity.strip().lower()
     if name not in SERIES_TARGETS:
@@ -381,6 +385,14 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
     if type_index is not None and not 0 <= type_index < cfg.n_types:
         raise BadArgs(f"target type {type_index + 1} is not one of "
                       f"1..{cfg.n_types}")
+    if degree is not None:
+        weight = sum(degree) - (type_index is not None)
+        seed = Counter(v for a, b, _ in cfg.seed_spec().edges for v in (a, b))
+        lightest = min(cfg.m_edges, *seed.values())
+        if weight < lightest:
+            raise BadArgs(f"the {name} series reads a degree of weight "
+                          f"{weight}, but no vertex weighs less than "
+                          f"{lightest}")
     if name == "psi":
         psi_ref = stationary_type_distribution(cfg.f_matrix)
         header = (["replicate", "n"]
@@ -403,7 +415,7 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
         return ["replicate", "n", "tv"], [(r,) + row for r, rows in
                                           enumerate(series) for row in rows]
 
-    if name in ("u_n", "un"):
+    if name == "u_n":
         limit = sum(degree) / 2.0
         header = ["n", "u_n", "limit", "abs_error"]
         rows = []

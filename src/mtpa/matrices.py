@@ -12,28 +12,30 @@ STRUCTURAL_ZERO = 1e-15
 
 
 def as_row_stochastic(values, *, what: str = "matrix") -> np.ndarray:
-    """Coerce to a square float array and check each row sums to one.
+    """Coerce to a square float array and check that no entry is negative
+    and each row sums to one within ROW_SUM_TOL.
 
     Raises NotStochastic naming the offending row (1-based); a NaN entry
-    is outside [0, 1] too.
+    is outside [0, 1] too. A negative entry, however small, would make its
+    row CDF decrease (see `row_cdfs`).
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotStochastic(f"{what} must be square, got shape {arr.shape}")
-    if not np.all((arr >= -ROW_SUM_TOL) & (arr <= 1.0 + ROW_SUM_TOL)):
+    if not np.all((arr >= 0.0) & (arr <= 1.0 + ROW_SUM_TOL)):
         raise NotStochastic(f"{what} has entries outside [0, 1]")
-    sums = arr.sum(axis=1)
-    for i, s in enumerate(sums):
+    for i, s in enumerate(arr.sum(axis=1).tolist()):
         if abs(s - 1.0) > ROW_SUM_TOL:
-            raise NotStochastic(f"{what} row {i + 1} sums to {s!r}, not 1")
+            raise NotStochastic(f"{what} row {i + 1} sums to {s}, not 1")
     return arr
 
 
 def parse_matrix(text: str, n: int, *, what: str = "matrix") -> np.ndarray:
     """Parse an n x n matrix: a row-major comma list, or ``symmetric:p``.
 
-    The shorthand expands to p on the diagonal and (1-p)/(n-1) elsewhere.
-    Only the shape is checked here, not stochasticity.
+    The shorthand expands to p on the diagonal and (1-p)/(n-1) elsewhere;
+    with one type it is [[p]], which is stochastic only for p = 1. Only the
+    shape is checked here, not stochasticity.
     """
     text = text.strip()
     if text.startswith("symmetric:"):
@@ -44,7 +46,7 @@ def parse_matrix(text: str, n: int, *, what: str = "matrix") -> np.ndarray:
         if not 0.0 <= diag <= 1.0:
             raise ValidationError(f"{what}: diagonal {diag} outside [0, 1]")
         if n == 1:
-            return np.array([[1.0]])
+            return np.array([[diag]])
         off = (1.0 - diag) / (n - 1)
         return np.full((n, n), off) + np.eye(n) * (diag - off)
     try:
@@ -105,12 +107,16 @@ def read_matrix(path) -> np.ndarray:
     return np.array(entries, dtype=float).reshape(n, n)
 
 
-def row_cdfs(matrix: np.ndarray) -> tuple:
-    """Per-row cumulative sums as tuples, last entry forced to 1.0.
+def row_cdfs(stack) -> np.ndarray:
+    """Per-row cumulative sums of a stack of matrices, shape (..., N, N),
+    the last entry of each row forced to 1.0.
 
-    Used for inverse-CDF sampling of a categorical per row; forcing the last
-    entry absorbs row-sum rounding within ROW_SUM_TOL.
+    This is the flip law of both models: a uniform u takes the row's index
+    `bisect_right(row, u)`, the number of entries at or below u, which the
+    last entry never is. That needs a non-decreasing row, so no entry of
+    the matrix may be negative; forcing the last entry absorbs row-sum
+    rounding within ROW_SUM_TOL.
     """
-    cdf = np.cumsum(np.asarray(matrix, dtype=float), axis=1)
-    cdf[:, -1] = 1.0
-    return tuple(tuple(row) for row in cdf)
+    cdf = np.cumsum(np.asarray(stack, dtype=float), axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf

@@ -9,7 +9,9 @@ one ball, and the generating (expected) matrix is F.T.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -26,23 +28,23 @@ MAX_CHUNK_STEPS = 4096
 class ColumnSampler:
     """Replacement matrices whose column j is e_k with probability F[j, k].
 
-    `row_cdfs[j]` holds the cumulative law of column j's row index. Steps
-    draw just the column they apply, with a single uniform, which leaves the
-    joint law of (draw, applied column) unchanged because columns are
-    independent of the draws and of each other. `generating` is F.T.
+    `row_cdfs[j]` (`matrices.row_cdfs` of F) holds the cumulative law of
+    column j's row index. Steps draw just the column they apply, with a
+    single uniform, which leaves the joint law of (draw, applied column)
+    unchanged because columns are independent of the draws and of each
+    other. `generating` is F.T.
     """
 
     n_colours: int
-    row_cdfs: tuple
+    row_cdfs: np.ndarray
     generating: np.ndarray
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One whole replacement matrix, n_colours uniforms."""
-        # column j's row index: the first k with u_j < row_cdfs[j][k]
-        rows = np.argmax(rng.random(self.n_colours)[:, None]
-                         < np.array(self.row_cdfs), axis=1)
+        columns = np.arange(self.n_colours)
+        rows = _flips(rng.random(self.n_colours), columns, self.row_cdfs)
         out = np.zeros((self.n_colours, self.n_colours), dtype=np.int64)
-        out[rows, np.arange(self.n_colours)] = 1
+        out[rows, columns] = 1
         return out
 
 
@@ -106,18 +108,9 @@ def new_urn(initial_composition, m: int, sampler: ColumnSampler) -> UrnState:
 
 def _draw(x: float, comp, u: float, cdfs) -> int:
     """One draw: the colour whose cumulative count first exceeds
-    x = u_pick * total in `comp`, flipped by its row CDF in `cdfs` with the
-    uniform `u`. Returns the colour that gains the ball."""
-    j = 0
-    acc = comp[0]
-    while x >= acc:
-        j += 1
-        acc += comp[j]
-    row = cdfs[j]
-    k = 0
-    while u >= row[k]:
-        k += 1
-    return k
+    x = u_pick * total in `comp`, flipped by its row CDF in `cdfs` (a list
+    of lists) with the uniform `u`. Returns the colour that gains the ball."""
+    return bisect_right(cdfs[bisect_right(list(accumulate(comp)), x)], u)
 
 
 def urn_step(urn: UrnState, sampler: ColumnSampler,
@@ -130,7 +123,8 @@ def urn_step(urn: UrnState, sampler: ColumnSampler,
     m = urn.m
     total = urn.total
     us = rng.random(2 * m).tolist()
-    gained = [_draw(us[i] * total, urn.composition, us[m + i], sampler.row_cdfs)
+    cdfs = sampler.row_cdfs.tolist()
+    gained = [_draw(us[i] * total, urn.composition, us[m + i], cdfs)
               for i in range(m)]
     for k in gained:
         urn.composition[k] += 1
@@ -179,7 +173,7 @@ def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
     makes, so the gains are the same bit for bit.
     """
     steps, n = len(us), len(comp)
-    cdf = np.array(sampler.row_cdfs)
+    cdf = sampler.row_cdfs
     grown = m * np.arange(steps, dtype=float)
     x = us[:, :m] * (total + grown)[:, None]
     flip_u = us[:, m:]
@@ -205,7 +199,7 @@ def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
     before = _gains_before(gained, n)
     gains = before[-1, :n]
     if len(rows):
-        resolved = [0] * n
+        cdfs, resolved = cdf.tolist(), [0] * n
         current, pending = -1, []
         for j, base, x_j, u in zip(rows.tolist(), (comp + before[rows, :n]).tolist(),
                                    x[rows, draws].tolist(),
@@ -216,7 +210,7 @@ def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
                     resolved[k] += 1
                 current, pending = j, []
                 step_comp = [a + b for a, b in zip(base, resolved)]
-            pending.append(_draw(x_j, step_comp, u, sampler.row_cdfs))
+            pending.append(_draw(x_j, step_comp, u, cdfs))
         for k in pending:
             resolved[k] += 1
         gains = gains + resolved

@@ -428,16 +428,17 @@ def test_seed_graph_is_relative_to_the_config_file(tmp_path, monkeypatch,
 
 def test_model_flags_override_a_config_in_every_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, MINIMAL)
-    flags = ["--m", "2", "--f", "symmetric:0.7"]
-    for command, extra, name in (
-            ("solve", ["--dmax", "10"], "distribution.csv"),
-            ("simulate-graph", ["--steps", "50"], "distribution.csv"),
-            ("simulate-urn", ["--steps", "50"], "trajectory.csv"),
-            ("audit", ["--samples", "50"], "audit.txt")):
+    model = ["--m", "2", "--f", "symmetric:0.7"]
+    for command, flags, name in (
+            ("solve", model + ["--dmax", "10"], "distribution.csv"),
+            ("simulate-graph", model + ["--steps", "50"], "distribution.csv"),
+            ("simulate-urn", model + ["--steps", "50"], "trajectory.csv"),
+            # audit reads no m, so it takes no --m
+            ("audit", model[2:] + ["--samples", "50"], "audit.txt")):
         via_config, via_flags = tmp_path / f"{command}_c", tmp_path / f"{command}_f"
-        assert main([command, "--config", str(cfg)] + flags + extra
+        assert main([command, "--config", str(cfg)] + flags
                     + ["--out", str(via_config)]) == 0
-        assert main([command, "--n", "2"] + flags + extra
+        assert main([command, "--n", "2"] + flags
                     + ["--out", str(via_flags)]) == 0
         assert ((via_config / name).read_bytes()
                 == (via_flags / name).read_bytes()), command
@@ -610,3 +611,142 @@ def test_config_only_commands_require_a_config(capsys):
         assert main([command, "--quantity", "psi"] if command == "diagnose"
                     else [command]) == 2
         assert "required: --config" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# each subcommand takes exactly the flags it reads
+
+def option_strings(command) -> set:
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if action.dest == "command").choices[command]
+    return {s for action in sub._actions for s in action.option_strings
+            } - {"-h", "--help"}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    model = {"--config", "--seed", "--out", "--n", "--m", "--f", "--f-file"}
+    run = {"--config", "--seed", "--out", "--replicates", "--steps",
+           "--snapshot-every"}
+    expected = {
+        "simulate-graph": model | {"--steps", "--snapshot-every",
+                                   "--seed-graph"},
+        "simulate-urn": model | {"--steps", "--snapshot-every", "--c0"},
+        "solve": model | {"--dmax"},
+        "solve-unperturbed": {"--config", "--seed", "--out", "--n", "--m",
+                              "--dmax", "--psi", "--e0"},
+        "compare": run,
+        "diagnose": run | {"--quantity", "--d", "--l"},
+        "audit": {"--config", "--seed", "--out", "--n", "--f", "--f-file",
+                  "--samples"},
+        "study": {"--config", "--seed", "--out", "--psi-samples"},
+    }
+    for command, flags in expected.items():
+        assert option_strings(command) == flags, command
+    assert sum(len(flags) for flags in expected.values()) == 62
+
+
+BASE_ARGV = {
+    "simulate-graph": ["simulate-graph", "--n", "2", "--f", "symmetric:0.9",
+                       "--steps", "5"],
+    "simulate-urn": ["simulate-urn", "--n", "2", "--f", "symmetric:0.9",
+                     "--steps", "5"],
+    "solve": ["solve", "--n", "2", "--f", "symmetric:0.9", "--dmax", "5"],
+    "solve-unperturbed": ["solve-unperturbed", "--n", "2", "--psi", "0.5,0.5",
+                          "--dmax", "5"],
+    "audit": ["audit", "--n", "2", "--f", "symmetric:0.9", "--samples", "5"],
+    "study": ["study", "--config", "cfg.ini", "--psi-samples", "2"],
+}
+
+# flags no code path of their command reads, and spellings that are gone
+UNREAD = ([("simulate-graph", ["--replicates", "4"]),
+           ("simulate-urn", ["--replicates", "4"])]
+          + [(command, [flag, "5"])
+             for command in ("solve", "solve-unperturbed", "audit", "study")
+             for flag in ("--replicates", "--steps", "--snapshot-every")]
+          + [("solve-unperturbed", ["--f", "symmetric:0.9"]),
+             ("solve-unperturbed", ["--f-file", "f.txt"]),
+             ("audit", ["--m", "2"]),
+             ("solve", ["--d", "12"])]  # not an abbreviation of --dmax
+          + [(command, ["--types", "2"])
+             for command in ("simulate-graph", "simulate-urn", "solve",
+                             "solve-unperturbed", "audit")])
+
+
+@pytest.mark.parametrize("command, extra", UNREAD,
+                         ids=[f"{c} {e[0]}" for c, e in UNREAD])
+def test_an_unread_flag_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                         command, extra):
+    write_config(tmp_path, MINIMAL)
+    (tmp_path / "f.txt").write_text("2 0.9 0.1 0.1 0.9\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(BASE_ARGV[command] + ["--out", "o"]) == 0
+    assert main(BASE_ARGV[command] + extra + ["--out", "o"]) == 2
+    assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
+
+
+def test_the_un_spelling_of_u_n_is_gone(tmp_path, monkeypatch, capsys):
+    diagnose = ["diagnose", "--config", str(write_config(tmp_path, MINIMAL)),
+                "--d", "2,1", "--out", str(tmp_path / "o"), "--quantity"]
+    assert main(diagnose + ["u_n"]) == 0
+    assert main(diagnose + ["un"]) == 2
+    assert "unknown quantity 'un'" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# flip matrices and diagnose targets
+
+TINY_NEGATIVE_F = "0.5,-1e-13,0.5000000000001,0.25,0.5,0.25,0.25,0.25,0.5"
+
+
+def test_a_tiny_negative_f_entry_is_a_usage_error(tmp_path, capsys):
+    # within the row-sum tolerance, but it would make its row CDF decrease
+    path = write_config(tmp_path, MINIMAL.replace("types = 2", "types = 3")
+                        .replace("symmetric:0.9", TINY_NEGATIVE_F))
+    with pytest.raises(ValidationError, match="f has entries outside"):
+        parse_config(path)
+    for argv in (["simulate-graph", "--config", str(path)],
+                 ["simulate-urn", "--n", "3", "--f", TINY_NEGATIVE_F]):
+        assert main(argv + ["--steps", "5", "--out", str(tmp_path / "o")]) == 2
+        assert "f has entries outside [0, 1]" in capsys.readouterr().err
+
+
+def test_a_row_sum_prints_as_a_plain_float(tmp_path, capsys):
+    assert main(["solve", "--n", "2", "--f", "0.9,0.1,0.3,0.8",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "error: f row 2 sums to 1.1, not 1\n" == capsys.readouterr().err
+
+
+def test_one_type_symmetric_shorthand_is_its_one_entry(tmp_path, capsys):
+    # with one type, symmetric:p is [[p]], which only p = 1 makes stochastic
+    assert main(["solve", "--n", "1", "--f", "symmetric:0.3",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "f row 1 sums to 0.3, not 1" in capsys.readouterr().err
+    solve = ["solve", "--n", "1", "--dmax", "20", "--out"]
+    assert main(solve + [str(tmp_path / "p1"), "--f", "symmetric:1"]) == 0
+    assert main(solve + [str(tmp_path / "default")]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "p1" / "distribution.csv").read_bytes()
+            == (tmp_path / "default" / "distribution.csv").read_bytes())
+
+
+@pytest.mark.parametrize("m, argv, weight, held", [
+    (2, ["u_n", "--d", "0,0"], 0, "1,1"),
+    (2, ["np_el", "--d", "1,0", "--l", "1"], 0, "2,1"),
+    # the default seed's two vertices weigh 2 (one edge of each type), less
+    # than m = 3, so weight 2 is the least a vertex can hold
+    (3, ["u_n", "--d", "1,0"], 1, "1,1"),
+    (3, ["np_el", "--d", "1,1", "--l", "2"], 1, "1,2"),
+], ids=["u_n", "np_el", "u_n-seed", "np_el-seed"])
+def test_diagnose_target_lighter_than_any_vertex(tmp_path, capsys, m, argv,
+                                                 weight, held):
+    path = write_config(tmp_path, MINIMAL.replace(
+        "edges_per_step = 1", f"edges_per_step = {m}")
+        + "\n[run]\nsteps = 20\nsnapshot_every = 10\n")
+    diagnose = ["diagnose", "--config", str(path), "--out",
+                str(tmp_path / "o"), "--quantity"]
+    assert main(diagnose + argv) == 2
+    assert (f"the {argv[0]} series reads a degree of weight {weight}, but no "
+            "vertex weighs less than 2" in capsys.readouterr().err)
+    assert main(diagnose + argv[:2] + [held] + argv[3:]) == 0
+    capsys.readouterr()

@@ -235,6 +235,10 @@ def test_perturb_type_rejects_bad_rows():
         PerturbationSchedule([[0.5, 0.4], [0.4, 0.6]])
     with pytest.raises(NotStochastic):
         PerturbationSchedule([[1.2, -0.2], [0.1, 0.9]])
+    # a negative entry inside the row-sum tolerance is still negative
+    with pytest.raises(NotStochastic, match="outside"):
+        PerturbationSchedule([[0.5, -1e-13, 0.5 + 1e-13],
+                              [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
 
 
 # --------------------------------------------------------------------------

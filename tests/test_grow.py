@@ -20,6 +20,7 @@ from mtpa.graph import (CONSTANT, DECAYING, PerturbationSchedule,
                         edge_type_proportions, grow, new_graph, pa_step, run)
 from mtpa.harness import replicate_stream, tv_distance
 from mtpa.theory import solve_recurrence
+from test_run_urn import DyadicStream
 
 SEEDS = range(5)
 
@@ -147,6 +148,32 @@ def test_long_run_matches_pa_step():
     assert_same_stream(rng_ref, rng_eng)
 
 
+@pytest.mark.parametrize("m", (1, 3))
+def test_ties_at_cdf_entries(m):
+    # dyadic uniforms land exactly on the dyadic CDF entries, also on the
+    # repeated entry a zero makes: both engines flip them alike
+    flip = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.75, 0.25]])
+    schedule = PerturbationSchedule(flip)
+    for seed in SEEDS:
+        ref, eng = (new_graph(SeedGraphSpec.default(3)) for _ in range(2))
+        rng_ref, rng_eng = DyadicStream(seed), DyadicStream(seed)
+        for _ in range(200):
+            pa_step(ref, schedule, m, rng_ref)
+        grow(eng, schedule, m, 200, rng_eng)
+        assert_same_graph(ref, eng)
+        assert_same_stream(rng_ref, rng_eng)
+
+
+def step_law(limit, decay, rho, n):
+    """The row CDFs of step n, one step at a time: limit + decay / n**rho
+    clamped to [0, 1], rows renormalized, summed along each row, and the
+    last entry of each row set to 1.0."""
+    raw = np.clip(limit + decay / float(n) ** rho, 0.0, 1.0)
+    cdf = np.cumsum(raw / raw.sum(axis=1, keepdims=True), axis=1)
+    cdf[:, -1] = 1.0
+    return cdf.tolist()
+
+
 def test_cdf_table_matches_row_cdfs_at():
     limit = flip_matrix(3)
     decay = 0.9 * (np.eye(3) - np.full((3, 3), 1.0 / 3))
@@ -154,14 +181,14 @@ def test_cdf_table_matches_row_cdfs_at():
         schedule = PerturbationSchedule(limit, DECAYING, decay, rho)
         table = schedule.cdf_table(1, 4000)
         for n in range(1, 4001):
-            assert table[n - 1].tolist() == [list(r) for r in schedule.row_cdfs_at(n)]
+            assert table[n - 1].tolist() == step_law(limit, decay, rho, n)
         later = schedule.cdf_table(123_456, 3)
         for i in range(3):
-            assert later[i].tolist() == [
-                list(r) for r in schedule.row_cdfs_at(123_456 + i)]
+            assert later[i].tolist() == step_law(limit, decay, rho, 123_456 + i)
     constant = PerturbationSchedule(limit)
-    assert constant.cdf_table(1, 50).tolist() == [
-        [list(r) for r in constant.row_cdfs_at(1)]]
+    cdf = np.cumsum(limit, axis=1)
+    cdf[:, -1] = 1.0
+    assert constant.cdf_table(1, 50).tolist() == [cdf.tolist()]
 
 
 def test_census_keys_past_int64():

@@ -121,6 +121,14 @@ def test_sampler_rejects_non_stochastic_rows():
         bernoulli_column_sampler([[0.5, 0.4], [0.2, 0.8]])
 
 
+def test_sampler_rejects_a_tiny_negative_entry():
+    # within the row-sum tolerance, but it would make its row CDF decrease,
+    # and on such a row `_draw` and `_flips` can flip the same uniform apart
+    with pytest.raises(BadMatrix, match="outside"):
+        bernoulli_column_sampler([[0.5, -1e-13, 0.5 + 1e-13],
+                                  [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+
+
 # --------------------------------------------------------------------------
 # one-step transition laws
 
