@@ -86,7 +86,7 @@ def _resolve_config(args, model: str | None = None,
     overriding its field the same way in every subcommand; ExperimentConfig
     then supplies every default and runs every range check. Without a
     config file --n is required. A command that never reads F
-    (`need_f=False`) gets the identity when no F is given.
+    (`need_f=False`) gets the identity, whatever F its config file gives.
     """
     fields = config_fields(args.config) if args.config else {}
     fields.update({field: getattr(args, field) for field in _FIELD_FLAGS
@@ -101,7 +101,7 @@ def _resolve_config(args, model: str | None = None,
     elif getattr(args, "f", None):
         fields["f_matrix"] = matrices.parse_matrix(args.f, n_types, what="f")
     elif not need_f:
-        fields.setdefault("f_matrix", np.eye(n_types))
+        fields["f_matrix"] = np.eye(n_types)
     if getattr(args, "seed_graph", None):
         fields["seed_edges"] = SeedGraphSpec.from_file(args.seed_graph,
                                                        n_types).edges
@@ -206,14 +206,12 @@ def _cmd_compare(args) -> int:
     rep_path = write_csv(out / "replicates.csv", rep_header, rep_rows)
 
     outputs = [report_path, rep_path]
-    if report.per_degree_errors:
+    if report.per_degree_errors is not None:
+        degrees, emp, theo = report.per_degree_errors
         err_header = ([f"d_{i + 1}" for i in range(cfg.n_types)]
                       + ["empirical_mean", "theoretical", "abs_error"])
-        err_rows = []
-        for d in sorted(report.per_degree_errors,
-                        key=lambda d: (sum(d), d)):
-            emp, theo = report.per_degree_errors[d]
-            err_rows.append(d + (emp, theo, abs(emp - theo)))
+        err_rows = list(zip(*degrees.T.tolist(), emp.tolist(), theo.tolist(),
+                            np.abs(emp - theo).tolist()))
         outputs.append(write_csv(out / "errors.csv", err_header, err_rows))
 
     _manifest(args, out, cfg.resolved(), cfg.master_seed, outputs)
@@ -259,12 +257,12 @@ def _cmd_study(args) -> int:
     out = _out_dir(args)
     header = ([f"d_{i + 1}" for i in range(cfg.n_types)]
               + ["unperturbed_mean", "unperturbed_std", "perturbed"])
-    rows = [d + (study.unperturbed_mean[d], study.unperturbed_std[d],
-                 study.perturbed[d])
-            for d in study.degrees]
+    rows = list(zip(*study.degrees.T.tolist(), study.unperturbed_mean.tolist(),
+                    study.unperturbed_std.tolist(), study.perturbed.tolist()))
     path = write_csv(out / "study.csv", header, rows)
     _manifest(args, out, cfg.resolved(), cfg.master_seed, [path])
-    print(f"wrote {path} (max spread {study.max_std:.4f})")
+    spread = study.unperturbed_std.max(initial=0.0)
+    print(f"wrote {path} (max spread {spread:.4f})")
     return 0
 
 

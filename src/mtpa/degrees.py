@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -68,12 +68,9 @@ class DegreeDistribution:
 
     @cached_property
     def masses(self) -> dict:
-        """Degree tuple -> mass, in row order, built on first use."""
+        """Degree tuple -> mass, built on first use, for the bench's trace."""
         return dict(zip(map(tuple, self.degrees.tolist()),
                         self.values.tolist()))
-
-    def mass(self, d: Iterable[int]) -> float:
-        return self.masses.get(tuple(d), 0.0)
 
     def total(self) -> float:
         # one float at a time: a list of them would outweigh the columns
@@ -85,3 +82,19 @@ class DegreeDistribution:
                                   side="right"))
         return DegreeDistribution(self.degrees[:end], self.values[:end],
                                   self.provenance)
+
+
+def aligned(dists, max_weight: int) -> tuple:
+    """The (K, N) degree vectors of weight at most `max_weight` that any of
+    `dists` holds, in `sort_key` order, and the (len(dists), K) masses on
+    them, 0.0 where one lacks a vector; matched by vector, not position."""
+    keep = [dist.degrees.sum(axis=1) <= max_weight for dist in dists]
+    rows = np.concatenate([d.degrees[k] for d, k in zip(dists, keep)])
+    # a leading weight column makes the lexicographic row order sort_key's
+    keys, where = np.unique(np.column_stack((rows.sum(axis=1), rows)),
+                            axis=0, return_inverse=True)
+    owner = np.repeat(np.arange(len(dists)), list(map(np.count_nonzero, keep)))
+    table = np.zeros((len(dists), len(keys)))
+    table[owner, where] = np.concatenate([d.values[k]
+                                          for d, k in zip(dists, keep)])
+    return keys[:, 1:], table

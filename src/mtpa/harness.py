@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import matrices
-from .degrees import DegreeDistribution
+from .degrees import DegreeDistribution, aligned
 from .errors import (BadArgs, BadPsi, BadQuantity, NotStochastic,
                      ValidationError)
 from .graph import (CONSTANT, DECAYING, PerturbationSchedule, SeedGraphSpec,
@@ -165,12 +165,12 @@ class ExperimentConfig:
 
 def tv_distance(p: DegreeDistribution, q: DegreeDistribution,
                 cutoff: int) -> float:
-    """Half the L1 distance, over the union support truncated at `cutoff`."""
-    total = 0.0
-    for d in set(p.masses) | set(q.masses):
-        if sum(d) <= cutoff:
-            total += abs(p.mass(d) - q.mass(d))
-    return 0.5 * total
+    """Half the L1 distance over the rows of weight at most `cutoff` of
+    either side, correctly rounded: fsum adds each max(p, q) - min(p, q)
+    exactly, so no row order can change the result."""
+    _, (a, b) = aligned((p, q), cutoff)
+    return 0.5 * math.fsum(np.concatenate((np.maximum(a, b),
+                                           -np.minimum(a, b))).tolist())
 
 
 @dataclass
@@ -194,7 +194,9 @@ class ComparisonReport:
     psi_ok: int                      # replicates with psi within tolerance
     psi_passed: bool
     unaccounted_theory_mass: float | None
-    per_degree_errors: dict          # d -> (mean empirical, theoretical)
+    # graph model only: (degrees, mean empirical mass, theoretical mass)
+    # over the rows of weight <= cutoff of the theory or any replicate
+    per_degree_errors: tuple | None
     tv_tolerance: float
     psi_tolerance: float
     pass_fraction: float
@@ -278,19 +280,18 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
 
     failures = []
     unaccounted = None
-    per_degree = {}
+    per_degree = None
     mean_tv = tv_passed = None
     if cfg.model == GRAPH:
         theory = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
         theory_cut = theory.truncated(cfg.cutoff)
         unaccounted = 1.0 - theory_cut.total()
-        error_acc = dict.fromkeys(theory_cut.masses, 0.0)
         for result, truncated in raw:
             result.tv = tv_distance(truncated, theory_cut, cfg.cutoff)
-            for d, p in truncated.masses.items():
-                error_acc[d] = error_acc.get(d, 0.0) + p
-        per_degree = {d: (acc / len(results), theory_cut.mass(d))
-                      for d, acc in error_acc.items()}
+        degrees, (theoretical, *empirical) = aligned(
+            [theory_cut] + [truncated for _, truncated in raw], cfg.cutoff)
+        # summed replicate by replicate, in index order
+        per_degree = (degrees, sum(empirical) / len(results), theoretical)
         mean_tv = float(np.mean([r.tv for r in results]))
         tv_passed = mean_tv <= cfg.tv_tolerance
         if not tv_passed:
@@ -441,19 +442,16 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
     return header, rows
 
 
-@dataclass
+@dataclass(eq=False)
 class StudyReport:
-    """Spread of the conditional non-perturbed answer vs the perturbed one."""
+    """Spread of the conditional non-perturbed answer vs the perturbed one,
+    as columns over the (K, N) `degrees` in `sort_key` order."""
 
     n_samples: int
-    degrees: list
-    unperturbed_mean: dict
-    unperturbed_std: dict
-    perturbed: dict
-
-    @property
-    def max_std(self) -> float:
-        return max(self.unperturbed_std.values(), default=0.0)
+    degrees: np.ndarray
+    unperturbed_mean: np.ndarray
+    unperturbed_std: np.ndarray
+    perturbed: np.ndarray
 
 
 def perturbed_vs_unperturbed_study(cfg: ExperimentConfig, n_psi_samples: int,
@@ -479,15 +477,14 @@ def perturbed_vs_unperturbed_study(cfg: ExperimentConfig, n_psi_samples: int,
         raise BadPsi(f"every psi sample needs {cfg.n_types} entries")
 
     # a weight layer depends only on lighter ones, so both walks stop at
-    # the cutoff; one walk carries every sample, one column each
+    # the cutoff, with the same rows; one walk carries every sample
     perturbed = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.cutoff)
-    mean, std = solve_unperturbed_recurrence(
+    degrees, mean, std = solve_unperturbed_recurrence(
         np.array(psi_samples, dtype=float).T, cfg.m_edges, cfg.cutoff)
-    degrees = list(mean)
     return StudyReport(
         n_samples=len(psi_samples),
         degrees=degrees,
-        unperturbed_mean={d: mean[d] for d in degrees},
-        unperturbed_std={d: std[d] for d in degrees},
-        perturbed={d: perturbed.mass(d) for d in degrees},
+        unperturbed_mean=mean,
+        unperturbed_std=std,
+        perturbed=perturbed.values,
     )

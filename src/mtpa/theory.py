@@ -238,8 +238,8 @@ def solve_unperturbed_recurrence(psi, m: int, max_weight: int):
     `psi` may also be an (N, S) array whose columns are S realizations. The
     rate does not depend on psi, so one walk carries them all, a layer at a
     time, each column's masses equal bit for bit to its own solve. The
-    result is then the pair of dicts (mean, std): the mean and the standard
-    deviation of each mass over the columns, keyed in `sort_key` order.
+    result is then the columns (degrees, mean, std) in `sort_key` order:
+    each mass's mean and standard deviation over the columns.
     """
     psi = np.asarray(psi, dtype=float)
     samples = list(psi.T) if psi.ndim == 2 else [psi]
@@ -258,9 +258,7 @@ def solve_unperturbed_recurrence(psi, m: int, max_weight: int):
     if psi.ndim == 1:
         return DegreeDistribution(degrees, masses[:, 0],
                                   THEORETICAL_UNPERTURBED)
-    cells = list(map(tuple, degrees.tolist()))
-    return (dict(zip(cells, masses.mean(axis=1).tolist())),
-            dict(zip(cells, masses.std(axis=1).tolist())))
+    return degrees, masses.mean(axis=1), masses.std(axis=1)
 
 
 def dirichlet_psi_sample(initial_type_counts, rng: np.random.Generator) -> np.ndarray:

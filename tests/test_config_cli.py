@@ -157,6 +157,20 @@ def test_solve_unperturbed_cli(tmp_path, capsys):
     assert rows[0][3] == "THEORETICAL_UNPERTURBED"
 
 
+def test_solve_unperturbed_ignores_the_config_f(tmp_path, capsys):
+    # solve-unperturbed never reads F, so a config's f, even one that is
+    # not stochastic, changes nothing
+    digests = []
+    for name, f_line in (("b.ini", "f = 0.9,0.2,0.1,0.9\n"), ("a.ini", "")):
+        cfg = write_config(tmp_path, "[model]\ntypes = 2\n" + f_line, name)
+        out = tmp_path / f"out_{name}"
+        assert main(["solve-unperturbed", "--config", str(cfg),
+                     "--psi", "0.5,0.5", "--out", str(out)]) == 0
+        digests.append(file_digest(out / "distribution.csv"))
+    capsys.readouterr()
+    assert digests[0] == digests[1]
+
+
 def test_non_finite_psi_and_f_are_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["solve-unperturbed", "--n", "2", "--m", "1",

@@ -4,16 +4,23 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import mtpa
+from mtpa import harness
+from mtpa.cli import main
+from mtpa.config import parse_config
 from mtpa.degrees import DegreeDistribution, sort_key
 from mtpa.errors import BadArgs, BadQuantity, ValidationError
+from mtpa.graph import empirical_distribution, grow, new_graph
 from mtpa.harness import (ExperimentConfig, convergence_series, max_workers,
                           perturbed_vs_unperturbed_study, replicate_stream,
                           run_experiment, tv_distance)
+from mtpa.output import write_csv
+from mtpa.theory import solve_recurrence
 
 F_NEAR_ID = [[0.9, 0.1], [0.1, 0.9]]
 
@@ -49,6 +56,49 @@ def test_tv_ignores_mass_beyond_cutoff():
     q = dist({(1, 0): 0.5, (8, 8): 0.5})
     assert tv_distance(p, q, 2) == 0.0
     assert tv_distance(q, p, 2) == 0.0  # symmetric
+
+
+def exact_tv(p, q, cutoff: int) -> float:
+    """Half the L1 distance of the stored masses over the rows of weight at
+    most `cutoff`, as an exact rational, rounded to a float once."""
+    rows = {d for d in (*p.masses, *q.masses) if sum(d) <= cutoff}
+    return float(sum(abs(Fraction(p.masses.get(d, 0.0))
+                         - Fraction(q.masses.get(d, 0.0)))
+                     for d in rows) / 2)
+
+
+def test_tv_is_correctly_rounded_on_grown_graphs():
+    cfg = ExperimentConfig(n_types=2, m_edges=2, f_matrix=F_NEAR_ID,
+                           max_weight=16, cutoff=8)
+    theory = solve_recurrence(cfg.f_matrix, 2, 16)
+    wrong = []
+    for seed in range(20):
+        graph = new_graph(cfg.seed_spec())
+        grow(graph, cfg.schedule(), 2, 3000, replicate_stream(seed, 0))
+        census = empirical_distribution(graph)
+        want = exact_tv(census, theory, 8).hex()
+        if {tv_distance(census, theory, 8).hex(),
+                tv_distance(theory, census, 8).hex()} != {want}:
+            wrong.append(seed)
+    assert wrong == []
+
+
+def test_tv_is_correctly_rounded_on_hand_built_rows():
+    # m = 2 on the theory side: the census rows of weight 1 are its alone;
+    # (3, 3) and (4, 4) lie past a cutoff of 3 on both sides
+    census = dist({(1, 0): 0.1, (0, 1): 1 / 3, (0, 2): 0.2, (2, 1): 0.05,
+                   (3, 3): 0.3169})
+    theory = dist({(0, 2): 1 / 7, (1, 1): 0.3, (2, 0): 1 / 7, (2, 1): 0.11,
+                   (4, 4): 0.3})
+    empty = DegreeDistribution(np.empty((0, 2), dtype=np.int8), np.empty(0))
+    for p, q in ((census, theory), (census, empty), (empty, theory),
+                 (empty, empty)):
+        for cutoff in (1, 2, 3, 8):
+            assert tv_distance(p, q, cutoff).hex() == \
+                exact_tv(p, q, cutoff).hex()
+            assert tv_distance(q, p, cutoff).hex() == \
+                exact_tv(p, q, cutoff).hex()
+    assert tv_distance(empty, empty, 8) == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -123,6 +173,52 @@ def test_run_experiment_graph_report_shape():
     assert report.unaccounted_theory_mass >= 0.0
     assert report.passed
     assert any("overall: PASS" in line for line in report.summary_lines())
+
+
+LIGHTER_THAN_M = """
+[model]
+types = 2
+edges_per_step = 3
+f = symmetric:0.9
+[run]
+steps = 2
+replicates = 8
+master_seed = 5
+[compare]
+tv_tolerance = 1.0
+psi_tolerance = 1.0
+"""
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_error_table_equals_a_dict_accumulation(tmp_path, monkeypatch,
+                                                capsys, threads):
+    # the default seed's two vertices weigh 2 < m = 3: while they gain no
+    # edge, their rows lie outside the theory lattice
+    monkeypatch.setenv("MTPA_THREADS", threads)
+    path = tmp_path / "light.ini"
+    path.write_text(LIGHTER_THAN_M)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    cfg = parse_config(path)
+    theory = solve_recurrence(cfg.f_matrix, cfg.m_edges,
+                              cfg.max_weight).truncated(cfg.cutoff)
+    acc = dict.fromkeys(theory.masses, 0.0)
+    for index in range(cfg.replicates):
+        _, census = harness._graph_replicate(cfg, index)
+        for d, p in census.masses.items():
+            acc[d] = acc.get(d, 0.0) + p
+    rows = []
+    for d in sorted(acc, key=sort_key):
+        emp, theo = acc[d] / cfg.replicates, theory.masses.get(d, 0.0)
+        rows.append(d + (emp, theo, abs(emp - theo)))
+    assert any(sum(d) < cfg.m_edges for d in acc)
+    want = write_csv(tmp_path / "want.csv",
+                     ["d_1", "d_2", "empirical_mean", "theoretical",
+                      "abs_error"], rows)
+    assert (out / "errors.csv").read_bytes() == want.read_bytes()
 
 
 def test_run_experiment_degenerate_zero_steps():
@@ -305,12 +401,13 @@ def test_study_spread_matches_uniform_proportions():
                            f_matrix=F_NEAR_ID, master_seed=67, max_weight=6,
                            cutoff=2)
     study = perturbed_vs_unperturbed_study(cfg, 1500)
-    spread = study.unperturbed_std[(1, 0)]
+    row = study.degrees.tolist().index([1, 0])
+    spread = study.unperturbed_std[row]
     assert abs(spread - 2 / 3 / np.sqrt(12)) < 0.02
-    assert study.perturbed[(1, 0)] == pytest.approx(1 / 3, abs=1e-12)
+    assert study.perturbed[row] == pytest.approx(1 / 3, abs=1e-12)
     # deterministic solver: identical masses on repeated solves
     again = perturbed_vs_unperturbed_study(cfg, 10)
-    assert again.perturbed == study.perturbed
+    assert again.perturbed.tolist() == study.perturbed.tolist()
 
 
 def test_study_requires_single_edge_steps_for_dirichlet():

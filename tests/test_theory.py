@@ -137,8 +137,9 @@ def test_single_type_matches_closed_form_and_direct_recursion():
         dist = solve_recurrence([[1.0]], m, 60)
         direct = single_type_direct_recursion(m, 60)
         for d in range(m, 61):
-            assert abs(dist.mass((d,)) - closed_form_single_type(d, m)) < 1e-12
-            assert abs(dist.mass((d,)) - direct[d]) < 1e-12
+            assert abs(dist.masses.get((d,), 0.0)
+                       - closed_form_single_type(d, m)) < 1e-12
+            assert abs(dist.masses.get((d,), 0.0) - direct[d]) < 1e-12
 
 
 def test_both_solvers_match_the_closed_form_past_exact_factorials():
@@ -148,7 +149,7 @@ def test_both_solvers_match_the_closed_form_past_exact_factorials():
                      solve_unperturbed_recurrence([1.0], m, m + 40)):
             for d in range(m, m + 41):
                 closed = closed_form_single_type(d, m)
-                assert abs(dist.mass((d,)) - closed) < 1e-12
+                assert abs(dist.masses.get((d,), 0.0) - closed) < 1e-12
 
 
 def test_marginal_oracle_rejects_a_wrong_fresh_source():
@@ -173,15 +174,15 @@ def test_symmetric_base_case_value():
     for off in (0.1, 0.3, 0.45):
         f = [[1 - off, off], [off, 1 - off]]
         dist = solve_recurrence(f, 1, 5)
-        assert abs(dist.mass((1, 0)) - 1 / 3) < 1e-12
-        assert abs(dist.mass((0, 1)) - 1 / 3) < 1e-12
+        assert abs(dist.masses.get((1, 0), 0.0) - 1 / 3) < 1e-12
+        assert abs(dist.masses.get((0, 1), 0.0) - 1 / 3) < 1e-12
 
 
 def test_mass_below_step_size_is_zero():
     dist = solve_recurrence(F_NEAR_ID, 2, 10)
-    assert dist.mass((1, 0)) == 0.0
-    assert dist.mass((0, 0)) == 0.0
-    assert dist.mass((0, 1)) == 0.0
+    assert dist.masses.get((1, 0), 0.0) == 0.0
+    assert dist.masses.get((0, 0), 0.0) == 0.0
+    assert dist.masses.get((0, 1), 0.0) == 0.0
 
 
 def test_masses_nonnegative_and_partial_sums_bounded():
@@ -203,7 +204,7 @@ def test_permutation_symmetry_is_exact():
     a = solve_recurrence(f, 2, 14)
     b = solve_recurrence(swapped, 2, 14)
     for d, mass in a.masses.items():
-        assert mass == b.mass((d[1], d[0]))
+        assert mass == b.masses.get((d[1], d[0]), 0.0)
 
 
 def test_solver_argument_errors(monkeypatch):
@@ -226,7 +227,7 @@ def test_unperturbed_equals_perturbed_for_single_type():
         a = solve_recurrence([[1.0]], m, 40)
         b = solve_unperturbed_recurrence([1.0], m, 40)
         for d in a.masses:
-            assert abs(a.mass(d) - b.mass(d)) < 1e-12
+            assert abs(a.masses.get(d, 0.0) - b.masses.get(d, 0.0)) < 1e-12
 
 
 def test_unperturbed_degenerate_proportions():
@@ -234,20 +235,20 @@ def test_unperturbed_degenerate_proportions():
     for d, mass in dist.masses.items():
         if d[1] > 0:
             assert mass == 0.0
-    assert abs(dist.mass((1, 0)) - 2 / 3) < 1e-12
+    assert abs(dist.masses.get((1, 0), 0.0) - 2 / 3) < 1e-12
 
 
 def test_unperturbed_uniform_proportions_base_value():
     dist = solve_unperturbed_recurrence([0.5, 0.5], 1, 6)
-    assert abs(dist.mass((1, 0)) - 1 / 3) < 1e-12
-    assert abs(dist.mass((0, 1)) - 1 / 3) < 1e-12
+    assert abs(dist.masses.get((1, 0), 0.0) - 1 / 3) < 1e-12
+    assert abs(dist.masses.get((0, 1), 0.0) - 1 / 3) < 1e-12
 
 
 def test_unperturbed_scales_linearly_in_psi_at_weight_one():
     # with one edge per step, x((1,0)) = (2/3) psi_1
     for p in (0.2, 0.55, 0.9):
         dist = solve_unperturbed_recurrence([p, 1 - p], 1, 3)
-        assert abs(dist.mass((1, 0)) - (2 / 3) * p) < 1e-12
+        assert abs(dist.masses.get((1, 0), 0.0) - (2 / 3) * p) < 1e-12
 
 
 def test_unperturbed_rejects_bad_psi():

@@ -178,7 +178,7 @@ def test_each_column_of_a_batched_walk_is_its_own_walk():
     for s, degrees, masses in layers:
         assert masses.shape == (degrees.shape[1], len(samples))
         for column, single in zip(masses.T, singles):
-            assert column.tolist() == [single.mass(d)
+            assert column.tolist() == [single.masses.get(d, 0.0)
                                        for d in zip(*degrees.tolist())]
 
 
@@ -188,12 +188,13 @@ def test_batched_solve_is_the_spread_of_single_solves(count):
     samples[0] = [0.5, 0.0, 0.5]
     singles = [solve_unperturbed_recurrence(psi, 2, 18).masses
                for psi in samples]
-    mean, std = solve_unperturbed_recurrence(samples.T, 2, 18)
-    assert list(mean) == list(std) == list(singles[0])
-    for d in mean:
+    degrees, mean, std = solve_unperturbed_recurrence(samples.T, 2, 18)
+    cells = list(map(tuple, degrees.tolist()))
+    assert cells == list(singles[0])
+    for d, mu, sigma in zip(cells, mean.tolist(), std.tolist()):
         values = [single[d] for single in singles]
-        assert mean[d].hex() == float(np.mean(values)).hex()
-        assert std[d].hex() == float(np.std(values)).hex()
+        assert mu.hex() == float(np.mean(values)).hex()
+        assert sigma.hex() == float(np.std(values)).hex()
 
 
 def test_marginal_oracle_names_the_first_failing_sample():
@@ -226,13 +227,13 @@ def study_by_loop(cfg, psi_samples) -> harness.StudyReport:
     for psi in psi_samples:
         dist = solve_unperturbed_recurrence(psi, cfg.m_edges, cfg.max_weight)
         for d in degrees:
-            values[d].append(dist.mass(d))
+            values[d].append(dist.masses.get(d, 0.0))
     return harness.StudyReport(
         n_samples=len(psi_samples),
-        degrees=degrees,
-        unperturbed_mean={d: float(np.mean(values[d])) for d in degrees},
-        unperturbed_std={d: float(np.std(values[d])) for d in degrees},
-        perturbed={d: perturbed.mass(d) for d in degrees})
+        degrees=np.array(degrees),
+        unperturbed_mean=np.array([np.mean(values[d]) for d in degrees]),
+        unperturbed_std=np.array([np.std(values[d]) for d in degrees]),
+        perturbed=np.array([perturbed.masses.get(d, 0.0) for d in degrees]))
 
 
 def dirichlet_samples(cfg, count: int) -> list:
@@ -242,12 +243,13 @@ def dirichlet_samples(cfg, count: int) -> list:
 
 
 def assert_same_report(got, want) -> None:
-    assert got == want
+    assert got.n_samples == want.n_samples
+    assert got.degrees.tolist() == want.degrees.tolist()
     for name in ("unperturbed_mean", "unperturbed_std", "perturbed"):
         a, b = getattr(got, name), getattr(want, name)
-        assert list(a) == list(b)
-        assert all(type(v) is float for v in a.values())
-        assert [x.hex() for x in a.values()] == [x.hex() for x in b.values()]
+        assert a.shape == b.shape == (len(got.degrees),)
+        assert a.dtype == np.float64
+        assert [x.hex() for x in a.tolist()] == [x.hex() for x in b.tolist()]
 
 
 @pytest.mark.parametrize("count", (1, 2, 37, 160))
@@ -294,14 +296,14 @@ def test_study_walks_only_to_the_cutoff(monkeypatch):
 def study_to_max_weight(cfg, psi_samples) -> harness.StudyReport:
     """The study walked to max_weight, then cut at the cutoff."""
     perturbed = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
-    mean, std = solve_unperturbed_recurrence(
+    degrees, mean, std = solve_unperturbed_recurrence(
         np.array(psi_samples, dtype=float).T, cfg.m_edges, cfg.max_weight)
-    degrees = [d for d in mean if sum(d) <= cfg.cutoff]
+    keep = degrees.sum(axis=1) <= cfg.cutoff
     return harness.StudyReport(
-        n_samples=len(psi_samples), degrees=degrees,
-        unperturbed_mean={d: mean[d] for d in degrees},
-        unperturbed_std={d: std[d] for d in degrees},
-        perturbed={d: perturbed.mass(d) for d in degrees})
+        n_samples=len(psi_samples), degrees=degrees[keep],
+        unperturbed_mean=mean[keep], unperturbed_std=std[keep],
+        perturbed=np.array([perturbed.masses.get(d, 0.0)
+                            for d in map(tuple, degrees[keep].tolist())]))
 
 
 @pytest.mark.parametrize("m, max_weight, cutoff",
