@@ -136,7 +136,7 @@ GOLDEN = {
         "series.csv": "901287d2fd1d1d4b50dcf336d307910c991f921d08eb9f78c6b5854719fc0212",
     },
     "diagnose_tv": {
-        "series.csv": "515d2bc27c71742698a7eec6eff83b3a36bc6b708b96bc21812bf996260ad4a0",
+        "series.csv": "3a707e3c75db928e779fd6d9a8503e1b862099fa436d9deea561d1a87620f544",
     },
     "diagnose_u_n": {
         "series.csv": "da9375d6c2a4c001e465bd665a9134db60043145d6ea8a4c0df0a598af320664",
