@@ -14,11 +14,14 @@ edges.
 
 `pa_step` applies one step with scalar code and is the reference. `grow`
 applies many steps at once and is what runs use. The pool only grows by
-appends, so the pool size at every step is known in advance, and all the
-steps' uniforms can be drawn in one call. Each new edge then depends only
-on the slot it drew: its endpoint is that slot's vertex, and its type is
-its flip map applied to that slot's type. `grow` follows these chains
-through the pool in vectorized rounds and gives the same graph bit for bit.
+appends, so the pool size at every step is known in advance: `grow`
+allocates the final pool once and fills it in passes of whole steps, a
+constant number of edges per pass, drawing each pass's uniforms in one
+call. Each new edge then depends only on the slot it drew: its endpoint is
+that slot's vertex, and its type is its flip map applied to that slot's
+type. Within a pass, `grow` follows these chains back to the pool as it
+was at the start of the pass, in vectorized rounds, and gives the same
+graph bit for bit.
 """
 from __future__ import annotations
 
@@ -150,8 +153,15 @@ class GraphSnapshot(NamedTuple):
 
 
 def _index_dtype(slots: int):
-    """Pool indices are int32 until the pool reaches 2**31 slots."""
+    """Pool indices are int32 until the pool reaches 2**31 slots. The
+    degree table takes the same type: no degree exceeds the slot count."""
     return np.int32 if slots < 2**31 else np.int64
+
+
+# edges per pass of `grow` and of the invariant check's recount, rounded
+# down to whole steps in `grow`; a pass's temporaries take about 60 B per
+# edge
+_PASS_EDGES = 16384
 
 
 class TypedGraph:
@@ -163,8 +173,8 @@ class TypedGraph:
     sampling. The pool is also the edge list: edge i joins
     `endpoint_pool[2i]` and `endpoint_pool[2i+1]` with type `pool_types[2i]`;
     for a grown edge the first slot is the newcomer. `per_vertex_degree` is
-    a (vertices, n_types) array; the census is derived from it on demand
-    (`empirical_distribution`).
+    a C-contiguous (vertices, n_types) array of the pool's index type; the
+    census is derived from it on demand (`empirical_distribution`).
     """
 
     __slots__ = ("n_types", "num_vertices", "endpoint_pool",
@@ -177,7 +187,7 @@ class TypedGraph:
         self.endpoint_pool = np.zeros(0, np.int32)
         # the smallest signed integer type that holds every type index
         self.pool_types = np.zeros(0, np.min_scalar_type(-n_types))
-        self.per_vertex_degree = np.zeros((0, n_types), np.int64)
+        self.per_vertex_degree = np.zeros((0, n_types), np.int32)
         self.type_counts = [0] * n_types
         self.step_index = 0
         self.initial_num_vertices = 0
@@ -188,36 +198,52 @@ class TypedGraph:
         return len(self.endpoint_pool) // 2
 
 
-def _degree_counts(vertices: np.ndarray, types: np.ndarray, n_vertices: int,
-                   n_types: int) -> np.ndarray:
-    """(n_vertices, n_types) count of the slots of each vertex and type."""
-    keys = vertices.astype(np.int64) * n_types + types
-    return np.bincount(keys, minlength=n_vertices * n_types).reshape(
-        n_vertices, n_types)
+def _add_degrees(degrees: np.ndarray, vertices: np.ndarray,
+                 types: np.ndarray) -> None:
+    """Add one to `degrees[v, t]` for each slot's vertex v and type t, in
+    time linear in the slots, whatever the table's size. `degrees` is
+    C-contiguous; np.add.at takes its fast loop only for a value of the
+    table's own type."""
+    keys = vertices.astype(np.intp) * degrees.shape[1]
+    keys += types
+    np.add.at(degrees.reshape(-1), keys, degrees.dtype.type(1))
 
 
 def _census(degrees: np.ndarray) -> tuple:
     """Histogram of the degree rows: the distinct rows in `sort_key` order,
     as a small-int array, and how many times each occurs.
 
-    Each row is keyed by one int64 (mixed radix over the columns, ranked
-    densely before a column that would overflow it), since np.unique over
-    rows (axis=0) is several times slower than over scalars. Key order is
-    lexicographic order, so a stable sort by weight gives `sort_key` order.
+    Each row is keyed by one int64, since np.unique over rows (axis=0) is
+    several times slower than over scalars: its weight, then its columns
+    but the last (which the others and the weight fix) in mixed radix,
+    ranked densely before a column that would overflow the key. Key order
+    is `sort_key` order, so the sorted distinct keys decode to the rows.
     """
-    key = np.zeros(len(degrees), np.int64)
-    span = 1
-    for column in degrees.T:
+    key = degrees.sum(axis=1, dtype=np.int64)
+    span = int(key.max(initial=0)) + 1
+    layout = []  # per column, its radix, or the levels of a re-rank
+    for column in degrees.T[:-1]:
         radix = int(column.max(initial=0)) + 1
         if span * radix >= 2**63:
-            key = np.unique(key, return_inverse=True)[1]
-            span = int(key.max(initial=0)) + 1
-        key = key * radix + column
+            levels, key = np.unique(key, return_inverse=True)
+            layout.append(levels)
+            span = len(levels)
+        key *= radix
+        key += column
+        layout.append(radix)
         span *= radix
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    rows = degrees[first].astype(degree_dtype(degrees.max(initial=0)))
-    order = np.argsort(rows.sum(axis=1), kind="stable")
-    return rows[order], counts[order]
+    key, counts = np.unique(key, return_counts=True)
+    rows = np.empty((len(key), degrees.shape[1]),
+                    degree_dtype(degrees.max(initial=0)))
+    column = degrees.shape[1] - 1
+    for radix in reversed(layout):
+        if isinstance(radix, np.ndarray):
+            key = radix[key]
+        else:
+            column -= 1
+            key, rows[:, column] = np.divmod(key, radix)
+    rows[:, -1] = key - rows[:, :-1].sum(axis=1)
+    return rows, counts
 
 
 def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
@@ -250,10 +276,12 @@ def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
     graph.num_vertices = len(vertex_ids)
     graph.initial_num_vertices = len(vertex_ids)
     graph.initial_num_edges = len(types)
-    graph.endpoint_pool = np.array(ends, _index_dtype(len(ends)))
+    idx = _index_dtype(len(ends))
+    graph.endpoint_pool = np.array(ends, idx)
     graph.pool_types = np.repeat(np.array(types, graph.pool_types.dtype), 2)
-    graph.per_vertex_degree = _degree_counts(
-        graph.endpoint_pool, graph.pool_types, graph.num_vertices, n)
+    graph.per_vertex_degree = np.zeros((graph.num_vertices, n), idx)
+    _add_degrees(graph.per_vertex_degree, graph.endpoint_pool,
+                 graph.pool_types)
     return graph
 
 
@@ -286,8 +314,9 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
         final = bisect_right(cdfs[pool_t[slot]], us[2 * i + 1])
         chosen.append((int(pool_v[slot]), final))
 
+    idx = _index_dtype(frozen + 2 * m)
     degrees = np.concatenate((graph.per_vertex_degree,
-                              np.zeros((1, n_types), np.int64)))
+                              np.zeros((1, n_types), idx)), dtype=idx)
     new_slots, new_types = [], []
     for endpoint, final in chosen:
         graph.type_counts[final] += 1
@@ -296,7 +325,7 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
         new_slots += (new_vertex, endpoint)
         new_types += (final, final)
     graph.endpoint_pool = np.concatenate(
-        (pool_v, np.array(new_slots, _index_dtype(frozen + 2 * m))))
+        (pool_v, np.array(new_slots, idx)))
     graph.pool_types = np.concatenate(
         (pool_t, np.array(new_types, pool_t.dtype)))
 
@@ -311,15 +340,10 @@ def grow(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     """Apply `n_steps` growth steps at once, from any state.
 
     Draws the same uniforms in the same order as `n_steps` calls of
-    `pa_step`, and leaves the same graph bit for bit. New edge e of step j
-    (0-based in this call) is pool edge start/2 + e, with e = j*m + i. It
-    drew slot s < frozen_j = start + 2mj. Its endpoint is the vertex of
-    slot s, which for a grown odd slot is again the endpoint of that slot's
-    edge. Its type is its flip map (the step's flip outcome for each parent
-    type) applied to the type of slot s's edge. Both chains end in the
-    pool as it was (or, for endpoints, at a newcomer slot). Endpoints are
-    resolved by pointer doubling, types one generation per round; both
-    take rounds that grow with the log of the number of edges.
+    `pa_step`, and leaves the same graph bit for bit. The pools and the
+    degree table are allocated once at their final size and filled in
+    passes of whole steps (`_grow_pass`), so the working set beyond the
+    graph is a constant number of edges.
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
@@ -328,73 +352,97 @@ def grow(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     start = len(graph.endpoint_pool)
     if start == 0:
         raise EmptyPool("graph has no edges to sample from")
-    n_types = graph.n_types
-    first_vertex, first_edge = graph.num_vertices, start // 2
-    k = m * n_steps
-    idx = _index_dtype(start + 2 * k)
+    first_vertex = graph.num_vertices
+    idx = _index_dtype(start + 2 * m * n_steps)
+    pool = np.empty(start + 2 * m * n_steps, idx)
+    pool[:start] = graph.endpoint_pool
+    pool_types = np.empty(len(pool), graph.pool_types.dtype)
+    pool_types[:start] = graph.pool_types
+    degrees = np.zeros((first_vertex + n_steps, graph.n_types), idx)
+    degrees[:first_vertex] = graph.per_vertex_degree
 
+    gained = np.zeros(graph.n_types, np.int64)
+    per_pass = max(1, _PASS_EDGES // m)
+    for done in range(0, n_steps, per_pass):
+        steps = min(per_pass, n_steps - done)
+        base = start + 2 * m * done
+        _grow_pass(pool, pool_types, base, first_vertex + done,
+                   schedule.cdf_table(graph.step_index + done + 1, steps),
+                   m, steps, rng)
+        end = base + 2 * m * steps
+        _add_degrees(degrees, pool[base:end], pool_types[base:end])
+        gained += np.bincount(pool_types[base:end:2],
+                              minlength=graph.n_types)
+    graph.type_counts = [a + b for a, b in zip(graph.type_counts,
+                                               gained.tolist())]
+    graph.endpoint_pool, graph.pool_types = pool, pool_types
+    graph.per_vertex_degree = degrees
+    graph.num_vertices = first_vertex + n_steps
+    graph.step_index += n_steps
+    return graph
+
+
+def _grow_pass(pool: np.ndarray, pool_types: np.ndarray, base: int,
+               first_vertex: int, table: np.ndarray, m: int, n_steps: int,
+               rng: np.random.Generator) -> None:
+    """Fill the slots of `n_steps` steps from slot `base` on, whose new
+    vertices are numbered from `first_vertex` and whose flip laws are
+    `table` (`PerturbationSchedule.cdf_table`); the slots below `base` are
+    the pool at the start of the pass.
+
+    New edge e of step j (0-based in this pass) is pool edge base/2 + e,
+    with e = j*m + i. It drew slot s < frozen_j = base + 2mj. Its endpoint
+    is the vertex of slot s, which for an odd slot of this pass is again
+    the endpoint of that slot's edge. Its type is its flip map (the step's
+    flip outcome for each parent type) applied to the type of slot s. Both
+    chains end below `base` (or, for endpoints, at a newcomer slot).
+    Endpoints are resolved by pointer doubling, types one generation per
+    round; both take rounds that grow with the log of the pass's edges.
+    """
+    k = m * n_steps
+    n_types = table.shape[1]
+    idx = pool.dtype
     draws = rng.random(2 * k)
     step = np.arange(k, dtype=idx) // m
-    frozen = start + 2 * m * step
+    frozen = base + 2 * m * step
     slot = np.minimum((draws[0::2] * frozen).astype(idx), frozen - 1)
     del frozen
 
     # flip[e, t]: the type edge e takes when its parent slot has type t,
     # i.e. how many of the step's CDF entries row t lie at or below e's
     # flip uniform (the last entry is 1.0 and never does)
-    table = schedule.cdf_table(graph.step_index + 1, n_steps)
     row = step if len(table) > 1 else 0
     flip_u = draws[1::2]
-    flip = np.zeros((k, n_types), graph.pool_types.dtype)
+    flip = np.zeros((k, n_types), pool_types.dtype)
     for t in range(n_types):
         for c in range(n_types - 1):
             flip[:, t] += table[row, t, c] <= flip_u
-    del draws, flip_u, table
+    del draws, flip_u
 
-    # types, in rounds: an edge whose parent edge's type is known takes
-    # its flip of that type; round r settles the edges r generations below
-    # the pool as it was
-    parent = slot // 2
-    edge_type = np.full(k, -1, flip.dtype)
-    seed_side = np.flatnonzero(parent < first_edge)
-    edge_type[seed_side] = flip[seed_side,
-                                graph.pool_types[2 * parent[seed_side]]]
-    pending = np.flatnonzero(parent >= first_edge)
+    # types, in rounds: the pass's slots read -1 until their edge's type
+    # is known, and round r settles the edges r generations below `base`
+    new_types = pool_types[base:base + 2 * k]
+    new_types[:] = -1
+    pending = np.arange(k)
     while pending.size:
-        parent_type = edge_type[parent[pending] - first_edge]
+        parent_type = pool_types[slot[pending]]
         known = parent_type >= 0
         ready = pending[known]
-        edge_type[ready] = flip[ready, parent_type[known]]
+        new_types[2 * ready] = new_types[2 * ready + 1] = flip[
+            ready, parent_type[known]]
         pending = pending[~known]
-    del flip, parent, seed_side
+    del flip
 
-    # endpoints, by pointer doubling: a grown odd slot holds the endpoint
-    # its own edge drew
-    pending = np.flatnonzero((slot >= start) & (slot % 2 == 1))
+    # endpoints, by pointer doubling: an odd slot of this pass holds the
+    # endpoint its own edge drew; then every slot is below `base` or a
+    # newcomer's, which is written first
+    pending = np.flatnonzero((slot >= base) & (slot % 2 == 1))
     while pending.size:
-        slot[pending] = slot[(slot[pending] - start) // 2]
+        slot[pending] = slot[(slot[pending] - base) // 2]
         hop = slot[pending]
-        pending = pending[(hop >= start) & (hop % 2 == 1)]
-    new_slots = np.empty(2 * k, idx)
-    new_slots[0::2] = first_vertex + step
-    seed_side = slot < start
-    new_slots[1::2] = np.where(seed_side,
-                               graph.endpoint_pool[np.where(seed_side, slot, 0)],
-                               first_vertex + (slot - start) // (2 * m))
-    del slot, step, seed_side
-    new_types = np.repeat(edge_type, 2)
-
-    vertices = first_vertex + n_steps
-    degrees = _degree_counts(new_slots, new_types, vertices, n_types)
-    degrees[:first_vertex] += graph.per_vertex_degree
-    gained = np.bincount(edge_type, minlength=n_types).tolist()
-    graph.type_counts = [a + b for a, b in zip(graph.type_counts, gained)]
-    graph.endpoint_pool = np.concatenate((graph.endpoint_pool, new_slots))
-    graph.pool_types = np.concatenate((graph.pool_types, new_types))
-    graph.per_vertex_degree = degrees
-    graph.num_vertices = vertices
-    graph.step_index += n_steps
-    return graph
+        pending = pending[(hop >= base) & (hop % 2 == 1)]
+    pool[base:base + 2 * k:2] = first_vertex + step
+    pool[base + 1:base + 2 * k:2] = pool[slot]
 
 
 def edge_type_proportions(graph: TypedGraph) -> tuple:
@@ -409,29 +457,32 @@ def empirical_distribution(graph: TypedGraph) -> DegreeDistribution:
                               EMPIRICAL)
 
 
-def _snapshot(graph: TypedGraph) -> GraphSnapshot:
+def _snapshot(graph: TypedGraph, census: bool) -> GraphSnapshot:
     return GraphSnapshot(graph.step_index, edge_type_proportions(graph),
-                         empirical_distribution(graph))
+                         empirical_distribution(graph) if census else None)
 
 
 def run(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
-        n_steps: int, snapshot_every: int, rng: np.random.Generator) -> list:
+        n_steps: int, snapshot_every: int, rng: np.random.Generator,
+        census: bool = True) -> list:
     """Apply n_steps growth steps, snapshotting proportions and the census.
 
     Emits the initial state, then every `snapshot_every` steps and at the
-    final step. Deterministic given the generator's seed.
+    final step. Deterministic given the generator's seed. A caller that
+    reads only the proportions passes `census=False`, and its snapshots
+    carry no distribution (None).
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
     if snapshot_every < 1:
         raise ValidationError("snapshot_every must be at least 1")
-    snapshots = [_snapshot(graph)]
+    snapshots = [_snapshot(graph, census)]
     done = 0
     while done < n_steps:
         chunk = min(snapshot_every, n_steps - done)
         grow(graph, schedule, m, chunk, rng)
         done += chunk
-        snapshots.append(_snapshot(graph))
+        snapshots.append(_snapshot(graph, census))
     return snapshots
 
 
@@ -439,7 +490,8 @@ def check_graph_invariants(graph: TypedGraph, m: int) -> list:
     """Exact conservation checks; returns human-readable violations (empty = ok).
 
     Besides the counts, the per-vertex degrees must be a recount of the
-    pool.
+    pool, made in passes of `_PASS_EDGES` edges. The checks past the pairing
+    read the pool as pairs of slots, so an unpaired pool stops there.
     """
     violations = []
     steps = graph.step_index
@@ -463,17 +515,23 @@ def check_graph_invariants(graph: TypedGraph, m: int) -> list:
     handshake = int(degrees.sum())
     if handshake != len(pool_v):
         violations.append(f"handshake: degree total {handshake} != 2*|E|")
-    edge_types = pool_t[0::2]
-    if not np.array_equal(edge_types, pool_t[1::2]):
+    if not paired:
+        return violations
+    if not np.array_equal(pool_t[0::2], pool_t[1::2]):
         violations.append("the two slots of an edge disagree on its type")
-    if (np.any(pool_t < 0) or np.any(pool_t >= n_types)
-            or np.any(pool_v < 0) or np.any(pool_v >= vertices)):
+    if (pool_t.min(initial=0) < 0 or pool_t.max(initial=-1) >= n_types
+            or pool_v.min(initial=0) < 0
+            or pool_v.max(initial=-1) >= vertices):
         violations.append("a slot names a vertex or type out of range")
         return violations
-    recount = np.bincount(edge_types, minlength=n_types).tolist()
-    if recount != graph.type_counts:
+    type_recount = np.zeros(n_types, np.int64)
+    recount = np.zeros((vertices, n_types), _index_dtype(len(pool_v)))
+    for lo in range(0, len(pool_v), 2 * _PASS_EDGES):
+        types = pool_t[lo:lo + 2 * _PASS_EDGES]
+        type_recount += np.bincount(types[0::2], minlength=n_types)
+        _add_degrees(recount, pool_v[lo:lo + 2 * _PASS_EDGES], types)
+    if type_recount.tolist() != graph.type_counts:
         violations.append("type counts disagree with the edge pool")
-    if paired and not np.array_equal(
-            _degree_counts(pool_v, pool_t, vertices, n_types), degrees):
+    if not np.array_equal(recount, degrees):
         violations.append("per-vertex degrees disagree with the pool")
     return violations

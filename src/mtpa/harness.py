@@ -337,7 +337,7 @@ def _series_replicate(cfg: ExperimentConfig, index: int, theory=None) -> list:
         return [(s.n, s.fractions) for s in snaps]
     graph = new_graph(cfg.seed_spec())
     snaps = run(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps,
-                cfg.snapshot_every, rng)
+                cfg.snapshot_every, rng, census=theory is not None)
     if theory is None:
         return [(s.n, s.psi) for s in snaps]
     return [(s.n, tv_distance(s.distribution, theory, cfg.cutoff))

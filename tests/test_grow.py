@@ -7,12 +7,15 @@ run, and the state of the generator afterwards.
 """
 from __future__ import annotations
 
+import itertools
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mtpa import graph as graph_module
 from mtpa.degrees import DegreeDistribution, sort_key
 from mtpa.graph import (CONSTANT, DECAYING, PerturbationSchedule,
                         SeedGraphSpec, _census, _index_dtype,
@@ -23,6 +26,9 @@ from mtpa.theory import solve_recurrence
 from test_run_urn import DyadicStream
 
 SEEDS = range(5)
+# steps per pass of `grow`: one, an odd few, and more than any call takes;
+# the differential tests loop over them, so their ids stay as they were
+PASS_STEPS = (1, 7, 10**6)
 
 
 def flip_matrix(n: int) -> np.ndarray:
@@ -89,10 +95,12 @@ def assert_same_stream(rng_a, rng_b):
 @pytest.mark.parametrize("m", [1, 2, 5])
 @pytest.mark.parametrize("n_types", [1, 2, 3])
 @pytest.mark.parametrize("seed_kind", ["default", "parallel", "gaps"])
-def test_run_matches_pa_step(seed_kind, n_types, m, rho, tmp_path):
+def test_run_matches_pa_step(seed_kind, n_types, m, rho, tmp_path,
+                             monkeypatch):
     schedule = make_schedule(n_types, rho)
     spec = seed_spec(seed_kind, n_types, tmp_path)
-    for seed in SEEDS:
+    for pass_steps, seed in itertools.product(PASS_STEPS, SEEDS):
+        monkeypatch.setattr(graph_module, "_PASS_EDGES", pass_steps * m)
         # 130 steps with a snapshot every 40: the last interval is short
         ref, eng = new_graph(spec), new_graph(spec)
         rng_ref, rng_eng = replicate_stream(seed, 0), replicate_stream(seed, 0)
@@ -136,16 +144,66 @@ def test_zero_steps_draw_nothing():
     assert_same_stream(rng, untouched)
 
 
-def test_long_run_matches_pa_step():
+def test_long_run_matches_pa_step(monkeypatch):
     # deep ancestry chains: many rounds of pointer doubling
     schedule = make_schedule(2, None)
-    ref, eng = new_graph(SeedGraphSpec.default(2)), new_graph(SeedGraphSpec.default(2))
-    rng_ref, rng_eng = replicate_stream(9, 0), replicate_stream(9, 0)
-    for _ in range(5000):
-        pa_step(ref, schedule, 3, rng_ref)
-    grow(eng, schedule, 3, 5000, rng_eng)
-    assert_same_graph(ref, eng)
-    assert_same_stream(rng_ref, rng_eng)
+    for pass_steps in PASS_STEPS:
+        monkeypatch.setattr(graph_module, "_PASS_EDGES", pass_steps * 3)
+        ref = new_graph(SeedGraphSpec.default(2))
+        eng = new_graph(SeedGraphSpec.default(2))
+        rng_ref, rng_eng = replicate_stream(9, 0), replicate_stream(9, 0)
+        for _ in range(5000):
+            pa_step(ref, schedule, 3, rng_ref)
+        grow(eng, schedule, 3, 5000, rng_eng)
+        assert_same_graph(ref, eng)
+        assert_same_stream(rng_ref, rng_eng)
+
+
+def test_invariants_recount_the_last_pass(monkeypatch):
+    # 2 seed edges and 50 steps of 2, recounted 16 edges a pass: the last
+    # pass holds the last 6 edges, and with them every slot of the newest
+    # vertex
+    monkeypatch.setattr(graph_module, "_PASS_EDGES", 16)
+    g = new_graph(SeedGraphSpec.default(2))
+    grow(g, make_schedule(2, None), 2, 50, replicate_stream(41, 0))
+    assert g.num_edges % 16 == 6
+    assert check_graph_invariants(g, 2) == []
+    newest = g.num_vertices - 1
+    # move one unit of the newest vertex's degree between types
+    old = g.per_vertex_degree[newest].tolist()
+    g.per_vertex_degree[newest] += (1, -1) if old[1] else (-1, 1)
+    assert check_graph_invariants(g, 2) == [
+        "per-vertex degrees disagree with the pool"]
+    g.per_vertex_degree[newest] = old
+    # the last slot names another vertex: the handshake still holds
+    g.endpoint_pool[-1] = (g.endpoint_pool[-1] + 1) % newest
+    assert check_graph_invariants(g, 2) == [
+        "per-vertex degrees disagree with the pool"]
+
+
+def test_replicate_memory_is_bounded_per_edge():
+    # a 100k-step criterion-3 replicate: each of grow, the check and the
+    # census peaks at no more than 24 B per edge, the graph included
+    spec = seed_spec("parallel", 2, None)
+    schedule = PerturbationSchedule(np.array([[0.9, 0.1], [0.1, 0.9]]))
+    rng = replicate_stream(0, 0)  # made untraced: it may import numpy.random
+    phases = {
+        "grow": lambda g: grow(g, schedule, 2, 100_000, rng),
+        "check": lambda g: check_graph_invariants(g, 2),
+        "census": empirical_distribution,
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        g = new_graph(spec)
+        for name, call in phases.items():
+            tracemalloc.reset_peak()
+            call(g)
+            peaks[name] = tracemalloc.get_traced_memory()[1] / g.num_edges
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 200_200
+    assert all(peak <= 24 for peak in peaks.values()), peaks
 
 
 @pytest.mark.parametrize("m", (1, 3))
