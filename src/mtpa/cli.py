@@ -40,7 +40,7 @@ FLAGS = {
     "--f-file": dict(help="matrix file: N then N*N reals"),
     "--seed-graph": dict(help="seed edge-list file (a b t per line)"),
     "--c0": dict(help="initial composition, comma list"),
-    "--dmax": dict(type=int, help="truncation weight"),
+    "--dmax": dict(type=int, dest="max_weight", help="truncation weight"),
     "--psi": dict(help="type proportions, comma list"),
     "--e0": dict(help="seed type counts for Dirichlet proportions "
                       "(single-edge steps only)"),
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # the dests of the flags that set their ExperimentConfig field as given
 _FIELD_FLAGS = ("master_seed", "n_steps", "replicates", "snapshot_every",
-                "n_types", "m_edges")
+                "n_types", "m_edges", "max_weight")
 
 
 def _resolve_config(args, model: str | None = None,
@@ -151,11 +151,11 @@ def _cmd_simulate_urn(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = _resolve_config(args)
-    dmax = cfg.max_weight if args.dmax is None else args.dmax
+    n, m, dmax = cfg.n_types, cfg.m_edges, cfg.max_weight
     out = _out_dir(args)
-    dist = solve_recurrence(cfg.f_matrix, cfg.m_edges, dmax)
-    path = write_distribution_csv(out / "distribution.csv", dist, cfg.n_types)
-    config = {"n_types": cfg.n_types, "m_edges": cfg.m_edges, "d_max": dmax,
+    dist = solve_recurrence(cfg.f_matrix, m, dmax)
+    path = write_distribution_csv(out / "distribution.csv", dist, n)
+    config = {"n_types": n, "m_edges": m, "d_max": dmax,
               "f": [float(v) for v in cfg.f_matrix.ravel()]}
     _manifest(args, out, config, args.master_seed, [path])
     print(f"wrote {path} ({len(dist)} degree vectors, "
@@ -165,8 +165,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_solve_unperturbed(args) -> int:
     cfg = _resolve_config(args, need_f=False)
-    n, m = cfg.n_types, cfg.m_edges
-    dmax = cfg.max_weight if args.dmax is None else args.dmax
+    n, m, dmax = cfg.n_types, cfg.m_edges, cfg.max_weight
+    if args.psi and args.e0:
+        raise ValidationError("give --psi or --e0, not both")
     if args.psi:
         psi = np.array(parse_list(args.psi, float, "--psi"))
     elif args.e0:

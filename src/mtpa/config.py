@@ -26,7 +26,8 @@ shorthand ``symmetric:p`` expands to a matrix with p on the diagonal and
     initial_composition = 1,1   # optional; defaults to seed type counts
 
     [compare]
-    d_max = 30               # solver truncation, defaults to max(30, m+10)
+    d_max = 30               # truncation of solve and solve-unperturbed
+                             # (--dmax), defaults to max(30, m+10)
     cutoff = 11              # comparison weight K, defaults to m+10
     tv_tolerance = 0.02
     psi_tolerance = 0.02

@@ -72,7 +72,7 @@ class ExperimentConfig:
     snapshot_every: int = 1_000
     replicates: int = 1
     master_seed: int = 0
-    max_weight: int | None = None         # d_max; None -> max(30, m+10)
+    max_weight: int | None = None         # solve's d_max; None -> max(30, m+10)
     cutoff: int | None = None             # comparison weight K; None -> m+10
     tv_tolerance: float = 0.02
     psi_tolerance: float = 0.02
@@ -132,9 +132,6 @@ class ExperimentConfig:
             raise ValidationError(
                 f"cutoff {self.cutoff} is below m {self.m_edges}; no vertex "
                 "weighs less than m, so the comparison would be empty")
-        if self.cutoff > self.max_weight:
-            raise ValidationError(
-                f"cutoff {self.cutoff} exceeds max_weight {self.max_weight}")
 
     def schedule(self) -> PerturbationSchedule:
         return PerturbationSchedule(self.f_matrix, self.schedule_kind,
@@ -270,7 +267,10 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
 
     Tolerance failures are recorded in the report, not raised.
     """
+    # solve first, so an over-cap lattice fails before any replicate runs
     psi_ref = stationary_type_distribution(cfg.f_matrix)
+    if cfg.model == GRAPH:
+        theory = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.cutoff)
     replicate = _graph_replicate if cfg.model == GRAPH else _urn_replicate
     raw = _map_replicates(cfg, partial(replicate, cfg))
     results = [result for result, _ in raw]
@@ -283,13 +283,11 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     per_degree = None
     mean_tv = tv_passed = None
     if cfg.model == GRAPH:
-        theory = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
-        theory_cut = theory.truncated(cfg.cutoff)
-        unaccounted = 1.0 - theory_cut.total()
+        unaccounted = 1.0 - theory.total()
         for result, truncated in raw:
-            result.tv = tv_distance(truncated, theory_cut, cfg.cutoff)
+            result.tv = tv_distance(truncated, theory, cfg.cutoff)
         degrees, (theoretical, *empirical) = aligned(
-            [theory_cut] + [truncated for _, truncated in raw], cfg.cutoff)
+            [theory] + [truncated for _, truncated in raw], cfg.cutoff)
         # summed replicate by replicate, in index order
         per_degree = (degrees, sum(empirical) / len(results), theoretical)
         mean_tv = float(np.mean([r.tv for r in results]))
@@ -373,6 +371,8 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
     name = quantity.strip().lower()
     if name not in SERIES_TARGETS:
         raise BadQuantity(f"unknown quantity {quantity!r}")
+    if name != "psi" and cfg.model != GRAPH:
+        raise BadQuantity(f"{name} series requires the graph model")
     for target, value in (("degree", degree), ("type", type_index)):
         if (value is None) == (target in SERIES_TARGETS[name]):
             raise BadArgs(f"the {name} series "
@@ -408,9 +408,7 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
         return header, rows
 
     if name == "tv":
-        if cfg.model != GRAPH:
-            raise BadQuantity("tv series requires the graph model")
-        theory = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.max_weight)
+        theory = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.cutoff)
         series = _map_replicates(
             cfg, partial(_series_replicate, cfg, theory=theory))
         return ["replicate", "n", "tv"], [(r,) + row for r, rows in

@@ -157,6 +157,12 @@ def test_solve_unperturbed_cli(tmp_path, capsys):
     assert rows[0][3] == "THEORETICAL_UNPERTURBED"
 
 
+def test_psi_and_e0_together_is_usage_error(tmp_path, capsys):
+    assert main(["solve-unperturbed", "--n", "2", "--psi", "0.5,0.5",
+                 "--e0", "3,1", "--out", str(tmp_path / "o")]) == 2
+    assert "give --psi or --e0, not both" in capsys.readouterr().err
+
+
 def test_solve_unperturbed_ignores_the_config_f(tmp_path, capsys):
     # solve-unperturbed never reads F, so a config's f, even one that is
     # not stochastic, changes nothing
@@ -515,6 +521,63 @@ def test_cutoff_below_m_is_usage_error(tmp_path, capsys):
     assert main(["compare", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert "cutoff 1 is below m 2" in capsys.readouterr().err
+
+
+SOLVED_TO_THE_CUTOFF = MINIMAL + """
+[run]
+steps = 300
+snapshot_every = 100
+replicates = 2
+master_seed = 4
+[compare]
+cutoff = 9
+tv_tolerance = 1.0
+psi_tolerance = 1.0
+"""
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["compare"], ("report.txt", "errors.csv", "replicates.csv")),
+    (["diagnose", "--quantity", "tv"], ("series.csv",)),
+], ids=["compare", "diagnose-tv"])
+def test_comparisons_do_not_read_d_max(tmp_path, capsys, argv, names):
+    # d_max = cutoff, the default (30) and 200 give the same bytes
+    outputs = []
+    for d_max in ("9", None, "200"):
+        text = SOLVED_TO_THE_CUTOFF + (f"d_max = {d_max}\n" if d_max else "")
+        path = write_config(tmp_path, text, name=f"{d_max}.ini")
+        out = tmp_path / f"out_{d_max}"
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in names])
+    capsys.readouterr()
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_a_cutoff_past_d_max_is_no_error(tmp_path, capsys):
+    # only the solve commands read d_max, and they read no cutoff
+    path = write_config(tmp_path, MINIMAL + "\n[run]\nsteps = 50\n"
+                        "\n[compare]\nd_max = 12\ncutoff = 20\n"
+                        "tv_tolerance = 1.0\npsi_tolerance = 1.0\n")
+    for argv in (["solve"], ["compare"], ["study", "--psi-samples", "2"]):
+        assert main(argv + ["--config", str(path),
+                            "--out", str(tmp_path / argv[0])]) == 0, argv
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "solve" / "manifest.json").read_text())
+    assert manifest["config"]["d_max"] == 12
+
+
+def test_dmax_sets_the_config_field(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL + "\n[compare]\nd_max = 12\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--dmax", "9",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["d_max"] == 9
+    # one range check for the file and the flag
+    assert main(["solve", "--n", "1", "--m", "3", "--dmax", "2",
+                 "--out", str(out)]) == 2
+    assert "max_weight 2 is below m 3" in capsys.readouterr().err
 
 
 def test_m_dependent_defaults_follow_an_m_flag(tmp_path, capsys):

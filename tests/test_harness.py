@@ -111,9 +111,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(model="graph", n_types=2, m_edges=1,
                          f_matrix=F_NEAR_ID, replicates=0)
-    with pytest.raises(ValidationError):
-        ExperimentConfig(model="graph", n_types=2, m_edges=1,
-                         f_matrix=F_NEAR_ID, cutoff=50, max_weight=20)
 
 
 def test_default_cutoff_tracks_step_size():
@@ -219,6 +216,36 @@ def test_error_table_equals_a_dict_accumulation(tmp_path, monkeypatch,
                      ["d_1", "d_2", "empirical_mean", "theoretical",
                       "abs_error"], rows)
     assert (out / "errors.csv").read_bytes() == want.read_bytes()
+
+
+OVER_CAP = """
+[model]
+types = 6
+f = symmetric:0.5
+[compare]
+cutoff = 60
+"""
+
+
+@pytest.mark.parametrize("argv", (["compare"],
+                                  ["diagnose", "--quantity", "tv"]),
+                         ids=("compare", "diagnose-tv"))
+def test_an_over_cap_cutoff_fails_before_any_replicate(tmp_path, monkeypatch,
+                                                        capsys, argv):
+    # the lattice up to weight 60 in 6 types holds C(66, 6) > 10**7 cells
+    monkeypatch.delenv("MTPA_THREADS", raising=False)
+
+    def no_growth(*args, **kwargs):
+        raise AssertionError("a replicate started before the solve")
+
+    monkeypatch.setattr(harness, "grow", no_growth)
+    monkeypatch.setattr(harness, "run", no_growth)
+    path = tmp_path / "cap.ini"
+    path.write_text(OVER_CAP)
+    assert main(argv + ["--config", str(path),
+                        "--out", str(tmp_path / "o")]) == 2
+    assert ("lattice up to weight 60 in 6 types exceeds"
+            in capsys.readouterr().err)
 
 
 def test_run_experiment_degenerate_zero_steps():
@@ -388,6 +415,13 @@ def test_series_argument_errors():
         convergence_series(cfg, "u_n")
     with pytest.raises(BadArgs):
         convergence_series(cfg, "np_el", degree=(1, 1))
+    # the urn has no seed graph for the analytic series to start from
+    urn = small_graph_cfg(model="urn", initial_composition=[1, 3])
+    for quantity, targets in (("tv", {}), ("u_n", dict(degree=(1, 1))),
+                              ("np_el", dict(degree=(2, 1), type_index=0))):
+        with pytest.raises(BadQuantity,
+                           match=f"^{quantity} series requires the graph"):
+            convergence_series(urn, quantity, **targets)
 
 
 # --------------------------------------------------------------------------
