@@ -126,9 +126,9 @@ def _cmd_simulate_graph(args) -> int:
     cfg = _resolve_config(args, model="graph")
     out = _out_dir(args)
     rng = replicate_stream(cfg.master_seed, 0)
-    graph = new_graph(cfg.seed_spec())
-    snapshots = run(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps,
-                    cfg.snapshot_every, rng)
+    # the graph is not kept: the writer reads only the snapshots
+    snapshots = run(new_graph(cfg.seed_spec()), cfg.schedule(), cfg.m_edges,
+                    cfg.n_steps, cfg.snapshot_every, rng)
     psi_path, dist_path = write_graph_snapshots(out, snapshots, cfg.n_types)
     _manifest(args, out, cfg.resolved(), cfg.master_seed,
               [psi_path, dist_path])

@@ -42,8 +42,11 @@ d_max and cutoff follow the final m, also when a flag sets it. A relative
 seed_graph path is taken from the config file's directory. Any section or
 key not listed above is an error, as are a schedule other than constant or
 decaying, a decaying schedule with kind = urn (the urn has no
-step-dependent columns), a decay or decay_rho with a constant schedule
-(which never reads them), and a d_max or cutoff below edges_per_step.
+step-dependent columns), and a decay or decay_rho with a constant schedule
+(which never reads them). A d_max below edges_per_step is an error for the
+solve commands, and a cutoff below it for the comparisons (compare on the
+graph model, diagnose --quantity tv and study): each is checked by the
+commands that read it alone, as commands share config files.
 """
 from __future__ import annotations
 

@@ -50,6 +50,16 @@ def degree_dtype(max_degree: int):
     return np.min_scalar_type(-int(max_degree) - 1)
 
 
+def row_weights(degrees: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """The weight of each row of a (K, N) degree array, as `dtype`, added
+    a column at a time: on a few columns this is several times faster than
+    `sum(axis=1)`, which reduces along each short row."""
+    weights = degrees[:, 0].astype(dtype)
+    for column in degrees.T[1:]:
+        weights += column
+    return weights
+
+
 @dataclass(eq=False)
 class DegreeDistribution:
     """Sparse nonnegative mass function on degree vectors, as columns.
@@ -78,7 +88,7 @@ class DegreeDistribution:
 
     def truncated(self, max_weight: int) -> "DegreeDistribution":
         """The rows of weight at most `max_weight`, a prefix of the rows."""
-        end = int(np.searchsorted(self.degrees.sum(axis=1), max_weight,
+        end = int(np.searchsorted(row_weights(self.degrees), max_weight,
                                   side="right"))
         return DegreeDistribution(self.degrees[:end], self.values[:end],
                                   self.provenance)
@@ -88,10 +98,10 @@ def aligned(dists, max_weight: int) -> tuple:
     """The (K, N) degree vectors of weight at most `max_weight` that any of
     `dists` holds, in `sort_key` order, and the (len(dists), K) masses on
     them, 0.0 where one lacks a vector; matched by vector, not position."""
-    keep = [dist.degrees.sum(axis=1) <= max_weight for dist in dists]
+    keep = [row_weights(dist.degrees) <= max_weight for dist in dists]
     rows = np.concatenate([d.degrees[k] for d, k in zip(dists, keep)])
     # a leading weight column makes the lexicographic row order sort_key's
-    keys, where = np.unique(np.column_stack((rows.sum(axis=1), rows)),
+    keys, where = np.unique(np.column_stack((row_weights(rows), rows)),
                             axis=0, return_inverse=True)
     owner = np.repeat(np.arange(len(dists)), list(map(np.count_nonzero, keep)))
     table = np.zeros((len(dists), len(keys)))

@@ -27,6 +27,11 @@ class EmptyPool(MtpaError):
     """Degree-proportional sampling attempted on a graph with no edges."""
 
 
+class BrokenGraph(MtpaError):
+    """A run's snapshots, replayed from its pool, disagree with the graph
+    it grew."""
+
+
 # -- urn ---------------------------------------------------------------------
 
 class EmptyUrn(MtpaError):

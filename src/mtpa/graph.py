@@ -25,6 +25,7 @@ graph bit for bit.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,9 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices
-from .degrees import DegreeDistribution, EMPIRICAL, degree_dtype
-from .errors import (EmptyGraph, EmptyPool, LoopEdge, MissingType, ParseError,
-                     ValidationError)
+from .degrees import DegreeDistribution, EMPIRICAL, degree_dtype, row_weights
+from .errors import (BrokenGraph, EmptyGraph, EmptyPool, LoopEdge, MissingType,
+                     ParseError, ValidationError)
 
 CONSTANT = "constant"
 DECAYING = "decaying"
@@ -213,17 +214,23 @@ def _census(degrees: np.ndarray) -> tuple:
     """Histogram of the degree rows: the distinct rows in `sort_key` order,
     as a small-int array, and how many times each occurs.
 
-    Each row is keyed by one int64, since np.unique over rows (axis=0) is
-    several times slower than over scalars: its weight, then its columns
-    but the last (which the others and the weight fix) in mixed radix,
-    ranked densely before a column that would overflow the key. Key order
-    is `sort_key` order, so the sorted distinct keys decode to the rows.
+    Each row is keyed by one integer, since np.unique over rows (axis=0)
+    is several times slower than over scalars: its weight, then its
+    columns but the last (which the others and the weight fix) in mixed
+    radix, ranked densely before a column that would overflow an int64.
+    Key order is `sort_key` order, so the sorted distinct keys decode to
+    the rows. The key is an int32 when the column maxima bound it below
+    2**31. It is sorted in place and counted at its run boundaries, where
+    np.unique would sort a copy. The weight is added and the last column
+    decoded a column at a time.
     """
-    key = degrees.sum(axis=1, dtype=np.int64)
-    span = int(key.max(initial=0)) + 1
+    tops = [int(column.max(initial=0)) for column in degrees.T]
+    span = sum(tops) + 1  # above every weight
+    wide = span * math.prod(top + 1 for top in tops[:-1]) >= 2**31
+    key = row_weights(degrees, np.int64 if wide else np.int32)
     layout = []  # per column, its radix, or the levels of a re-rank
-    for column in degrees.T[:-1]:
-        radix = int(column.max(initial=0)) + 1
+    for column, top in zip(degrees.T[:-1], tops):
+        radix = top + 1
         if span * radix >= 2**63:
             levels, key = np.unique(key, return_inverse=True)
             layout.append(levels)
@@ -232,9 +239,14 @@ def _census(degrees: np.ndarray) -> tuple:
         key += column
         layout.append(radix)
         span *= radix
-    key, counts = np.unique(key, return_counts=True)
-    rows = np.empty((len(key), degrees.shape[1]),
-                    degree_dtype(degrees.max(initial=0)))
+    key.sort()
+    first = np.empty(len(key), bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.append(starts[1:], len(key)) - starts
+    key = key[starts]
+    rows = np.empty((len(key), degrees.shape[1]), degree_dtype(max(tops)))
     column = degrees.shape[1] - 1
     for radix in reversed(layout):
         if isinstance(radix, np.ndarray):
@@ -242,7 +254,9 @@ def _census(degrees: np.ndarray) -> tuple:
         else:
             column -= 1
             key, rows[:, column] = np.divmod(key, radix)
-    rows[:, -1] = key - rows[:, :-1].sum(axis=1)
+    for column in rows.T[:-1]:
+        key -= column
+    rows[:, -1] = key
     return rows, counts
 
 
@@ -445,21 +459,25 @@ def _grow_pass(pool: np.ndarray, pool_types: np.ndarray, base: int,
     pool[base + 1:base + 2 * k:2] = pool[slot]
 
 
+def _proportions(type_counts, edges: int) -> tuple:
+    total = float(edges)
+    return tuple(c / total for c in type_counts)
+
+
 def edge_type_proportions(graph: TypedGraph) -> tuple:
-    total = float(graph.num_edges)
-    return tuple(c / total for c in graph.type_counts)
+    return _proportions(graph.type_counts, graph.num_edges)
 
 
-def empirical_distribution(graph: TypedGraph) -> DegreeDistribution:
-    """Census normalized by the number of vertices."""
-    rows, counts = _census(graph.per_vertex_degree)
-    return DegreeDistribution(rows, counts / float(graph.num_vertices),
-                              EMPIRICAL)
-
-
-def _snapshot(graph: TypedGraph, census: bool) -> GraphSnapshot:
-    return GraphSnapshot(graph.step_index, edge_type_proportions(graph),
-                         empirical_distribution(graph) if census else None)
+def empirical_distribution(graph: TypedGraph,
+                           degrees: np.ndarray | None = None
+                           ) -> DegreeDistribution:
+    """Census normalized by the number of vertices: of the graph's degree
+    table, or of `degrees`, the table of an earlier state of it (`run`
+    passes a prefix of its replayed table)."""
+    if degrees is None:
+        degrees = graph.per_vertex_degree
+    rows, counts = _census(degrees)
+    return DegreeDistribution(rows, counts / float(len(degrees)), EMPIRICAL)
 
 
 def run(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
@@ -471,18 +489,61 @@ def run(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     final step. Deterministic given the generator's seed. A caller that
     reads only the proportions passes `census=False`, and its snapshots
     carry no distribution (None).
+
+    The snapshots cost one growth pass and their censuses: `grow` takes
+    all `n_steps` at once, its passes crossing snapshot boundaries with
+    the same stream, and the snapshots are then read off the grown pool,
+    whose slots are in step order. Each snapshot adds its segment of the
+    pool to running totals, `_PASS_EDGES` edges at a time: the type counts
+    by a `bincount` of the segment's types, and, for the census, the
+    degrees by `_add_degrees` into a replayed table, whose rows are the
+    snapshot's vertices. The replayed table takes the smallest type that
+    holds the grown graph's largest degree, which no earlier degree
+    exceeds. After the last snapshot the replayed counts and table must
+    equal the grown graph's, or `BrokenGraph` is raised.
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
     if snapshot_every < 1:
         raise ValidationError("snapshot_every must be at least 1")
-    snapshots = [_snapshot(graph, census)]
-    done = 0
-    while done < n_steps:
-        chunk = min(snapshot_every, n_steps - done)
-        grow(graph, schedule, m, chunk, rng)
-        done += chunk
-        snapshots.append(_snapshot(graph, census))
+    first_step, first_vertex = graph.step_index, graph.num_vertices
+    start = len(graph.endpoint_pool)
+    type_counts = list(graph.type_counts)
+    before = graph.per_vertex_degree if census else None
+    snapshots = [GraphSnapshot(first_step, edge_type_proportions(graph),
+                               empirical_distribution(graph)
+                               if census else None)]
+    grow(graph, schedule, m, n_steps, rng)
+    if census:
+        replayed = np.zeros(graph.per_vertex_degree.shape, degree_dtype(
+            graph.per_vertex_degree.max(initial=0)))
+        replayed[:first_vertex] = before
+        del before
+    pool, pool_types = graph.endpoint_pool, graph.pool_types
+    lo = start
+    for done in range(snapshot_every, n_steps + snapshot_every,
+                      snapshot_every):
+        done = min(done, n_steps)
+        hi = start + 2 * m * done
+        for base in range(lo, hi, 2 * _PASS_EDGES):
+            end = min(base + 2 * _PASS_EDGES, hi)
+            gained = np.bincount(pool_types[base:end:2],
+                                 minlength=graph.n_types)
+            type_counts = [a + b for a, b in zip(type_counts,
+                                                 gained.tolist())]
+            if census:
+                _add_degrees(replayed, pool[base:end], pool_types[base:end])
+        lo = hi
+        snapshots.append(GraphSnapshot(
+            first_step + done, _proportions(type_counts, hi // 2),
+            empirical_distribution(graph, replayed[:first_vertex + done])
+            if census else None))
+    if type_counts != graph.type_counts:
+        raise BrokenGraph("the type counts replayed from the pool disagree "
+                          "with the grown graph's")
+    if census and not np.array_equal(replayed, graph.per_vertex_degree):
+        raise BrokenGraph("the degrees replayed from the pool disagree "
+                          "with the grown degree table")
     return snapshots
 
 

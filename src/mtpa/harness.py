@@ -57,7 +57,11 @@ def max_workers(replicates: int) -> int:
 @dataclass
 class ExperimentConfig:
     """Parameters of one experiment, and the one place that holds every
-    default and range check, for config-file and flag values alike."""
+    default and range check, for config-file and flag values alike, but
+    two: `max_weight` and `cutoff` are each read by some commands only,
+    and commands share config files, so each is checked where it is read
+    (`solve_recurrence` and `solve_unperturbed_recurrence` check
+    `max_weight`, `comparison_cutoff` the cutoff)."""
 
     n_types: int
     model: str = GRAPH
@@ -125,13 +129,6 @@ class ExperimentConfig:
             self.max_weight = max(30, self.m_edges + 10)
         if self.cutoff is None:
             self.cutoff = self.m_edges + 10
-        if self.max_weight < self.m_edges:
-            raise ValidationError(
-                f"max_weight {self.max_weight} is below m {self.m_edges}")
-        if self.cutoff < self.m_edges:
-            raise ValidationError(
-                f"cutoff {self.cutoff} is below m {self.m_edges}; no vertex "
-                "weighs less than m, so the comparison would be empty")
 
     def schedule(self) -> PerturbationSchedule:
         return PerturbationSchedule(self.f_matrix, self.schedule_kind,
@@ -158,6 +155,15 @@ class ExperimentConfig:
             else:
                 out[name] = value
         return out
+
+
+def comparison_cutoff(cfg: ExperimentConfig) -> int:
+    """The comparison weight K, checked as a comparison reads it."""
+    if cfg.cutoff < cfg.m_edges:
+        raise ValidationError(
+            f"cutoff {cfg.cutoff} is below m {cfg.m_edges}; no vertex "
+            "weighs less than m, so the comparison would be empty")
+    return cfg.cutoff
 
 
 def tv_distance(p: DegreeDistribution, q: DegreeDistribution,
@@ -270,7 +276,8 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     # solve first, so an over-cap lattice fails before any replicate runs
     psi_ref = stationary_type_distribution(cfg.f_matrix)
     if cfg.model == GRAPH:
-        theory = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.cutoff)
+        theory = solve_recurrence(cfg.f_matrix, cfg.m_edges,
+                                  comparison_cutoff(cfg))
     replicate = _graph_replicate if cfg.model == GRAPH else _urn_replicate
     raw = _map_replicates(cfg, partial(replicate, cfg))
     results = [result for result, _ in raw]
@@ -408,7 +415,8 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
         return header, rows
 
     if name == "tv":
-        theory = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.cutoff)
+        theory = solve_recurrence(cfg.f_matrix, cfg.m_edges,
+                                  comparison_cutoff(cfg))
         series = _map_replicates(
             cfg, partial(_series_replicate, cfg, theory=theory))
         return ["replicate", "n", "tv"], [(r,) + row for r, rows in
@@ -476,9 +484,10 @@ def perturbed_vs_unperturbed_study(cfg: ExperimentConfig, n_psi_samples: int,
 
     # a weight layer depends only on lighter ones, so both walks stop at
     # the cutoff, with the same rows; one walk carries every sample
-    perturbed = solve_recurrence(cfg.f_matrix, cfg.m_edges, cfg.cutoff)
+    cutoff = comparison_cutoff(cfg)
+    perturbed = solve_recurrence(cfg.f_matrix, cfg.m_edges, cutoff)
     degrees, mean, std = solve_unperturbed_recurrence(
-        np.array(psi_samples, dtype=float).T, cfg.m_edges, cfg.cutoff)
+        np.array(psi_samples, dtype=float).T, cfg.m_edges, cutoff)
     return StudyReport(
         n_samples=len(psi_samples),
         degrees=degrees,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .degrees import DegreeDistribution
+from .degrees import DegreeDistribution, degree_dtype
 
 
 def fmt(value) -> str:
@@ -36,8 +36,21 @@ def write_csv(path, header, rows) -> Path:
 
 def _column_text(column: np.ndarray, end: str) -> np.ndarray:
     """Each entry as `fmt` writes it, then `end`, as an object array. Each
-    distinct value is formatted once; reals are told apart by their bits,
-    so that -0.0 keeps its own text."""
+    distinct value is formatted once. An integer column whose [min, max]
+    span is no wider than its rows is looked up in a table over that span,
+    which a `bincount` fills for the values present, with no sort; any
+    other column goes through np.unique, which tells reals apart by their
+    bits, so that -0.0 keeps its own text."""
+    if column.dtype.kind == "i" and len(column):
+        low, high = int(column.min()), int(column.max())
+        if high - low < len(column):
+            offset = np.subtract(column, low, dtype=np.intp)
+            present = np.flatnonzero(np.bincount(offset))
+            table = np.empty(high - low + 1, dtype=object)
+            table[present] = np.array([fmt(low + v) + end
+                                       for v in present.tolist()],
+                                      dtype=object)
+            return table[offset]
     real = column.dtype == np.float64
     distinct, inverse = np.unique(column.view(np.int64) if real else column,
                                   return_inverse=True)
@@ -78,7 +91,9 @@ def write_graph_snapshots(out_dir, snapshots, n_types: int):
     psi_path = write_csv(out_dir / "psi.csv", psi_header, psi_rows)
     dist_header = ["n"] + [f"d_{i + 1}" for i in range(n_types)] + ["mass"]
     dists = [s.distribution for s in snapshots]
-    n = np.repeat([s.n for s in snapshots], list(map(len, dists)))
+    steps = [s.n for s in snapshots]
+    n = np.repeat(np.array(steps, degree_dtype(max(steps))),
+                  list(map(len, dists)))
     degrees = np.concatenate([d.degrees for d in dists])
     values = np.concatenate([d.values for d in dists])
     dist_path = _write_columns(out_dir / "distribution.csv", dist_header,

@@ -101,7 +101,7 @@ def _check_lattice(n: int, m: int, max_weight: int) -> None:
     if m < 1:
         raise BadArgs("m must be at least 1")
     if max_weight < m:
-        raise BadArgs("max_weight must be at least m")
+        raise BadArgs(f"max_weight {max_weight} is below m {m}")
     if lattice_size(n, max_weight) > LATTICE_CAP:
         raise CapacityExceeded(
             f"lattice up to weight {max_weight} in {n} types exceeds "

@@ -26,12 +26,14 @@ SPECIAL_MASSES = (0.1, 1.0, 1e-300, 5e-324, 0.0, -0.0, 2.0 / 3.0, 1e300,
 
 
 def random_distribution(n: int, rows: int, top: int, seed: int,
-                        provenance: str = "EMPIRICAL") -> DegreeDistribution:
-    """`rows` distinct degree vectors with entries up to `top`, sorted by
-    `sort_key`, with masses drawn from SPECIAL_MASSES and random reals."""
+                        provenance: str = "EMPIRICAL",
+                        low: int = 0) -> DegreeDistribution:
+    """`rows` distinct degree vectors with entries from `low` up to `top`,
+    sorted by `sort_key`, with masses drawn from SPECIAL_MASSES and random
+    reals."""
     rng = np.random.default_rng(seed)
     degrees = sorted({tuple(row) for row in
-                      rng.integers(0, top + 1, size=(rows, n)).tolist()},
+                      rng.integers(low, top + 1, size=(rows, n)).tolist()},
                      key=sort_key)
     values = rng.random(len(degrees))
     special = rng.random(len(degrees)) < 0.5
@@ -99,6 +101,50 @@ def test_snapshot_writer_matches_rows(n, chunk, tmp_path, monkeypatch):
     assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def table_cases(n):
+    """Integer columns on both sides of the lookup table's rule (span no
+    wider than the chunk's rows): int8 entries from 5 to 12, so min > 0,
+    and int16 entries up to 1500 in 9 rows, whose span exceeds the rows,
+    which takes the np.unique path."""
+    yield random_distribution(n, 300, 12, seed=20 + n, low=5)
+    yield random_distribution(n, 9, 1500, seed=30 + n, low=700)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integer_columns_by_table_match_rows(n, chunk, tmp_path,
+                                             monkeypatch):
+    if chunk:
+        monkeypatch.setattr(output, "CHUNK_ROWS", chunk)
+    dists = list(table_cases(n))
+    assert [d.degrees.dtype for d in dists] == [np.int8, np.int16]
+    assert dists[0].degrees.min() >= 5
+    for i, dist in enumerate(dists):
+        got = write_distribution_csv(tmp_path / f"got{i}.csv", dist, n)
+        reference_distribution_csv(tmp_path / f"want{i}.csv", dist, n)
+        assert got.read_bytes() == (tmp_path / f"want{i}.csv").read_bytes()
+    snapshots = [GraphSnapshot(step, (1.0 / n,) * n, dist)
+                 for step, dist in zip((3, 10**6), dists)]
+    _, got = write_graph_snapshots(tmp_path, snapshots, n)
+    reference_snapshots_csv(tmp_path / "want.csv", snapshots, n)
+    assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("column", [
+    np.array([5, 9, 5, 7, 12, 6, 5], np.int8),           # min > 0, table
+    np.array([-128, 127, 0, -1] * 64, np.int8),          # the whole int8 span
+    np.array([0, 1500, 3, 1500, 700], np.int16),         # span > rows
+    np.array([2**62, -2**62, 0], np.int64),              # span past int64
+    np.repeat(np.arange(0, 12501, 250), 40),             # a sparse n column
+    np.array([7], np.int64),
+], ids=["int8-min5", "int8-full", "int16-wide", "int64-wide", "n-column",
+        "one-row"])
+def test_column_text_is_fmt_of_each_entry(column):
+    got = output._column_text(column, ",")
+    assert got.dtype == object and got.shape == column.shape
+    assert got.tolist() == [output.fmt(v) + "," for v in column.tolist()]
+
+
 def test_solver_zeros_are_written_as_rows(tmp_path):
     # psi with a zero entry gives every vector with that type mass 0.0
     dist = solve_unperturbed_recurrence([0.75, 0.0, 0.25], 2, 14)
@@ -122,6 +168,13 @@ def census_cases():
     wide = rng.integers(0, 3, size=(4000, 6)) * (2**20 // 2)
     wide[::7, 0] = 2**20
     yield wide
+    # keys just either side of 2**31: the column maxima give an int32 key
+    # (2671 * 891**2 < 2**31), and an int64 one that needs no re-rank
+    # (2701 * 901**2 > 2**31)
+    for top in (890, 900):
+        near = rng.integers(0, top + 1, size=(3000, 3))
+        near[0] = top
+        yield near
     yield np.zeros((0, 3), np.int64)
 
 

@@ -9,6 +9,7 @@ import pytest
 from mtpa.cli import _resolve_config, build_parser, main
 from mtpa.config import config_fields, parse_config
 from mtpa.errors import ParseError, ValidationError
+from mtpa.harness import run_experiment
 from mtpa.matrices import read_matrix
 from mtpa.output import file_digest
 
@@ -512,15 +513,45 @@ def test_unknown_schedule_is_usage_error(tmp_path, capsys):
 
 
 def test_cutoff_below_m_is_usage_error(tmp_path, capsys):
-    # no vertex weighs less than m, so the comparison would pass vacuously
+    # no vertex weighs less than m, so the comparison would pass vacuously;
+    # the cutoff is checked where a comparison reads it, not on parsing
     path = write_config(tmp_path, MINIMAL.replace("edges_per_step = 1",
                                                   "edges_per_step = 2")
                         + "\n[run]\nsteps = 10\n\n[compare]\ncutoff = 1\n")
     with pytest.raises(ValidationError, match="cutoff 1 is below m 2"):
-        parse_config(path)
-    assert main(["compare", "--config", str(path),
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "cutoff 1 is below m 2" in capsys.readouterr().err
+        run_experiment(parse_config(path))
+    for argv in (["compare"], ["diagnose", "--quantity", "tv"]):
+        assert main(argv + ["--config", str(path),
+                            "--out", str(tmp_path / "o")]) == 2
+        assert "cutoff 1 is below m 2" in capsys.readouterr().err
+
+
+def test_a_bound_is_checked_only_by_the_commands_that_read_it(tmp_path,
+                                                              capsys):
+    # solve reads no cutoff
+    solve = write_config(tmp_path, MINIMAL + "\n[compare]\nd_max = 60\n"
+                         "cutoff = 20\n", name="solve.ini")
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(solve), "--m", "25",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["config"]["m_edges"], manifest["config"]["d_max"]) == (
+        25, 60)
+    # compare reads no d_max: its cutoff follows m = 6 to its default, 16
+    compare = write_config(
+        tmp_path, MINIMAL.replace("edges_per_step = 1", "edges_per_step = 6")
+        + "\n[run]\nsteps = 20\n\n[compare]\nd_max = 5\n"
+        "tv_tolerance = 1.0\npsi_tolerance = 1.0\n", name="compare.ini")
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(compare),
+                 "--out", str(out)]) == 0
+    assert "(cutoff 16)" in capsys.readouterr().out
+    # and the solve commands still reject a d_max below m
+    for argv in (["solve"], ["solve-unperturbed", "--psi", "0.5,0.5"]):
+        assert main(argv + ["--config", str(compare),
+                            "--out", str(tmp_path / "o")]) == 2
+        assert "max_weight 5 is below m 6" in capsys.readouterr().err
 
 
 SOLVED_TO_THE_CUTOFF = MINIMAL + """

@@ -1,0 +1,162 @@
+"""Differential tests: `run`'s one growth pass against one `grow` per
+snapshot.
+
+`run` grows all its steps at once and reads every snapshot off the grown
+pool. It must give what a loop of one `grow` call per snapshot gives, bit
+for bit: each snapshot's step, proportions and census (rows, masses and
+their types), the final graph, and the state of the generator. A replay
+that disagrees with the grown graph must raise.
+"""
+from __future__ import annotations
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mtpa import graph as graph_module
+from mtpa.errors import BrokenGraph
+from mtpa.graph import (GraphSnapshot, PerturbationSchedule, SeedGraphSpec,
+                        check_graph_invariants, edge_type_proportions,
+                        empirical_distribution, grow, new_graph, run)
+from mtpa.harness import replicate_stream
+from test_grow import (PASS_STEPS, assert_same_graph, assert_same_stream,
+                       make_schedule, seed_spec)
+
+N_STEPS = 300
+M = 3
+
+
+def grow_per_snapshot(graph, schedule, m, n_steps, snapshot_every, rng,
+                      census) -> list:
+    """`run` as one `grow` call per snapshot, each census taken from the
+    graph's own degree table."""
+    def snapshot():
+        return GraphSnapshot(graph.step_index, edge_type_proportions(graph),
+                             empirical_distribution(graph) if census
+                             else None)
+
+    snapshots = [snapshot()]
+    done = 0
+    while done < n_steps:
+        chunk = min(snapshot_every, n_steps - done)
+        grow(graph, schedule, m, chunk, rng)
+        done += chunk
+        snapshots.append(snapshot())
+    return snapshots
+
+
+def assert_same_snapshots(got, expected):
+    assert [(s.n, s.psi) for s in got] == [(s.n, s.psi) for s in expected]
+    for a, b in zip(got, expected):
+        if b.distribution is None:
+            assert a.distribution is None
+            continue
+        for name in ("degrees", "values"):
+            left = getattr(a.distribution, name)
+            right = getattr(b.distribution, name)
+            assert left.dtype == right.dtype, name
+            assert left.shape == right.shape, name
+            assert left.tobytes() == right.tobytes(), name
+        assert a.distribution.provenance == b.distribution.provenance
+
+
+@pytest.mark.parametrize("pass_steps", PASS_STEPS)
+@pytest.mark.parametrize("rho", [None, 0.5], ids=["constant", "decaying"])
+@pytest.mark.parametrize("census", [True, False], ids=["census", "psi"])
+@pytest.mark.parametrize("every", [1, 7, 250, N_STEPS, N_STEPS + 1])
+def test_run_equals_one_grow_per_snapshot(every, census, rho, pass_steps,
+                                          monkeypatch, tmp_path):
+    monkeypatch.setattr(graph_module, "_PASS_EDGES", pass_steps * M)
+    schedule = make_schedule(3, rho)
+    for kind, seed in itertools.product(("default", "gaps"), range(2)):
+        spec = seed_spec(kind, 3, tmp_path)
+        ref, eng = new_graph(spec), new_graph(spec)
+        rng_ref, rng_eng = replicate_stream(seed, 0), replicate_stream(seed, 0)
+        expected = grow_per_snapshot(ref, schedule, M, N_STEPS, every,
+                                     rng_ref, census)
+        got = run(eng, schedule, M, N_STEPS, every, rng_eng, census=census)
+        assert len(got) == 1 + -(-N_STEPS // every)
+        assert_same_snapshots(got, expected)
+        assert_same_graph(ref, eng)
+        assert_same_stream(rng_ref, rng_eng)
+        assert check_graph_invariants(eng, M) == []
+
+
+@pytest.mark.parametrize("census", [True, False], ids=["census", "psi"])
+def test_run_continues_a_grown_graph(census):
+    # the second run starts from a pool it did not grow
+    schedule = make_schedule(2, 0.37)
+    ref, eng = (new_graph(SeedGraphSpec.default(2)) for _ in range(2))
+    rng_ref, rng_eng = replicate_stream(6, 0), replicate_stream(6, 0)
+    for steps, every in ((40, 9), (123, 50)):
+        expected = grow_per_snapshot(ref, schedule, 2, steps, every, rng_ref,
+                                     census)
+        got = run(eng, schedule, 2, steps, every, rng_eng, census=census)
+        assert_same_snapshots(got, expected)
+        assert_same_graph(ref, eng)
+    assert_same_stream(rng_ref, rng_eng)
+
+
+@pytest.mark.parametrize("census", [True, False], ids=["census", "psi"])
+def test_run_of_zero_steps_is_the_initial_snapshot(census):
+    schedule = make_schedule(3, 0.5)
+    ref, eng = (new_graph(SeedGraphSpec.default(3)) for _ in range(2))
+    rng_ref, rng_eng = replicate_stream(2, 0), replicate_stream(2, 0)
+    expected = grow_per_snapshot(ref, schedule, 2, 0, 5, rng_ref, census)
+    got = run(eng, schedule, 2, 0, 5, rng_eng, census=census)
+    assert [s.n for s in got] == [0]
+    assert_same_snapshots(got, expected)
+    assert_same_graph(ref, eng)
+    assert_same_stream(rng_ref, rng_eng)
+
+
+def corrupt_degree(graph):
+    graph.per_vertex_degree[0, 0] += 1
+
+
+def corrupt_slot(graph):
+    # the last slot names another vertex: the grown table no longer
+    # counts the pool the replay reads
+    newest = graph.num_vertices - 1
+    graph.endpoint_pool[-1] = (graph.endpoint_pool[-1] + 1) % newest
+
+
+def corrupt_type_count(graph):
+    graph.type_counts[0] += 1
+
+
+@pytest.mark.parametrize("corrupt, census", [
+    (corrupt_degree, True), (corrupt_slot, True),
+    (corrupt_type_count, True), (corrupt_type_count, False)],
+    ids=["degree", "slot", "type-count", "type-count-psi"])
+def test_a_replay_that_disagrees_with_the_grown_graph_raises(
+        corrupt, census, monkeypatch):
+    def grow_then_corrupt(*args):
+        corrupt(grow(*args))
+
+    monkeypatch.setattr(graph_module, "grow", grow_then_corrupt)
+    g = new_graph(SeedGraphSpec.default(2))
+    with pytest.raises(BrokenGraph, match="replayed"):
+        run(g, make_schedule(2, None), 2, 200, 30, replicate_stream(1, 0),
+            census=census)
+
+
+@pytest.mark.parametrize("census, bound", [(False, 20), (True, 24)],
+                         ids=["psi", "census"])
+def test_run_memory_is_bounded_per_edge(census, bound):
+    # 100k criterion-3 steps with a snapshot every 1000: the traced peak,
+    # the graph and the snapshots included, stays near one graph
+    spec = seed_spec("parallel", 2, None)
+    schedule = PerturbationSchedule(np.array([[0.9, 0.1], [0.1, 0.9]]))
+    rng = replicate_stream(0, 0)  # made untraced: it may import numpy.random
+    tracemalloc.start()
+    try:
+        g = new_graph(spec)
+        snapshots = run(g, schedule, 2, 100_000, 1000, rng, census=census)
+        peak = tracemalloc.get_traced_memory()[1] / g.num_edges
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 200_200 and len(snapshots) == 101
+    assert peak <= bound, peak

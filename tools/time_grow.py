@@ -2,7 +2,7 @@
 that run it, for one checkout.
 
     python3 tools/time_grow.py SRC_ROOT [--rounds R] [--steps S ...]
-                               [--command-steps C]
+                               [--command-steps C] [--series-steps T P]
 
 Imports `mtpa` from SRC_ROOT/src, pins itself and its children to one CPU,
 and prints one JSON object. The replicate is the criterion-3 one: a seed of
@@ -20,6 +20,21 @@ S (default 200k and 1M steps), in a fresh interpreter:
 - `maxrss_mib`: `ru_maxrss` after the imports and after each call of the
   first, untraced run. The allocator keeps freed heap, so this can rise by
   more than the traced peak.
+
+The `series` row times `graph.run`, a series of snapshots, in the two
+shapes the commands run, each in a fresh interpreter:
+
+- `graph_snapshots`: the bench workload of that name, T steps (default
+  12,500) with a snapshot every T/50, census on: N=3, m=4, symmetric:0.8
+  with a decaying schedule (decay 0.1 on the diagonal and -0.05 off it,
+  rho 0.5), the default seed graph, generator `replicate_stream(0, 0)`;
+- `diagnose_psi`: the criterion-3 replicate for P steps (default 200k)
+  with a snapshot every P/100, census off, as `diagnose --quantity psi`
+  runs it.
+
+Each gives the best of R calls in milliseconds (`run_ms`), and the
+tracemalloc peak of one more call over its edge count, the graph and the
+snapshots included (`peak_bytes_per_edge`). A shape of 0 steps is skipped.
 
 With C > 0 (default 200k) it also runs two commands in a subprocess each,
 serial (`MTPA_THREADS=1`), on that replicate's config, and gives their wall
@@ -94,6 +109,51 @@ def replicate(steps: int, rounds: int) -> dict:
             "maxrss_mib": rss}
 
 
+def series(shape: str, steps: int, rounds: int) -> dict:
+    """The `run` timing and traced peak of one shape, in this process."""
+    import tracemalloc
+
+    import numpy as np
+    from mtpa.graph import (DECAYING, PerturbationSchedule, SeedGraphSpec,
+                            new_graph, run)
+    from mtpa.harness import replicate_stream
+    from mtpa.matrices import parse_matrix
+
+    if shape == "graph_snapshots":
+        decay = parse_matrix(",".join("0.1" if i == j else "-0.05"
+                                      for i in range(3) for j in range(3)),
+                             3, what="decay")
+        schedule = PerturbationSchedule(parse_matrix("symmetric:0.8", 3),
+                                        DECAYING, decay, 0.5)
+        spec, m, every, census = SeedGraphSpec.default(3), 4, steps // 50, True
+    else:
+        schedule = PerturbationSchedule(np.array([[0.9, 0.1], [0.1, 0.9]]))
+        spec = SeedGraphSpec(2, [(0, 1, t) for t in range(2)
+                                 for _ in range(100)])
+        m, every, census = 2, steps // 100, False
+    every = max(1, every)
+
+    def call():
+        graph = new_graph(spec)
+        snapshots = run(graph, schedule, m, steps, every,
+                        replicate_stream(0, 0), census=census)
+        return graph, snapshots
+
+    best = math.inf
+    for _ in range(rounds):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    graph, snapshots = call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"steps": steps, "snapshot_every": every, "census": census,
+            "snapshots": len(snapshots), "edges": graph.num_edges,
+            "run_ms": round(best * 1e3, 2),
+            "peak_bytes_per_edge": round(peak / graph.num_edges, 2)}
+
+
 def command(root: str, argv: list) -> dict:
     """Wall seconds and `ru_maxrss` of one `mtpa` command."""
     env = dict(os.environ, MTPA_THREADS="1",
@@ -143,11 +203,18 @@ def main() -> int:
     parser.add_argument("--steps", type=int, nargs="+",
                         default=[200_000, 1_000_000])
     parser.add_argument("--command-steps", type=int, default=200_000)
+    parser.add_argument("--series-steps", type=int, nargs=2,
+                        default=[12_500, 200_000], metavar=("T", "P"))
     parser.add_argument("--one", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--one-series", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args()
     sys.path.insert(0, os.path.join(args.root, "src"))
     if args.one is not None:
         print(json.dumps(replicate(args.one, args.rounds)))
+        return 0
+    if args.one_series is not None:
+        shape, steps = args.one_series
+        print(json.dumps(series(shape, int(steps), args.rounds)))
         return 0
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
@@ -158,6 +225,15 @@ def main() -> int:
              str(args.rounds), "--one", str(steps)],
             check=True, capture_output=True, text=True)
         out["replicate"][str(steps)] = json.loads(child.stdout)
+    out["series"] = {}
+    for shape, steps in zip(("graph_snapshots", "diagnose_psi"),
+                            args.series_steps):
+        if steps > 0:
+            child = subprocess.run(
+                [sys.executable, __file__, args.root, "--rounds",
+                 str(args.rounds), "--one-series", shape, str(steps)],
+                check=True, capture_output=True, text=True)
+            out["series"][shape] = json.loads(child.stdout)
     if args.command_steps > 0:
         out["commands"] = commands(args.root, args.command_steps)
     print(json.dumps(out))
