@@ -129,14 +129,19 @@ class PerturbationSchedule:
         shape (1, N, N).
 
         Each step's scale is Python's `float(n) ** rho`: `np.power` differs
-        from it in the last bit for some n.
+        from it in the last bit for some n. The shift, clip and row
+        normalisation then run in place on the one (count, N, N) buffer.
         """
         if self.kind == CONSTANT:
             return self.limit[None]
-        scale = np.array([float(n) ** self.rho
-                          for n in range(first, first + count)])
-        raw = np.clip(self.limit + self.decay / scale[:, None, None], 0.0, 1.0)
-        return raw / raw.sum(axis=2, keepdims=True)
+        scale = np.fromiter((float(n) ** self.rho
+                             for n in range(first, first + count)),
+                            float, count)
+        out = self.decay / scale[:, None, None]
+        out += self.limit
+        np.clip(out, 0.0, 1.0, out=out)
+        out /= out.sum(axis=2, keepdims=True)
+        return out
 
     def matrix_at(self, n: int) -> np.ndarray:
         return self._matrices(n, 1)[0]

@@ -60,27 +60,56 @@ def _column_text(column: np.ndarray, end: str) -> np.ndarray:
                     dtype=object)[inverse]
 
 
-def _write_columns(path, header, columns, reals, end: str) -> Path:
-    """A header line, then line k: entry k of each integer array in
-    `columns` and of the float64 `reals`, comma separated, then `end`;
-    formatted a column at a time, CHUNK_ROWS lines per pass."""
+def _write_columns(path, header, passes, end: str) -> Path:
+    """A header line, then, for each (columns, reals) pass in `passes`,
+    line k: entry k of each integer array in `columns` and of the float64
+    `reals`, comma separated, then `end`; formatted a column at a time,
+    CHUNK_ROWS lines per step."""
     path = Path(path)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(reals), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            cells = np.empty((len(reals[rows]), len(columns) + 1), object)
-            for j, column in enumerate(columns):
-                cells[:, j] = _column_text(column[rows], ",")
-            cells[:, -1] = _column_text(reals[rows], end)
-            fh.write("".join(cells.ravel().tolist()))
+        for columns, reals in passes:
+            for start in range(0, len(reals), CHUNK_ROWS):
+                rows = slice(start, start + CHUNK_ROWS)
+                cells = np.empty((len(reals[rows]), len(columns) + 1), object)
+                for j, column in enumerate(columns):
+                    cells[:, j] = _column_text(column[rows], ",")
+                cells[:, -1] = _column_text(reals[rows], end)
+                fh.write("".join(cells.ravel().tolist()))
     return path
 
 
 def write_distribution_csv(path, dist: DegreeDistribution, n_types: int) -> Path:
     header = [f"d_{i + 1}" for i in range(n_types)] + ["mass", "provenance"]
-    return _write_columns(path, header, list(dist.degrees.T), dist.values,
+    return _write_columns(path, header, [(list(dist.degrees.T), dist.values)],
                           f",{dist.provenance}\n")
+
+
+def _snapshot_passes(snapshots):
+    """The census table's (columns, reals) passes: runs of whole
+    snapshots, each run at most CHUNK_ROWS rows, or one snapshot if that
+    snapshot alone is larger, so only one run's columns are built at a
+    time."""
+    group, rows = [], 0
+    for s in snapshots:
+        size = len(s.distribution)
+        if group and rows + size > CHUNK_ROWS:
+            yield _snapshot_columns(group)
+            group, rows = [], 0
+        group.append(s)
+        rows += size
+    if group:
+        yield _snapshot_columns(group)
+
+
+def _snapshot_columns(group):
+    dists = [s.distribution for s in group]
+    steps = [s.n for s in group]
+    n = np.repeat(np.array(steps, degree_dtype(max(steps))),
+                  list(map(len, dists)))
+    degrees = np.concatenate([d.degrees for d in dists])
+    values = np.concatenate([d.values for d in dists])
+    return [n, *degrees.T], values
 
 
 def write_graph_snapshots(out_dir, snapshots, n_types: int):
@@ -90,14 +119,8 @@ def write_graph_snapshots(out_dir, snapshots, n_types: int):
     psi_rows = [(s.n,) + s.psi for s in snapshots]
     psi_path = write_csv(out_dir / "psi.csv", psi_header, psi_rows)
     dist_header = ["n"] + [f"d_{i + 1}" for i in range(n_types)] + ["mass"]
-    dists = [s.distribution for s in snapshots]
-    steps = [s.n for s in snapshots]
-    n = np.repeat(np.array(steps, degree_dtype(max(steps))),
-                  list(map(len, dists)))
-    degrees = np.concatenate([d.degrees for d in dists])
-    values = np.concatenate([d.values for d in dists])
     dist_path = _write_columns(out_dir / "distribution.csv", dist_header,
-                               [n, *degrees.T], values, "\n")
+                               _snapshot_passes(snapshots), "\n")
     return psi_path, dist_path
 
 

@@ -1,0 +1,136 @@
+"""The command-line process ends with a hard exit once its outputs are written.
+
+`python -m mtpa.cli` (and the `mtpa` script) enter through
+`cli.console_main`, which flushes the standard streams and calls
+`os._exit` with `main`'s code. These tests run that process with stdout
+and stderr piped and block-buffered (PYTHONUNBUFFERED unset), so a stream
+left unflushed would lose its lines, and compare every byte it leaves with
+an in-process `main` run of the same argv.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mtpa
+from mtpa.cli import main
+from test_golden import COMMANDS, CONFIGS, GRAPH_CFG
+
+SRC = os.path.dirname(os.path.dirname(mtpa.__file__))
+
+FILES = dict(CONFIGS, **{
+    "tight.ini": GRAPH_CFG.replace("tv_tolerance = 1.0",
+                                   "tv_tolerance = 1e-9")})
+
+# name -> (argv, exit code); --out is appended to the commands that write
+CASES = {
+    "compare_pass": (COMMANDS["compare_graph"], 0),
+    "compare_fail": (["compare", "--config", "tight.ini"], 1),
+    "simulate_graph": (COMMANDS["simulate_graph_decaying"], 0),
+    "solve": (COMMANDS["solve"], 0),
+    "usage_error": (["solve", "--n", "2", "--bogus", "1"], 2),
+    "config_error": (["compare", "--config", "missing.ini"], 2),
+    "help": (["--help"], 0),
+    "subcommand_help": (["compare", "--help"], 0),
+    "version": (["--version"], 0),
+}
+WRITES = ("compare_pass", "compare_fail", "simulate_graph", "solve")
+
+
+def child_env() -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=SRC, MTPA_THREADS="1", COLUMNS="80")
+    return env
+
+
+def spawn(argv: list, cwd: Path, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=child_env(),
+                          timeout=120, **kwargs)
+
+
+def workdir(path: Path) -> Path:
+    path.mkdir()
+    for name, text in FILES.items():
+        (path / name).write_text(text)
+    return path
+
+
+def outputs(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_process_matches_in_process_main(name, tmp_path, monkeypatch,
+                                         capsys):
+    argv, code = CASES[name]
+    argv = argv + (["--out", "out"] if name in WRITES else [])
+    # the same relative argv in two directories, so the manifests agree
+    proc = spawn(["-m", "mtpa.cli", *argv], workdir(tmp_path / "process"),
+                 capture_output=True)
+    monkeypatch.chdir(workdir(tmp_path / "inproc"))
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("MTPA_THREADS", "1")
+    assert main(argv) == code
+    seen = capsys.readouterr()
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.decode() == seen.out
+    assert proc.stderr.decode() == seen.err
+    assert seen.out or seen.err
+    if name in WRITES:
+        got = outputs(tmp_path / "process" / "out")
+        assert "manifest.json" in got
+        assert got == outputs(tmp_path / "inproc" / "out")
+
+
+# an atexit callback runs only if the interpreter tears itself down
+WRAPPER = """
+import atexit, runpy, sys
+import mtpa.harness
+
+atexit.register(print, "teardown ran", file=sys.stderr)
+if sys.argv.pop(1) == "raise":
+    def run_experiment(cfg):
+        raise RuntimeError("injected failure")
+    mtpa.harness.run_experiment = run_experiment
+runpy.run_module("mtpa.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_normal_return_skips_teardown(tmp_path):
+    proc = spawn(["-c", WRAPPER, "keep", "--version"], tmp_path,
+                 capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == f"{mtpa.__version__}\n"
+    assert proc.stderr == ""
+
+
+def test_unexpected_exception_keeps_traceback_and_exit_code(tmp_path):
+    proc = spawn(["-c", WRAPPER, "raise", "compare", "--config", "graph.ini",
+                  "--out", "out"], workdir(tmp_path / "work"),
+                 capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert "RuntimeError: injected failure\n" in proc.stderr
+    assert proc.stderr.endswith("teardown ran\n")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["solve", "--n", "2", "--f",
+                                                 "symmetric:0.9", "--dmax",
+                                                 "5", "--out", "out"]])
+def test_unflushable_stdout_takes_the_usual_exit(argv, tmp_path):
+    # no reader: the flush fails, and the interpreter's own exit reports
+    # it (exit code 120) as it does without the hard exit
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = spawn(["-m", "mtpa.cli", *argv], tmp_path, stdout=write,
+                     stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 120
+    assert "BrokenPipeError" in proc.stderr

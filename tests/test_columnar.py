@@ -7,6 +7,7 @@ order.
 """
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -99,6 +100,30 @@ def test_snapshot_writer_matches_rows(n, chunk, tmp_path, monkeypatch):
     _, got = write_graph_snapshots(tmp_path, snapshots, n)
     reference_snapshots_csv(tmp_path / "want.csv", snapshots, n)
     assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def snapshot_writer_peak(tmp_path, dist, count: int) -> int:
+    """The tracemalloc peak of writing `count` snapshots of `dist`, over
+    what was allocated before the call."""
+    snapshots = [GraphSnapshot(250 * (k + 1), (1.0 / 3,) * 3, dist)
+                 for k in range(count)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_graph_snapshots(tmp_path, snapshots, 3)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_snapshot_writer_peak_does_not_grow_with_the_series(tmp_path):
+    # one CHUNK_ROWS pass of snapshots against 25 of them, whose
+    # whole-series columns alone would take about 4 MB
+    dist = random_distribution(3, 2000, 40, seed=7)
+    per_pass = output.CHUNK_ROWS // len(dist)
+    few = snapshot_writer_peak(tmp_path, dist, per_pass)
+    many = snapshot_writer_peak(tmp_path, dist, 25 * per_pass)
+    assert many <= 1.1 * few + 64 * 1024, (few, many)
 
 
 def table_cases(n):

@@ -249,6 +249,33 @@ def test_cdf_table_matches_row_cdfs_at():
     assert constant.cdf_table(1, 50).tolist() == [cdf.tolist()]
 
 
+def reference_matrices(schedule, first, count):
+    """The decaying schedule's step matrices as one expression: a list of
+    Python powers, then fresh arrays for the shift, clip and division."""
+    scale = np.array([float(n) ** schedule.rho
+                      for n in range(first, first + count)])
+    raw = np.clip(schedule.limit + schedule.decay / scale[:, None, None],
+                  0.0, 1.0)
+    return raw / raw.sum(axis=2, keepdims=True)
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("first, count", [
+    (1, 1), (2, 1), (1, 4000), (123_456, 3), (7, graph_module._PASS_EDGES),
+    (10**9, 5)])
+def test_step_matrices_match_reference_bits(rho, first, count):
+    # the decays clip entries at 0 (and at 1) for small n, so the in-place
+    # clip and normalisation are exercised with and without clipping
+    for n, strength in ((2, 0.9), (3, 0.9), (3, 3.0), (4, 0.2)):
+        decay = strength * (np.eye(n) - np.full((n, n), 1.0 / n))
+        schedule = PerturbationSchedule(flip_matrix(n), DECAYING, decay, rho)
+        got = schedule._matrices(first, count)
+        want = reference_matrices(schedule, first, count)
+        assert got.shape == want.shape == (count, n, n)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_census_keys_past_int64():
     # six columns up to 2**20 overflow a mixed-radix int64 key, so the
     # census ranks the partial keys on the way

@@ -1,0 +1,105 @@
+"""Process cost of each bench workload's commands, and of interpreter
+teardown, for one checkout.
+
+    python3 tools/time_exit.py SRC_ROOT [--rounds R]
+
+Imports nothing of `mtpa` itself: every measurement is a child process with
+SRC_ROOT/src on PYTHONPATH, serial (`MTPA_THREADS=1`), pinned with this
+script to one CPU, timed from outside by `os.wait4`. Prints one JSON
+object:
+
+- `commands`: for each workload in SRC_ROOT/bench/workloads.py at its
+  `tiny` size (seed 1), each command as `python -m mtpa.cli ARGS --out DIR`
+  in a fresh directory, with the median over R rounds of its wall seconds
+  (`wall_s`), user plus system CPU seconds (`cpu_s`) and `ru_maxrss`
+  (`maxrss_mib`);
+- `teardown`: `python -c "import mtpa.cli"`, which ends with the usual
+  interpreter teardown (`normal`), against the same import followed by
+  `os._exit(0)` (`hard`), R rounds each, alternating; the medians and
+  their difference (`saved`) in wall and CPU milliseconds.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+IMPORT = "import mtpa.cli"
+
+
+def child(argv: list, env: dict, cwd: str) -> dict:
+    """Wall seconds, CPU seconds and `ru_maxrss` of one child process."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise SystemExit(f"{argv} exited {code}")
+    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+            "maxrss_mib": usage.ru_maxrss / 1024}
+
+
+def medians(rows: list, digits: int = 4) -> dict:
+    return {key: round(statistics.median(r[key] for r in rows), digits)
+            for key in rows[0]}
+
+
+def commands(root: str, env: dict, rounds: int) -> dict:
+    sys.path.insert(0, os.path.join(root, "bench"))
+    from workloads import WORKLOADS
+
+    out = {}
+    for name, make in WORKLOADS.items():
+        plan = make(1, "tiny")
+        with tempfile.TemporaryDirectory() as tmp:
+            for file_name, text in plan.files.items():
+                with open(os.path.join(tmp, file_name), "w") as fh:
+                    fh.write(text)
+            for command in plan.commands:
+                rows = [child(["-m", "mtpa.cli", *command.argv, "--out",
+                               f"{command.out}_{r}"], env, tmp)
+                        for r in range(rounds)]
+                out[f"{name}.{command.argv[0]}"] = medians(rows)
+    return out
+
+
+def teardown(env: dict, rounds: int) -> dict:
+    runs = {"normal": [], "hard": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(rounds):
+            runs["normal"].append(child(["-c", IMPORT], env, tmp))
+            runs["hard"].append(child(["-c", f"{IMPORT}; import os; "
+                                       "os._exit(0)"], env, tmp))
+    out = {}
+    for kind, rows in runs.items():
+        out[kind] = {f"{key[:-2]}_ms": round(1e3 * statistics.median(
+            r[key] for r in rows), 1) for key in ("wall_s", "cpu_s")}
+    out["saved"] = {key: round(out["normal"][key] - out["hard"][key], 1)
+                    for key in out["normal"]}
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("root")
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args()
+    root = os.path.abspath(args.root)
+    env = dict(os.environ, MTPA_THREADS="1",
+               PYTHONPATH=os.path.join(root, "src"))
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    print(json.dumps({"rounds": args.rounds,
+                      "commands": commands(root, env, args.rounds),
+                      "teardown": teardown(env, args.rounds)}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
