@@ -3,26 +3,36 @@
 Exact simulation of the typed growth dynamics and of the generalized urn
 describing its edge-type proportions, plus deterministic solvers for the
 asymptotic degree distribution and a Monte Carlo harness comparing the two.
+
+`import mtpa` loads no module of the package: each name in `__all__` is
+imported from its module when it is first read (PEP 562), so a command
+loads only the layers it runs.
 """
 
 __version__ = "0.1.0"
 
-from .degrees import DegreeDistribution
-from .graph import (PerturbationSchedule, SeedGraphSpec, TypedGraph,
-                    empirical_distribution, grow, new_graph, pa_step, run)
-from .harness import (ExperimentConfig, run_experiment, tv_distance,
-                      replicate_stream)
-from .theory import (solve_recurrence, solve_unperturbed_recurrence,
-                     stationary_type_distribution)
-from .urn import (ColumnSampler, UrnState, assumption_audit,
-                  bernoulli_column_sampler, new_urn, run_urn, urn_step)
+# module -> the public names it gives the package
+_EXPORTS = {
+    "config": ("ExperimentConfig", "SeedGraphSpec", "replicate_stream"),
+    "degrees": ("DegreeDistribution",),
+    "graph": ("PerturbationSchedule", "TypedGraph", "empirical_distribution",
+              "grow", "new_graph", "pa_step", "run"),
+    "harness": ("run_experiment", "tv_distance"),
+    "theory": ("solve_recurrence", "solve_unperturbed_recurrence",
+               "stationary_type_distribution"),
+    "urn": ("ColumnSampler", "UrnState", "assumption_audit",
+            "bernoulli_column_sampler", "new_urn", "run_urn", "urn_step"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [
-    "ColumnSampler", "DegreeDistribution", "ExperimentConfig",
-    "PerturbationSchedule", "SeedGraphSpec", "TypedGraph", "UrnState",
-    "assumption_audit", "bernoulli_column_sampler", "empirical_distribution",
-    "grow", "new_graph", "new_urn", "pa_step", "replicate_stream", "run",
-    "run_experiment", "run_urn", "solve_recurrence",
-    "solve_unperturbed_recurrence", "stationary_type_distribution",
-    "tv_distance", "urn_step",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__import__(f"{__name__}.{_MODULE_OF[name]}",
+                               fromlist=[name]), name)
+    globals()[name] = value
+    return value

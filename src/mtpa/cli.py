@@ -11,6 +11,11 @@ by then, and interpreter teardown with numpy loaded, which no output depends
 on, costs tens of milliseconds of a process that works for about 0.1 s (see
 the README). `main` itself returns its exit code, so an in-process caller
 sees no difference.
+
+A command imports only the layers it runs: the simulation, theory and
+harness functions are read through `_this` and loaded on first use (see
+LAZY), so `solve` never compiles the simulators and `simulate-graph` never
+compiles the urn, the harness or the solver.
 """
 from __future__ import annotations
 
@@ -22,16 +27,40 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, matrices
-from .config import config_fields, parse_list
+from .config import (ExperimentConfig, SeedGraphSpec, config_fields,
+                     parse_list, replicate_stream)
 from .errors import MtpaError, ValidationError
-from .graph import SeedGraphSpec, new_graph, run
-from .harness import (ExperimentConfig, convergence_series,
-                      perturbed_vs_unperturbed_study, replicate_stream,
-                      run_experiment)
 from .output import (write_csv, write_distribution_csv, write_graph_snapshots,
                      write_manifest, write_urn_trajectory)
-from .theory import solve_recurrence, solve_unperturbed_recurrence
-from .urn import assumption_audit, bernoulli_column_sampler, new_urn, run_urn
+
+# every simulation, theory and harness function a command calls, by its
+# module; each is imported when first read (`__getattr__`), so a command
+# loads only the layers it runs
+LAZY = {
+    "new_graph": "graph", "run": "graph",
+    "run_experiment": "harness", "perturbed_vs_unperturbed_study": "harness",
+    "convergence_series": "convergence",
+    "dirichlet_psi_sample": "theory", "solve_recurrence": "theory",
+    "solve_unperturbed_recurrence": "theory",
+    "assumption_audit": "urn", "bernoulli_column_sampler": "urn",
+    "new_urn": "urn", "run_urn": "urn",
+}
+
+
+def __getattr__(name: str):
+    if name not in LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's own path, which -X importtime reports
+    value = getattr(__import__(f"{__package__}.{LAZY[name]}",
+                               fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
+
+# this module: a handler calls each LAZY function through it, so it calls
+# the function as bound here at call time, a replacement set on the module
+# included
+_this = sys.modules[__name__]
 
 
 # flag -> its argparse keywords, for every command that takes the flag
@@ -136,8 +165,8 @@ def _cmd_simulate_graph(args) -> int:
     out = _out_dir(args)
     rng = replicate_stream(cfg.master_seed, 0)
     # the graph is not kept: the writer reads only the snapshots
-    snapshots = run(new_graph(cfg.seed_spec()), cfg.schedule(), cfg.m_edges,
-                    cfg.n_steps, cfg.snapshot_every, rng)
+    snapshots = _this.run(_this.new_graph(cfg.seed_spec()), cfg.schedule(),
+                          cfg.m_edges, cfg.n_steps, cfg.snapshot_every, rng)
     psi_path, dist_path = write_graph_snapshots(out, snapshots, cfg.n_types)
     _manifest(args, out, cfg.resolved(), cfg.master_seed,
               [psi_path, dist_path])
@@ -149,9 +178,10 @@ def _cmd_simulate_urn(args) -> int:
     cfg = _resolve_config(args, model="urn")
     out = _out_dir(args)
     rng = replicate_stream(cfg.master_seed, 0)
-    sampler = bernoulli_column_sampler(cfg.f_matrix)
-    urn = new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
-    snapshots = run_urn(urn, sampler, cfg.n_steps, cfg.snapshot_every, rng)
+    sampler = _this.bernoulli_column_sampler(cfg.f_matrix)
+    urn = _this.new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
+    snapshots = _this.run_urn(urn, sampler, cfg.n_steps, cfg.snapshot_every,
+                              rng)
     path = write_urn_trajectory(out / "trajectory.csv", snapshots, cfg.n_types)
     _manifest(args, out, cfg.resolved(), cfg.master_seed, [path])
     print(f"wrote {path}")
@@ -162,7 +192,7 @@ def _cmd_solve(args) -> int:
     cfg = _resolve_config(args)
     n, m, dmax = cfg.n_types, cfg.m_edges, cfg.max_weight
     out = _out_dir(args)
-    dist = solve_recurrence(cfg.f_matrix, m, dmax)
+    dist = _this.solve_recurrence(cfg.f_matrix, m, dmax)
     path = write_distribution_csv(out / "distribution.csv", dist, n)
     config = {"n_types": n, "m_edges": m, "d_max": dmax,
               "f": [float(v) for v in cfg.f_matrix.ravel()]}
@@ -177,25 +207,26 @@ def _cmd_solve_unperturbed(args) -> int:
     n, m, dmax = cfg.n_types, cfg.m_edges, cfg.max_weight
     if args.psi and args.e0:
         raise ValidationError("give --psi or --e0, not both")
+    seed = args.master_seed  # recorded as given: --psi draws nothing
     if args.psi:
         psi = np.array(parse_list(args.psi, float, "--psi"))
     elif args.e0:
-        from .theory import dirichlet_psi_sample
         counts = parse_list(args.e0, int, "--e0")
         if m != 1:
             raise ValidationError("--e0 proportions only apply with --m 1")
-        rng = replicate_stream(cfg.master_seed, 0, lane=1)
-        psi = dirichlet_psi_sample(counts, rng)
+        seed = cfg.master_seed  # the seed the draw uses, from any source
+        rng = replicate_stream(seed, 0, lane=1)
+        psi = _this.dirichlet_psi_sample(counts, rng)
     else:
         raise ValidationError("--psi or --e0 is required")
     if psi.size != n:
         raise ValidationError(f"psi needs {n} entries, got {psi.size}")
     out = _out_dir(args)
-    dist = solve_unperturbed_recurrence(psi, m, dmax)
+    dist = _this.solve_unperturbed_recurrence(psi, m, dmax)
     path = write_distribution_csv(out / "distribution.csv", dist, n)
     config = {"n_types": n, "m_edges": m, "d_max": dmax,
               "psi": [float(v) for v in psi]}
-    _manifest(args, out, config, args.master_seed, [path])
+    _manifest(args, out, config, seed, [path])
     print(f"wrote {path}")
     return 0
 
@@ -203,7 +234,7 @@ def _cmd_solve_unperturbed(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    report = run_experiment(cfg)
+    report = _this.run_experiment(cfg)
 
     report_path = out / "report.txt"
     with open(report_path, "w") as fh:
@@ -234,8 +265,9 @@ def _cmd_diagnose(args) -> int:
     cfg = _resolve_config(args)
     degree = None if args.d is None else parse_list(args.d, int, "--d")
     type_index = None if args.l is None else args.l - 1
-    header, rows = convergence_series(cfg, args.quantity, degree=degree,
-                                      type_index=type_index)
+    header, rows = _this.convergence_series(cfg, args.quantity,
+                                            degree=degree,
+                                            type_index=type_index)
     out = _out_dir(args)
     path = write_csv(out / "series.csv", header, rows)
     _manifest(args, out, cfg.resolved(), cfg.master_seed, [path])
@@ -245,9 +277,9 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = _resolve_config(args)
-    sampler = bernoulli_column_sampler(cfg.f_matrix)
-    report = assumption_audit(sampler, args.samples,
-                              replicate_stream(cfg.master_seed, 0, lane=2))
+    sampler = _this.bernoulli_column_sampler(cfg.f_matrix)
+    report = _this.assumption_audit(
+        sampler, args.samples, replicate_stream(cfg.master_seed, 0, lane=2))
     out = _out_dir(args)
     path = out / "audit.txt"
     with open(path, "w") as fh:
@@ -263,7 +295,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_study(args) -> int:
     cfg = _resolve_config(args)
-    study = perturbed_vs_unperturbed_study(cfg, args.psi_samples)
+    study = _this.perturbed_vs_unperturbed_study(cfg, args.psi_samples)
     out = _out_dir(args)
     header = ([f"d_{i + 1}" for i in range(cfg.n_types)]
               + ["unperturbed_mean", "unperturbed_std", "perturbed"])

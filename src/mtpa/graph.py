@@ -27,69 +27,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import matrices
+from .config import CONSTANT, DECAYING, SeedGraphSpec
 from .degrees import DegreeDistribution, EMPIRICAL, degree_dtype, row_weights
 from .errors import (BrokenGraph, EmptyGraph, EmptyPool, LoopEdge, MissingType,
-                     ParseError, ValidationError)
-
-CONSTANT = "constant"
-DECAYING = "decaying"
-
-
-@dataclass
-class SeedGraphSpec:
-    """Initial graph: a typed edge list over integer vertex ids.
-
-    Types are 0-based here; the on-disk edge-list format uses 1-based types
-    (`a b t` per line, `#` comments).
-    """
-
-    n_types: int
-    edges: list  # [(a, b, type_index), ...]
-
-    @classmethod
-    def default(cls, n_types: int) -> "SeedGraphSpec":
-        # smallest loop-free graph with one edge of each type: two vertices
-        # joined by n_types parallel edges
-        return cls(n_types, [(0, 1, t) for t in range(n_types)])
-
-    @classmethod
-    def from_file(cls, path, n_types: int | None = None) -> "SeedGraphSpec":
-        edges = []
-        max_type = 0
-        try:
-            with open(path) as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    body = line.split("#", 1)[0].strip()
-                    if not body:
-                        continue
-                    parts = body.split()
-                    if len(parts) != 3:
-                        raise ParseError(
-                            f"{path}:{lineno}: expected 'a b t', got {body!r}")
-                    try:
-                        a, b, t = (int(p) for p in parts)
-                    except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: {exc}") from exc
-                    if t < 1:
-                        raise ParseError(
-                            f"{path}:{lineno}: types are 1-based, got {t}")
-                    max_type = max(max_type, t)
-                    edges.append((a, b, t - 1))
-        except OSError as exc:
-            raise ParseError(f"cannot read seed graph {path}: {exc}") from exc
-        return cls(n_types if n_types is not None else max_type, edges)
-
-    def type_counts(self) -> list:
-        counts = [0] * self.n_types
-        for _, _, t in self.edges:
-            counts[t] += 1
-        return counts
+                     ValidationError)
 
 
 class PerturbationSchedule:

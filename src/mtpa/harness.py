@@ -1,43 +1,56 @@
-"""Monte Carlo orchestration: replicates, comparisons, convergence series.
+"""Monte Carlo orchestration: replicates, comparisons, and the contrast
+study of the perturbed and the non-perturbed limits.
 
 Replicates are independent simulations whose generators are derived from
 (master_seed, replicate_index), so reports are reproducible and do not
 depend on execution order. MTPA_THREADS caps process-level parallelism
 (unset or 1 = serial, 0 = all cores); any other non-integer or negative
 value is an error.
+
+`study` reads this module and never simulates, so `graph` and `urn` are
+loaded only when a replicate first runs (`_load_simulators`), or when one
+of their names is read from this module.
 """
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from . import matrices
+from .config import (GRAPH, ExperimentConfig, comparison_cutoff,
+                     replicate_stream)
 from .degrees import DegreeDistribution, aligned
-from .errors import (BadArgs, BadPsi, BadQuantity, NotStochastic,
-                     ValidationError)
-from .graph import (CONSTANT, DECAYING, PerturbationSchedule, SeedGraphSpec,
-                    check_graph_invariants, edge_type_proportions,
-                    empirical_distribution, grow, new_graph, run)
-from .theory import (dirichlet_psi_sample, exact_attachment_probability,
-                     edge_gain_rate_limit, exact_no_edge_probability,
-                     solve_recurrence, solve_unperturbed_recurrence,
+from .errors import BadArgs, BadPsi, ValidationError
+from .theory import (dirichlet_psi_sample, solve_recurrence,
+                     solve_unperturbed_recurrence,
                      stationary_type_distribution)
-from .urn import (bernoulli_column_sampler, check_urn_invariants, new_urn,
-                  run_urn)
 
-GRAPH = "graph"
-URN = "urn"
+# the simulation functions the replicates call, by their module
+SIMULATORS = {
+    "graph": ("check_graph_invariants", "edge_type_proportions",
+              "empirical_distribution", "grow", "new_graph"),
+    "urn": ("bernoulli_column_sampler", "check_urn_invariants", "new_urn",
+            "run_urn"),
+}
 
 
-def replicate_stream(master_seed: int, index: int, lane: int = 0) -> np.random.Generator:
-    """Independent generator keyed by (master seed, replicate index)."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(lane, index))
-    return np.random.Generator(np.random.PCG64(seq))
+def _load_simulators() -> None:
+    """Bind the SIMULATORS names in this module, leaving any name that is
+    bound already: a replacement set on this module stays the one called."""
+    for module, names in SIMULATORS.items():
+        loaded = __import__(f"{__package__}.{module}", fromlist=names)
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in SIMULATORS.values()):
+        _load_simulators()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def max_workers(replicates: int) -> int:
@@ -52,118 +65,6 @@ def max_workers(replicates: int) -> int:
     if requested == 0:
         requested = os.cpu_count() or 1
     return max(1, min(requested, replicates))
-
-
-@dataclass
-class ExperimentConfig:
-    """Parameters of one experiment, and the one place that holds every
-    default and range check, for config-file and flag values alike, but
-    two: `max_weight` and `cutoff` are each read by some commands only,
-    and commands share config files, so each is checked where it is read
-    (`solve_recurrence` and `solve_unperturbed_recurrence` check
-    `max_weight`, `comparison_cutoff` the cutoff)."""
-
-    n_types: int
-    model: str = GRAPH
-    m_edges: int = 1
-    f_matrix: np.ndarray | None = None    # None -> identity when n_types == 1
-    schedule_kind: str = CONSTANT
-    decay_matrix: np.ndarray | None = None
-    decay_rho: float | None = None        # None -> 1.0 when decaying
-    seed_edges: list | None = None        # None -> default seed graph
-    initial_composition: list | None = None  # None -> seed type counts
-    n_steps: int = 10_000
-    snapshot_every: int = 1_000
-    replicates: int = 1
-    master_seed: int = 0
-    max_weight: int | None = None         # solve's d_max; None -> max(30, m+10)
-    cutoff: int | None = None             # comparison weight K; None -> m+10
-    tv_tolerance: float = 0.02
-    psi_tolerance: float = 0.02
-    pass_fraction: float = 0.95
-
-    def __post_init__(self):
-        if self.model not in (GRAPH, URN):
-            raise ValidationError(
-                f"model must be {GRAPH} or {URN}, got {self.model!r}")
-        for name, value, low in (("types", self.n_types, 1),
-                                 ("edges_per_step", self.m_edges, 1),
-                                 ("steps", self.n_steps, 0),
-                                 ("snapshot_every", self.snapshot_every, 1),
-                                 ("replicates", self.replicates, 1),
-                                 ("master_seed", self.master_seed, 0)):
-            if value < low:
-                raise ValidationError(f"{name} must be >= {low}, got {value}")
-        for name in ("tv_tolerance", "psi_tolerance", "pass_fraction"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if self.f_matrix is None:
-            if self.n_types != 1:
-                raise ValidationError("f is required when types > 1 "
-                                      "(model.f, --f or --f-file)")
-            self.f_matrix = [[1.0]]
-        try:
-            self.f_matrix = matrices.as_row_stochastic(self.f_matrix, what="f")
-        except NotStochastic as exc:
-            raise ValidationError(str(exc)) from exc
-        if len(self.f_matrix) != self.n_types:
-            raise ValidationError(
-                f"f has {len(self.f_matrix)} rows for {self.n_types} types")
-        if self.schedule_kind not in (CONSTANT, DECAYING):
-            raise ValidationError(
-                f"unknown schedule kind {self.schedule_kind!r}")
-        if self.model == URN and self.schedule_kind != CONSTANT:
-            raise ValidationError(
-                "the urn model has no step-dependent columns; "
-                f"schedule must be {CONSTANT}, got {self.schedule_kind!r}")
-        if self.schedule_kind == CONSTANT:
-            for key, value in (("decay", self.decay_matrix),
-                               ("decay_rho", self.decay_rho)):
-                if value is not None:
-                    raise ValidationError(
-                        f"{key} is set but the schedule is {CONSTANT}; only "
-                        f"a {DECAYING} schedule reads it")
-        elif self.decay_rho is None:
-            self.decay_rho = 1.0
-        if self.max_weight is None:
-            self.max_weight = max(30, self.m_edges + 10)
-        if self.cutoff is None:
-            self.cutoff = self.m_edges + 10
-
-    def schedule(self) -> PerturbationSchedule:
-        return PerturbationSchedule(self.f_matrix, self.schedule_kind,
-                                    self.decay_matrix, self.decay_rho)
-
-    def seed_spec(self) -> SeedGraphSpec:
-        if self.seed_edges is None:
-            return SeedGraphSpec.default(self.n_types)
-        return SeedGraphSpec(self.n_types, list(self.seed_edges))
-
-    def urn_composition(self) -> list:
-        if self.initial_composition is not None:
-            return list(self.initial_composition)
-        return self.seed_spec().type_counts()
-
-    def resolved(self) -> dict:
-        """JSON-friendly dict of every field (for manifests)."""
-        out = {}
-        for name, value in self.__dict__.items():
-            if isinstance(value, np.ndarray):
-                out[name] = [float(v) for v in value.ravel()]
-            elif isinstance(value, list):
-                out[name] = [list(v) if isinstance(v, tuple) else v for v in value]
-            else:
-                out[name] = value
-        return out
-
-
-def comparison_cutoff(cfg: ExperimentConfig) -> int:
-    """The comparison weight K, checked as a comparison reads it."""
-    if cfg.cutoff < cfg.m_edges:
-        raise ValidationError(
-            f"cutoff {cfg.cutoff} is below m {cfg.m_edges}; no vertex "
-            "weighs less than m, so the comparison would be empty")
-    return cfg.cutoff
 
 
 def tv_distance(p: DegreeDistribution, q: DegreeDistribution,
@@ -237,6 +138,7 @@ class ComparisonReport:
 
 
 def _graph_replicate(cfg: ExperimentConfig, index: int):
+    _load_simulators()  # a pool worker may start without them
     rng = replicate_stream(cfg.master_seed, index)
     graph = new_graph(cfg.seed_spec())
     grow(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps, rng)
@@ -247,6 +149,7 @@ def _graph_replicate(cfg: ExperimentConfig, index: int):
 
 
 def _urn_replicate(cfg: ExperimentConfig, index: int):
+    _load_simulators()
     rng = replicate_stream(cfg.master_seed, index)
     sampler = bernoulli_column_sampler(cfg.f_matrix)
     urn = new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
@@ -255,7 +158,7 @@ def _urn_replicate(cfg: ExperimentConfig, index: int):
     return ReplicateResult(index, None, urn.fractions(), 0.0, violations), None
 
 
-def _map_replicates(cfg: ExperimentConfig, task) -> list:
+def map_replicates(cfg: ExperimentConfig, task) -> list:
     """`task(index)` for every replicate index, in index order; `task` must
     pickle, so it is a module-level function or a partial of one."""
     indices = range(cfg.replicates)
@@ -273,13 +176,14 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
 
     Tolerance failures are recorded in the report, not raised.
     """
+    _load_simulators()
     # solve first, so an over-cap lattice fails before any replicate runs
     psi_ref = stationary_type_distribution(cfg.f_matrix)
     if cfg.model == GRAPH:
         theory = solve_recurrence(cfg.f_matrix, cfg.m_edges,
                                   comparison_cutoff(cfg))
     replicate = _graph_replicate if cfg.model == GRAPH else _urn_replicate
-    raw = _map_replicates(cfg, partial(replicate, cfg))
+    raw = map_replicates(cfg, partial(replicate, cfg))
     results = [result for result, _ in raw]
     for result in results:
         result.psi_error = float(np.max(np.abs(
@@ -329,123 +233,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         cutoff=cfg.cutoff,
         failures=failures,
     )
-
-
-def _series_replicate(cfg: ExperimentConfig, index: int, theory=None) -> list:
-    """(n, proportions) per snapshot of one replicate, or (n, TV to
-    `theory`) when a theoretical distribution is given."""
-    rng = replicate_stream(cfg.master_seed, index)
-    if cfg.model == URN:
-        sampler = bernoulli_column_sampler(cfg.f_matrix)
-        urn = new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
-        snaps = run_urn(urn, sampler, cfg.n_steps, cfg.snapshot_every, rng)
-        return [(s.n, s.fractions) for s in snaps]
-    graph = new_graph(cfg.seed_spec())
-    snaps = run(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps,
-                cfg.snapshot_every, rng, census=theory is not None)
-    if theory is None:
-        return [(s.n, s.psi) for s in snaps]
-    return [(s.n, tv_distance(s.distribution, theory, cfg.cutoff))
-            for s in snaps]
-
-
-def _analytic_grid(cfg: ExperimentConfig) -> list:
-    """(n, modelled edge count before step n) on the snapshot grid."""
-    initial_edges = sum(cfg.seed_spec().type_counts())
-    grid = sorted({1, cfg.n_steps}
-                  | {k for k in range(cfg.snapshot_every, cfg.n_steps + 1,
-                                      cfg.snapshot_every)})
-    return [(n, initial_edges + cfg.m_edges * (n - 1)) for n in grid if n >= 1]
-
-
-# quantity -> the targets its series reads
-SERIES_TARGETS = {"psi": (), "tv": (), "u_n": ("degree",),
-                  "np_el": ("degree", "type")}
-
-
-def convergence_series(cfg: ExperimentConfig, quantity: str, *,
-                       degree=None, type_index: int | None = None):
-    """Per-snapshot series of a convergence diagnostic with its limit.
-
-    PSI and TV are simulated per replicate; U_N and NP_EL are analytic in
-    the modelled edge count initial_edges + m*(n-1). Returns (header, rows).
-    Each quantity takes exactly the targets it reads; `type_index` counts
-    from 0, but messages count types from 1, as the CLI's --l does. The
-    degree a series reads (d, or d - e_l for NP_EL) must be one a vertex
-    can hold: degrees only grow, so every vertex weighs at least the lesser
-    of m and the lightest seed vertex's degree.
-    """
-    name = quantity.strip().lower()
-    if name not in SERIES_TARGETS:
-        raise BadQuantity(f"unknown quantity {quantity!r}")
-    if name != "psi" and cfg.model != GRAPH:
-        raise BadQuantity(f"{name} series requires the graph model")
-    for target, value in (("degree", degree), ("type", type_index)):
-        if (value is None) == (target in SERIES_TARGETS[name]):
-            raise BadArgs(f"the {name} series "
-                          f"{'needs' if value is None else 'reads no'} "
-                          f"target {target}")
-    if degree is not None:
-        degree = tuple(int(v) for v in degree)
-        if len(degree) != cfg.n_types:
-            raise BadArgs(f"target degree has {len(degree)} entries for "
-                          f"{cfg.n_types} types")
-    if type_index is not None and not 0 <= type_index < cfg.n_types:
-        raise BadArgs(f"target type {type_index + 1} is not one of "
-                      f"1..{cfg.n_types}")
-    if degree is not None:
-        weight = sum(degree) - (type_index is not None)
-        seed = Counter(v for a, b, _ in cfg.seed_spec().edges for v in (a, b))
-        lightest = min(cfg.m_edges, *seed.values())
-        if weight < lightest:
-            raise BadArgs(f"the {name} series reads a degree of weight "
-                          f"{weight}, but no vertex weighs less than "
-                          f"{lightest}")
-    if name == "psi":
-        psi_ref = stationary_type_distribution(cfg.f_matrix)
-        header = (["replicate", "n"]
-                  + [f"psi_{l + 1}" for l in range(cfg.n_types)]
-                  + ["max_abs_error"])
-        rows = []
-        series = _map_replicates(cfg, partial(_series_replicate, cfg))
-        for r, snapshots in enumerate(series):
-            for n, psi in snapshots:
-                err = max(abs(a - b) for a, b in zip(psi, psi_ref))
-                rows.append((r, n) + tuple(psi) + (err,))
-        return header, rows
-
-    if name == "tv":
-        theory = solve_recurrence(cfg.f_matrix, cfg.m_edges,
-                                  comparison_cutoff(cfg))
-        series = _map_replicates(
-            cfg, partial(_series_replicate, cfg, theory=theory))
-        return ["replicate", "n", "tv"], [(r,) + row for r, rows in
-                                          enumerate(series) for row in rows]
-
-    if name == "u_n":
-        limit = sum(degree) / 2.0
-        header = ["n", "u_n", "limit", "abs_error"]
-        rows = []
-        for n, edges_prev in _analytic_grid(cfg):
-            value = n * (1.0 - exact_no_edge_probability(degree, edges_prev,
-                                                         cfg.m_edges))
-            rows.append((n, value, limit, abs(value - limit)))
-        return header, rows
-
-    # np_el
-    d, l = degree, type_index
-    schedule = cfg.schedule()
-    limit = edge_gain_rate_limit(d, l, schedule.limit)
-    previous = d[:l] + (d[l] - 1,) + d[l + 1:]
-    unit = tuple(1 if k == l else 0 for k in range(len(d)))
-    header = ["n", "n_times_p", "limit", "abs_error"]
-    rows = []
-    for n, edges_prev in _analytic_grid(cfg):
-        value = n * exact_attachment_probability(
-            previous, unit, edges_prev, cfg.m_edges,
-            schedule.matrix_at(n))
-        rows.append((n, value, limit, abs(value - limit)))
-    return header, rows
 
 
 @dataclass(eq=False)

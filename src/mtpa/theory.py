@@ -2,13 +2,12 @@
 
 Covers the stationary edge-type proportions (Perron left eigenvector of the
 perturbation limit), one lattice walk that solves the degree recurrences of
-both the perturbed and the non-perturbed dynamics, the exact finite-step
-attachment probabilities with their limits, and the elementary binomial
-bound used to control the linearization error of those probabilities.
+both the perturbed and the non-perturbed dynamics, and the Dirichlet law of
+the non-perturbed proportions. The exact finite-step probabilities that
+only the convergence series read are in `convergence`.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 
@@ -16,10 +15,8 @@ import numpy as np
 
 from . import matrices
 from .degrees import (Degree, DegreeDistribution, THEORETICAL_PERTURBED,
-                      THEORETICAL_UNPERTURBED, compositions_of_weight,
-                      degree_dtype, lattice_size)
-from .errors import (BadArgs, BadCounts, BadIndexMatrix, BadPsi,
-                     CapacityExceeded, NoConvergence)
+                      THEORETICAL_UNPERTURBED, degree_dtype, lattice_size)
+from .errors import BadArgs, BadCounts, BadPsi, CapacityExceeded, NoConvergence
 
 #: hard cap on enumerated lattice cells before the solver refuses
 LATTICE_CAP = 10_000_000
@@ -271,145 +268,3 @@ def dirichlet_psi_sample(initial_type_counts, rng: np.random.Generator) -> np.nd
     if not counts or any((int(c) != c or c < 1) for c in counts):
         raise BadCounts(f"counts {counts!r} must be positive integers")
     return rng.dirichlet(np.asarray(counts, dtype=float))
-
-
-def exact_no_edge_probability(d, num_edges_prev: int, m: int) -> float:
-    """Probability that a vertex of degree d gains nothing in one step.
-
-    Each of the m independent endpoint draws misses the vertex with
-    probability 1 - weight(d) / (2 |E|), |E| taken before the step.
-    """
-    d = tuple(d)
-    s = sum(d)
-    if m < 1 or any(v < 0 for v in d):
-        raise BadArgs("need m >= 1 and nonnegative degree entries")
-    if s == 0:
-        return 1.0
-    if num_edges_prev < 1 or 2 * num_edges_prev < s:
-        raise BadArgs(
-            f"need 2*num_edges_prev >= weight, got {num_edges_prev} vs {s}")
-    return (1.0 - s / (2.0 * num_edges_prev)) ** m
-
-
-def attachment_probability_term(d_prev, assignment, num_edges_prev: int,
-                                m: int, type_flip_matrix) -> float:
-    """Probability of one specific (initial type -> final type) assignment.
-
-    `assignment[k][l]` counts new edges that landed on the vertex (degree
-    `d_prev` before the step) with initial type k flipped to final type l.
-    The remaining m - s(assignment) draws all miss the vertex.
-    """
-    d_prev = tuple(d_prev)
-    cell = np.asarray(assignment, dtype=np.int64)
-    n = len(d_prev)
-    if cell.shape != (n, n) or np.any(cell < 0):
-        raise BadIndexMatrix(f"assignment must be {n}x{n} nonnegative integers")
-    total_new = int(cell.sum())
-    if total_new > m:
-        raise BadIndexMatrix(f"assignment places {total_new} edges, step has {m}")
-    if any(v < 0 for v in d_prev):
-        raise BadArgs("degree entries must be nonnegative")
-    s_prev = sum(d_prev)
-    if num_edges_prev < 1 or 2 * num_edges_prev < s_prev:
-        raise BadArgs("need 2*num_edges_prev >= weight of d_prev")
-    flip = np.asarray(type_flip_matrix, dtype=float)
-    two_e = 2.0 * num_edges_prev
-    value = _cells_product(
-        float(math.factorial(m) // math.factorial(m - total_new)),
-        cell.tolist(), [v / two_e for v in d_prev], flip)
-    return value * (1.0 - s_prev / two_e) ** (m - total_new)
-
-
-def _cells_product(value: float, assignment, weights, flip) -> float:
-    # value * prod over cells c = assignment[k][l] > 0 of
-    # (weights[k] * F[k, l])**c / c!, one cell at a time
-    n = len(weights)
-    for k in range(n):
-        for l in range(n):
-            c = assignment[k][l]
-            if c:
-                value /= math.factorial(c)
-                value *= (weights[k] * flip[k, l]) ** c
-    return value
-
-
-def _assignments_with_gains(gained) -> list:
-    # all nonnegative integer matrices whose column sums equal `gained`
-    n = len(gained)
-    per_column = [list(compositions_of_weight(g, n)) for g in gained]
-    out = []
-    for cols in itertools.product(*per_column):
-        out.append(tuple(tuple(cols[l][k] for l in range(n)) for k in range(n)))
-    return out
-
-
-def exact_attachment_probability(d_prev, gained, num_edges_prev: int, m: int,
-                                 type_flip_matrix) -> float:
-    """Probability that a vertex of degree d_prev gains exactly `gained`.
-
-    `gained[l]` counts new incident edges of final type l. Sums the
-    single-assignment terms over every way of attributing the gains to
-    initial types.
-    """
-    gained = tuple(int(g) for g in gained)
-    if any(g < 0 for g in gained):
-        raise BadArgs("gained entries must be nonnegative")
-    if sum(gained) > m:
-        raise BadArgs(f"cannot gain {sum(gained)} edges in a step of {m}")
-    total = 0.0
-    for assignment in _assignments_with_gains(gained):
-        total += attachment_probability_term(d_prev, assignment,
-                                             num_edges_prev, m,
-                                             type_flip_matrix)
-    return total
-
-
-def new_vertex_degree_probability(d, m: int, psi, type_flip_matrix) -> float:
-    """Probability that a fresh vertex ends the step with degree d.
-
-    Sums over every split of the m edges into (initial type, final type)
-    cells; zero unless weight(d) equals m. `psi` supplies the per-type
-    initial-assignment law, the matrix the flip law.
-    """
-    d = tuple(d)
-    if sum(d) != m:
-        return 0.0
-    psi = np.asarray(psi, dtype=float)
-    flip = np.asarray(type_flip_matrix, dtype=float)
-    total = 0.0
-    for assignment in _assignments_with_gains(d):
-        total += _cells_product(float(math.factorial(m)), assignment, psi, flip)
-    return total
-
-
-def new_vertex_degree_limit(d, m: int, psi, type_flip_matrix) -> float:
-    """Closed form of the fresh-vertex degree law at the proportion limit:
-    multinomial in the assignment rates psi @ F."""
-    d = tuple(d)
-    if sum(d) != m:
-        return 0.0
-    return _multinomial_pmf(d, np.asarray(psi, dtype=float)
-                            @ np.asarray(type_flip_matrix, dtype=float))
-
-
-def edge_gain_rate_limit(d, l: int, type_flip_matrix) -> float:
-    """Limit of n * P(gain exactly one type-l edge), for predecessors of d."""
-    d = tuple(d)
-    if d[l] < 1:
-        raise BadArgs(f"d must have a type-{l + 1} edge to shed")
-    flip = np.asarray(type_flip_matrix, dtype=float)
-    previous = d[:l] + (d[l] - 1,) + d[l + 1:]
-    return float(np.dot(previous, flip[:, l])) / 2.0
-
-
-def binomial_bound_holds(n: int, x: float) -> bool:
-    """Check |(1-x)**n - (1-n*x)| <= C(n, 2) * x**2 at one point.
-
-    Holds for every integer n >= 1 and x in [0, 1]; a tiny relative slack
-    absorbs floating-point rounding at equality cases.
-    """
-    if n < 1 or not 0.0 <= x <= 1.0:
-        raise BadArgs("need n >= 1 and x in [0, 1]")
-    lhs = abs((1.0 - x) ** n - (1.0 - n * x))
-    rhs = math.comb(n, 2) * x * x
-    return lhs <= rhs * (1.0 + 1e-12) + 1e-15

@@ -158,6 +158,23 @@ def test_solve_unperturbed_cli(tmp_path, capsys):
     assert rows[0][3] == "THEORETICAL_UNPERTURBED"
 
 
+def test_e0_records_the_seed_its_draw_used(tmp_path, capsys):
+    # a config's master_seed draws psi as --seed does, and the manifest
+    # records it either way
+    cfg = write_config(tmp_path,
+                       "[model]\ntypes = 2\n[run]\nmaster_seed = 5\n")
+    runs = {}
+    for name, seed_args in (("config", ["--config", str(cfg)]),
+                            ("flag", ["--n", "2", "--seed", "5"])):
+        out = tmp_path / name
+        assert main(["solve-unperturbed", *seed_args, "--e0", "1,1",
+                     "--out", str(out)]) == 0
+        runs[name] = json.loads((out / "manifest.json").read_text())
+    capsys.readouterr()
+    assert runs["config"]["master_seed"] == runs["flag"]["master_seed"] == 5
+    assert runs["config"]["config"] == runs["flag"]["config"]
+
+
 def test_psi_and_e0_together_is_usage_error(tmp_path, capsys):
     assert main(["solve-unperturbed", "--n", "2", "--psi", "0.5,0.5",
                  "--e0", "3,1", "--out", str(tmp_path / "o")]) == 2

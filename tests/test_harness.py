@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import mtpa
-from mtpa import harness
+from mtpa import convergence, harness
 from mtpa.cli import main
 from mtpa.config import parse_config
+from mtpa.convergence import convergence_series
 from mtpa.degrees import DegreeDistribution, sort_key
 from mtpa.errors import BadArgs, BadQuantity, ValidationError
 from mtpa.graph import empirical_distribution, grow, new_graph
-from mtpa.harness import (ExperimentConfig, convergence_series, max_workers,
+from mtpa.harness import (ExperimentConfig, max_workers,
                           perturbed_vs_unperturbed_study, replicate_stream,
                           run_experiment, tv_distance)
 from mtpa.output import write_csv
@@ -238,8 +239,8 @@ def test_an_over_cap_cutoff_fails_before_any_replicate(tmp_path, monkeypatch,
     def no_growth(*args, **kwargs):
         raise AssertionError("a replicate started before the solve")
 
-    monkeypatch.setattr(harness, "grow", no_growth)
-    monkeypatch.setattr(harness, "run", no_growth)
+    monkeypatch.setattr(harness, "grow", no_growth)  # compare
+    monkeypatch.setattr(convergence, "run", no_growth)  # diagnose tv
     path = tmp_path / "cap.ini"
     path.write_text(OVER_CAP)
     assert main(argv + ["--config", str(path),

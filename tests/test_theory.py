@@ -14,17 +14,20 @@ import numpy as np
 import pytest
 
 from mtpa import theory
+from mtpa.config import ExperimentConfig
+from mtpa.convergence import (attachment_probability_term,
+                              binomial_bound_holds, convergence_series,
+                              edge_gain_rate_limit,
+                              exact_attachment_probability,
+                              exact_no_edge_probability,
+                              new_vertex_degree_limit,
+                              new_vertex_degree_probability)
 from mtpa.degrees import compositions_of_weight
 from mtpa.errors import (BadArgs, BadCounts, BadIndexMatrix, BadPsi,
                          CapacityExceeded, NoConvergence, NotIrreducible,
                          NotStochastic)
 from mtpa.graph import PerturbationSchedule
-from mtpa.harness import ExperimentConfig, convergence_series
-from mtpa.theory import (attachment_probability_term, binomial_bound_holds,
-                         dirichlet_psi_sample, edge_gain_rate_limit,
-                         exact_attachment_probability,
-                         exact_no_edge_probability, new_vertex_degree_limit,
-                         new_vertex_degree_probability, solve_recurrence,
+from mtpa.theory import (dirichlet_psi_sample, solve_recurrence,
                          solve_unperturbed_recurrence,
                          stationary_type_distribution)
 

@@ -12,7 +12,10 @@ object:
   `tiny` size (seed 1), each command as `python -m mtpa.cli ARGS --out DIR`
   in a fresh directory, with the median over R rounds of its wall seconds
   (`wall_s`), user plus system CPU seconds (`cpu_s`) and `ru_maxrss`
-  (`maxrss_mib`);
+  (`maxrss_mib`), and the `mtpa.*` modules its process imported
+  (`modules`), read from one more run under `-X importtime` outside the
+  timed rounds (`mtpa.cli` itself runs as `__main__`, so it is not
+  listed);
 - `teardown`: `python -c "import mtpa.cli"`, which ends with the usual
   interpreter teardown (`normal`), against the same import followed by
   `os._exit(0)` (`hard`), R rounds each, alternating; the medians and
@@ -46,6 +49,18 @@ def child(argv: list, env: dict, cwd: str) -> dict:
             "maxrss_mib": usage.ru_maxrss / 1024}
 
 
+def imported(argv: list, env: dict, cwd: str) -> list:
+    """The `mtpa.*` modules one child process imports, from the
+    `-X importtime` lines it writes to stderr."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, check=True)
+    names = {line.rsplit("|", 1)[-1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return sorted(n for n in names if n.split(".")[0] == "mtpa")
+
+
 def medians(rows: list, digits: int = 4) -> dict:
     return {key: round(statistics.median(r[key] for r in rows), digits)
             for key in rows[0]}
@@ -63,10 +78,13 @@ def commands(root: str, env: dict, rounds: int) -> dict:
                 with open(os.path.join(tmp, file_name), "w") as fh:
                     fh.write(text)
             for command in plan.commands:
-                rows = [child(["-m", "mtpa.cli", *command.argv, "--out",
-                               f"{command.out}_{r}"], env, tmp)
+                argv = ["-m", "mtpa.cli", *command.argv, "--out"]
+                rows = [child(argv + [f"{command.out}_{r}"], env, tmp)
                         for r in range(rounds)]
-                out[f"{name}.{command.argv[0]}"] = medians(rows)
+                out[f"{name}.{command.argv[0]}"] = dict(
+                    medians(rows),
+                    modules=imported(argv + [f"{command.out}_modules"], env,
+                                     tmp))
     return out
 
 
