@@ -28,8 +28,9 @@ class EmptyPool(MtpaError):
 
 
 class BrokenGraph(MtpaError):
-    """A run's snapshots, replayed from its pool, disagree with the graph
-    it grew."""
+    """A run's snapshot tallies do not add up to the graph it grew: the
+    tallied slots stop short of the pool's end, or the type counts or the
+    degree table do not sum to its edges and slots."""
 
 
 # -- urn ---------------------------------------------------------------------
@@ -61,7 +62,9 @@ class NotIrreducible(MtpaError):
 
 
 class NoConvergence(MtpaError):
-    """Eigenvector iteration exhausted its budget or failed residual checks."""
+    """A numerical result failed its check: the direct solve for the
+    stationary type distribution or its residual, or a lattice layer's sum
+    against the single-type marginal."""
 
 
 class CapacityExceeded(MtpaError):

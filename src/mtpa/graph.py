@@ -21,7 +21,9 @@ call. Each new edge then depends only on the slot it drew: its endpoint is
 that slot's vertex, and its type is its flip map applied to that slot's
 type. Within a pass, `grow` follows these chains back to the pool as it
 was at the start of the pass, in vectorized rounds, and gives the same
-graph bit for bit.
+graph bit for bit. The filled slots are then tallied into the degree
+table and the type counts (`_tally`); `run` tallies them one snapshot
+segment at a time.
 """
 from __future__ import annotations
 
@@ -110,9 +112,8 @@ def _index_dtype(slots: int):
     return np.int32 if slots < 2**31 else np.int64
 
 
-# edges per pass of `grow` and of the invariant check's recount, rounded
-# down to whole steps in `grow`; a pass's temporaries take about 60 B per
-# edge
+# edges per pass of `grow`'s fill, rounded down to whole steps, and per
+# pass of a tally; a fill pass's temporaries take about 60 B per edge
 _PASS_EDGES = 16384
 
 
@@ -129,13 +130,12 @@ class TypedGraph:
     census is derived from it on demand (`empirical_distribution`).
     """
 
-    __slots__ = ("n_types", "num_vertices", "endpoint_pool",
-                 "pool_types", "per_vertex_degree", "type_counts",
-                 "step_index", "initial_num_vertices", "initial_num_edges")
+    __slots__ = ("n_types", "endpoint_pool", "pool_types",
+                 "per_vertex_degree", "type_counts", "step_index",
+                 "initial_num_vertices", "initial_num_edges")
 
     def __init__(self, n_types: int):
         self.n_types = n_types
-        self.num_vertices = 0
         self.endpoint_pool = np.zeros(0, np.int32)
         # the smallest signed integer type that holds every type index
         self.pool_types = np.zeros(0, np.min_scalar_type(-n_types))
@@ -144,6 +144,10 @@ class TypedGraph:
         self.step_index = 0
         self.initial_num_vertices = 0
         self.initial_num_edges = 0
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.per_vertex_degree)
 
     @property
     def num_edges(self) -> int:
@@ -159,6 +163,23 @@ def _add_degrees(degrees: np.ndarray, vertices: np.ndarray,
     keys = vertices.astype(np.intp) * degrees.shape[1]
     keys += types
     np.add.at(degrees.reshape(-1), keys, degrees.dtype.type(1))
+
+
+def _tally(graph: TypedGraph, lo: int, hi: int,
+           degrees: np.ndarray | None = None) -> np.ndarray:
+    """Add the pool's slots `lo..hi-1` (`lo` even) to the degree table, or
+    to `degrees`, `_PASS_EDGES` edges at a time, and return how many of
+    their edges have each type, as int64."""
+    pool, pool_types = graph.endpoint_pool, graph.pool_types
+    if degrees is None:
+        degrees = graph.per_vertex_degree
+    counts = np.zeros(graph.n_types, np.int64)
+    for base in range(lo, hi, 2 * _PASS_EDGES):
+        end = min(base + 2 * _PASS_EDGES, hi)
+        types = pool_types[base:end]
+        counts += np.bincount(types[0::2], minlength=graph.n_types)
+        _add_degrees(degrees, pool[base:end], types)
+    return counts
 
 
 def _census(degrees: np.ndarray) -> tuple:
@@ -234,19 +255,16 @@ def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
             raise ValidationError(f"edge type index {t} outside [0, {n})")
         ends += (index[a], index[b])
         types.append(t)
-    graph.type_counts = np.bincount(types, minlength=n).tolist()
-    for t, count in enumerate(graph.type_counts):
-        if count == 0:
-            raise MissingType(t + 1)
-    graph.num_vertices = len(vertex_ids)
     graph.initial_num_vertices = len(vertex_ids)
     graph.initial_num_edges = len(types)
     idx = _index_dtype(len(ends))
     graph.endpoint_pool = np.array(ends, idx)
     graph.pool_types = np.repeat(np.array(types, graph.pool_types.dtype), 2)
-    graph.per_vertex_degree = np.zeros((graph.num_vertices, n), idx)
-    _add_degrees(graph.per_vertex_degree, graph.endpoint_pool,
-                 graph.pool_types)
+    graph.per_vertex_degree = np.zeros((len(vertex_ids), n), idx)
+    graph.type_counts = _tally(graph, 0, len(ends)).tolist()
+    for t, count in enumerate(graph.type_counts):
+        if count == 0:
+            raise MissingType(t + 1)
     return graph
 
 
@@ -295,7 +313,6 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
         (pool_t, np.array(new_types, pool_t.dtype)))
 
     graph.per_vertex_degree = degrees
-    graph.num_vertices = new_vertex + 1
     graph.step_index = n
     return graph
 
@@ -305,16 +322,29 @@ def grow(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     """Apply `n_steps` growth steps at once, from any state.
 
     Draws the same uniforms in the same order as `n_steps` calls of
-    `pa_step`, and leaves the same graph bit for bit. The pools and the
-    degree table are allocated once at their final size and filled in
-    passes of whole steps (`_grow_pass`), so the working set beyond the
-    graph is a constant number of edges.
+    `pa_step`, and leaves the same graph bit for bit: `_fill`, then one
+    `_tally` of the new slots.
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
-    if n_steps == 0:
-        return graph
+    start = _fill(graph, schedule, m, n_steps, rng)
+    graph.type_counts = (_tally(graph, start, len(graph.endpoint_pool))
+                         + graph.type_counts).tolist()
+    return graph
+
+
+def _fill(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
+          n_steps: int, rng: np.random.Generator) -> int:
+    """Grow the pools and the degree table to their size after `n_steps`
+    more steps, allocated once, and fill the new slots in passes of whole
+    steps (`_grow_pass`), so the working set beyond the graph is a
+    constant number of edges. Advances `step_index`, and returns the
+    first new slot. Neither the table nor `type_counts` counts the new
+    slots until the caller `_tally`s them.
+    """
     start = len(graph.endpoint_pool)
+    if n_steps == 0:
+        return start
     if start == 0:
         raise EmptyPool("graph has no edges to sample from")
     first_vertex = graph.num_vertices
@@ -326,25 +356,17 @@ def grow(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     degrees = np.zeros((first_vertex + n_steps, graph.n_types), idx)
     degrees[:first_vertex] = graph.per_vertex_degree
 
-    gained = np.zeros(graph.n_types, np.int64)
     per_pass = max(1, _PASS_EDGES // m)
     for done in range(0, n_steps, per_pass):
         steps = min(per_pass, n_steps - done)
-        base = start + 2 * m * done
-        _grow_pass(pool, pool_types, base, first_vertex + done,
+        _grow_pass(pool, pool_types, start + 2 * m * done,
+                   first_vertex + done,
                    schedule.cdf_table(graph.step_index + done + 1, steps),
                    m, steps, rng)
-        end = base + 2 * m * steps
-        _add_degrees(degrees, pool[base:end], pool_types[base:end])
-        gained += np.bincount(pool_types[base:end:2],
-                              minlength=graph.n_types)
-    graph.type_counts = [a + b for a, b in zip(graph.type_counts,
-                                               gained.tolist())]
     graph.endpoint_pool, graph.pool_types = pool, pool_types
     graph.per_vertex_degree = degrees
-    graph.num_vertices = first_vertex + n_steps
     graph.step_index += n_steps
-    return graph
+    return start
 
 
 def _grow_pass(pool: np.ndarray, pool_types: np.ndarray, base: int,
@@ -424,7 +446,7 @@ def empirical_distribution(graph: TypedGraph,
                            ) -> DegreeDistribution:
     """Census normalized by the number of vertices: of the graph's degree
     table, or of `degrees`, the table of an earlier state of it (`run`
-    passes a prefix of its replayed table)."""
+    passes a prefix of the graph's table, tallied up to a snapshot)."""
     if degrees is None:
         degrees = graph.per_vertex_degree
     rows, counts = _census(degrees)
@@ -441,60 +463,42 @@ def run(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     reads only the proportions passes `census=False`, and its snapshots
     carry no distribution (None).
 
-    The snapshots cost one growth pass and their censuses: `grow` takes
+    The snapshots cost one growth pass and their censuses: `_fill` grows
     all `n_steps` at once, its passes crossing snapshot boundaries with
-    the same stream, and the snapshots are then read off the grown pool,
-    whose slots are in step order. Each snapshot adds its segment of the
-    pool to running totals, `_PASS_EDGES` edges at a time: the type counts
-    by a `bincount` of the segment's types, and, for the census, the
-    degrees by `_add_degrees` into a replayed table, whose rows are the
-    snapshot's vertices. The replayed table takes the smallest type that
-    holds the grown graph's largest degree, which no earlier degree
-    exceeds. After the last snapshot the replayed counts and table must
-    equal the grown graph's, or `BrokenGraph` is raised.
+    the same stream. The filled pool's slots are in step order, so each
+    snapshot then `_tally`s its own segment of them into the graph's
+    table, whose first rows are then the snapshot's vertices, and whose
+    later rows are still zero. After the last snapshot the tallied range
+    must end at the pool's end, the type counts must sum to the edges and
+    the table to the slots, or `BrokenGraph` is raised.
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
     if snapshot_every < 1:
         raise ValidationError("snapshot_every must be at least 1")
     first_step, first_vertex = graph.step_index, graph.num_vertices
-    start = len(graph.endpoint_pool)
-    type_counts = list(graph.type_counts)
-    before = graph.per_vertex_degree if census else None
     snapshots = [GraphSnapshot(first_step, edge_type_proportions(graph),
                                empirical_distribution(graph)
                                if census else None)]
-    grow(graph, schedule, m, n_steps, rng)
-    if census:
-        replayed = np.zeros(graph.per_vertex_degree.shape, degree_dtype(
-            graph.per_vertex_degree.max(initial=0)))
-        replayed[:first_vertex] = before
-        del before
-    pool, pool_types = graph.endpoint_pool, graph.pool_types
-    lo = start
+    start = lo = _fill(graph, schedule, m, n_steps, rng)
+    type_counts = np.array(graph.type_counts, np.int64)
     for done in range(snapshot_every, n_steps + snapshot_every,
                       snapshot_every):
         done = min(done, n_steps)
         hi = start + 2 * m * done
-        for base in range(lo, hi, 2 * _PASS_EDGES):
-            end = min(base + 2 * _PASS_EDGES, hi)
-            gained = np.bincount(pool_types[base:end:2],
-                                 minlength=graph.n_types)
-            type_counts = [a + b for a, b in zip(type_counts,
-                                                 gained.tolist())]
-            if census:
-                _add_degrees(replayed, pool[base:end], pool_types[base:end])
+        type_counts += _tally(graph, lo, hi)
         lo = hi
         snapshots.append(GraphSnapshot(
-            first_step + done, _proportions(type_counts, hi // 2),
-            empirical_distribution(graph, replayed[:first_vertex + done])
+            first_step + done, _proportions(type_counts.tolist(), hi // 2),
+            empirical_distribution(
+                graph, graph.per_vertex_degree[:first_vertex + done])
             if census else None))
-    if type_counts != graph.type_counts:
-        raise BrokenGraph("the type counts replayed from the pool disagree "
-                          "with the grown graph's")
-    if census and not np.array_equal(replayed, graph.per_vertex_degree):
-        raise BrokenGraph("the degrees replayed from the pool disagree "
-                          "with the grown degree table")
+    graph.type_counts = type_counts.tolist()
+    slots = len(graph.endpoint_pool)
+    if (lo != slots or sum(graph.type_counts) != graph.num_edges
+            or int(graph.per_vertex_degree.sum()) != slots):
+        raise BrokenGraph("the tallied snapshots do not add up to the grown "
+                          "graph's edges and degrees")
     return snapshots
 
 
@@ -502,7 +506,7 @@ def check_graph_invariants(graph: TypedGraph, m: int) -> list:
     """Exact conservation checks; returns human-readable violations (empty = ok).
 
     Besides the counts, the per-vertex degrees must be a recount of the
-    pool, made in passes of `_PASS_EDGES` edges. The checks past the pairing
+    pool, a `_tally` into a fresh table. The checks past the pairing
     read the pool as pairs of slots, so an unpaired pool stops there.
     """
     violations = []
@@ -536,13 +540,8 @@ def check_graph_invariants(graph: TypedGraph, m: int) -> list:
             or pool_v.max(initial=-1) >= vertices):
         violations.append("a slot names a vertex or type out of range")
         return violations
-    type_recount = np.zeros(n_types, np.int64)
     recount = np.zeros((vertices, n_types), _index_dtype(len(pool_v)))
-    for lo in range(0, len(pool_v), 2 * _PASS_EDGES):
-        types = pool_t[lo:lo + 2 * _PASS_EDGES]
-        type_recount += np.bincount(types[0::2], minlength=n_types)
-        _add_degrees(recount, pool_v[lo:lo + 2 * _PASS_EDGES], types)
-    if type_recount.tolist() != graph.type_counts:
+    if _tally(graph, 0, len(pool_v), recount).tolist() != graph.type_counts:
         violations.append("type counts disagree with the edge pool")
     if not np.array_equal(recount, degrees):
         violations.append("per-vertex degrees disagree with the pool")
