@@ -18,8 +18,8 @@ _EXPORTS = {
     "graph": ("PerturbationSchedule", "TypedGraph", "empirical_distribution",
               "grow", "new_graph", "pa_step", "run"),
     "harness": ("run_experiment", "tv_distance"),
-    "theory": ("solve_recurrence", "solve_unperturbed_recurrence",
-               "stationary_type_distribution"),
+    "matrices": ("stationary_type_distribution",),
+    "theory": ("solve_recurrence", "solve_unperturbed_recurrence"),
     "urn": ("ColumnSampler", "UrnState", "assumption_audit",
             "bernoulli_column_sampler", "new_urn", "run_urn", "urn_step"),
 }

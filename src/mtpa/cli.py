@@ -12,12 +12,24 @@ on, costs tens of milliseconds of a process that works for about 0.1 s (see
 the README). `main` itself returns its exit code, so an in-process caller
 sees no difference.
 
-A command imports only the layers it runs: the simulation, theory and
-harness functions are read through `_this` and loaded on first use (see
-LAZY), so `solve` never compiles the simulators and `simulate-graph` never
-compiles the urn, the harness or the solver.
+A command process does only the start-up work its command needs:
+- It runs without the cyclic garbage collector, from the first line of
+  this module (as `python -m mtpa.cli`) or of `console_main` (as the `mtpa`
+  script) until its hard exit. The collector's passes, mostly while numpy
+  imports, cost milliseconds and reclaim a few hundred objects; imported
+  as a module, this one leaves the collector as it was.
+- It imports only the layers it runs: the simulation, theory and harness
+  functions are read through `_this` and loaded on first use (see LAZY),
+  so `solve` never compiles the simulators and `simulate-graph` never
+  compiles the urn, the harness or the solver.
+- Its parser gives flags only to the subparser of the command it runs.
 """
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # before any other import; see console_main
 
 import argparse
 import os
@@ -92,9 +104,11 @@ FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per COMMANDS entry, taking only the flags it lists (a
-    trailing ! marks a required one) and no abbreviation of any flag."""
+def build_parser(flagged=None) -> argparse.ArgumentParser:
+    """One subparser per COMMANDS entry, listed with its help. Each command
+    in `flagged` (by default every one) takes only the flags it lists (a
+    trailing ! marks a required one) and no abbreviation of any flag; any
+    other command's subparser is left without flags."""
     parser = argparse.ArgumentParser(
         prog="mtpa", allow_abbrev=False,
         description="Preferential attachment with perturbed multi-type "
@@ -103,11 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags) in COMMANDS.items():
         sub = commands.add_parser(name, help=help_text, allow_abbrev=False)
+        sub.set_defaults(handler=handler)
+        if flagged is not None and name not in flagged:
+            continue
         for flag in flags.split():
             option = flag.rstrip("!")
             sub.add_argument(option, required=flag.endswith("!"),
                              **FLAGS[option])
-        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -338,7 +354,9 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # the top-level parser takes no option with a value, so the first
+    # command name in argv names the subparser that argparse runs
+    parser = build_parser(flagged=[arg for arg in argv if arg in COMMANDS][:1])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -352,11 +370,14 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    """Run `main` on sys.argv and end the process with its exit code,
-    skipping interpreter teardown. Only a normal return does so: an
+    """Run `main` on sys.argv with the cyclic garbage collector off and
+    end the process with its exit code, skipping interpreter teardown.
+    Nothing a command builds needs the collector: the process ends before
+    its garbage would matter. Only a normal return takes the hard exit: an
     exception from `main`, or a stream that cannot be flushed (a closed
     pipe), takes the usual `sys.exit` path, with its traceback and exit
     code."""
+    gc.disable()
     code = main()
     try:
         sys.stdout.flush()

@@ -7,9 +7,11 @@ depend on execution order. MTPA_THREADS caps process-level parallelism
 (unset or 1 = serial, 0 = all cores); any other non-integer or negative
 value is an error.
 
-`study` reads this module and never simulates, so `graph` and `urn` are
-loaded only when a replicate first runs (`_load_simulators`), or when one
-of their names is read from this module.
+A command loads only the layers its model runs: `graph`, `urn` and
+`theory` are each imported when this module first calls one of their
+LAYERS functions, or when one is read from this module, so an urn
+`compare` never loads `graph` or the lattice solver, and `study` never
+loads a simulator.
 """
 from __future__ import annotations
 
@@ -17,38 +19,44 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import (GRAPH, ExperimentConfig, comparison_cutoff,
                      replicate_stream)
-from .degrees import DegreeDistribution, aligned
 from .errors import BadArgs, BadPsi, ValidationError
-from .theory import (dirichlet_psi_sample, solve_recurrence,
-                     solve_unperturbed_recurrence,
-                     stationary_type_distribution)
+from .matrices import stationary_type_distribution
 
-# the simulation functions the replicates call, by their module
-SIMULATORS = {
+if TYPE_CHECKING:
+    from .degrees import DegreeDistribution
+
+# the functions this module calls from each layer, by the layer's module
+LAYERS = {
     "graph": ("check_graph_invariants", "edge_type_proportions",
               "empirical_distribution", "grow", "new_graph"),
+    "theory": ("dirichlet_psi_sample", "solve_recurrence",
+               "solve_unperturbed_recurrence"),
     "urn": ("bernoulli_column_sampler", "check_urn_invariants", "new_urn",
             "run_urn"),
 }
+_LAYER_OF = {name: module for module, names in LAYERS.items()
+             for name in names}
 
 
-def _load_simulators() -> None:
-    """Bind the SIMULATORS names in this module, leaving any name that is
-    bound already: a replacement set on this module stays the one called."""
-    for module, names in SIMULATORS.items():
-        loaded = __import__(f"{__package__}.{module}", fromlist=names)
-        for name in names:
-            globals().setdefault(name, getattr(loaded, name))
+def _load(module: str) -> None:
+    """Bind the LAYERS names of `module` in this module, leaving any name
+    that is bound already: a replacement set on this module stays the one
+    called, since every call here reads its function from these globals."""
+    names = LAYERS[module]
+    loaded = __import__(f"{__package__}.{module}", fromlist=names)
+    for name in names:
+        globals().setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name: str):
-    if any(name in names for names in SIMULATORS.values()):
-        _load_simulators()
+    if name in _LAYER_OF:
+        _load(_LAYER_OF[name])
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -72,6 +80,8 @@ def tv_distance(p: DegreeDistribution, q: DegreeDistribution,
     """Half the L1 distance over the rows of weight at most `cutoff` of
     either side, correctly rounded: fsum adds each max(p, q) - min(p, q)
     exactly, so no row order can change the result."""
+    from .degrees import aligned
+
     _, (a, b) = aligned((p, q), cutoff)
     return 0.5 * math.fsum(np.concatenate((np.maximum(a, b),
                                            -np.minimum(a, b))).tolist())
@@ -138,7 +148,7 @@ class ComparisonReport:
 
 
 def _graph_replicate(cfg: ExperimentConfig, index: int):
-    _load_simulators()  # a pool worker may start without them
+    _load("graph")  # a pool worker may start without it
     rng = replicate_stream(cfg.master_seed, index)
     graph = new_graph(cfg.seed_spec())
     grow(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps, rng)
@@ -149,7 +159,7 @@ def _graph_replicate(cfg: ExperimentConfig, index: int):
 
 
 def _urn_replicate(cfg: ExperimentConfig, index: int):
-    _load_simulators()
+    _load("urn")
     rng = replicate_stream(cfg.master_seed, index)
     sampler = bernoulli_column_sampler(cfg.f_matrix)
     urn = new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
@@ -176,12 +186,15 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
 
     Tolerance failures are recorded in the report, not raised.
     """
-    _load_simulators()
     # solve first, so an over-cap lattice fails before any replicate runs
     psi_ref = stationary_type_distribution(cfg.f_matrix)
     if cfg.model == GRAPH:
+        _load("theory")
         theory = solve_recurrence(cfg.f_matrix, cfg.m_edges,
                                   comparison_cutoff(cfg))
+    # each model is simulated by the module of its name; loaded here, so
+    # that forked pool workers start with it
+    _load(cfg.model)
     replicate = _graph_replicate if cfg.model == GRAPH else _urn_replicate
     raw = map_replicates(cfg, partial(replicate, cfg))
     results = [result for result, _ in raw]
@@ -194,6 +207,8 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     per_degree = None
     mean_tv = tv_passed = None
     if cfg.model == GRAPH:
+        from .degrees import aligned
+
         unaccounted = 1.0 - theory.total()
         for result, truncated in raw:
             result.tv = tv_distance(truncated, theory, cfg.cutoff)
@@ -256,6 +271,7 @@ def perturbed_vs_unperturbed_study(cfg: ExperimentConfig, n_psi_samples: int,
     seed graph's per-type edge counts, which is the tree case and therefore
     requires one edge per step.
     """
+    _load("theory")
     if psi_samples is None:
         if cfg.m_edges != 1:
             raise BadArgs("Dirichlet proportions only apply when each step "

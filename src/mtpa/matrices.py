@@ -1,9 +1,13 @@
-"""Row-stochastic matrix helpers: validation, irreducibility, file format."""
+"""Row-stochastic matrix helpers: validation, irreducibility, the
+stationary type proportions, file format."""
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
-from .errors import NotIrreducible, NotStochastic, ParseError, ValidationError
+from .errors import (NoConvergence, NotIrreducible, NotStochastic, ParseError,
+                     ValidationError)
 
 ROW_SUM_TOL = 1e-12
 # entries at or below this are treated as structural zeros when testing
@@ -85,6 +89,40 @@ def _reaches_all(adjacency: np.ndarray) -> bool:
 def require_irreducible(matrix: np.ndarray, *, what: str = "matrix") -> None:
     if not is_irreducible(matrix):
         raise NotIrreducible(f"{what} is not irreducible")
+
+
+def stationary_type_distribution(type_flip_matrix) -> np.ndarray:
+    """Asymptotic edge-type proportions psi, with psi @ F = psi and sum 1.
+
+    For an irreducible row-stochastic F this is the unique stationary
+    probability vector of the type-flip chain, i.e. the simplex-normalized
+    left Perron eigenvector. One dense linear solve finds it, periodic
+    chains included: psi (F - I) = 0 with one equation replaced by sum 1.
+
+    Raises NotStochastic, NotIrreducible, or NoConvergence.
+    """
+    flip = as_row_stochastic(type_flip_matrix, what="F")
+    require_irreducible(flip, what="F")
+    n = flip.shape[0]
+    if np.any((flip == 0.0) | (flip == 1.0)) and n > 1:
+        warnings.warn(
+            "F has boundary entries (exactly 0 or 1); the proportion limit "
+            "was established for entries strictly inside (0, 1)",
+            stacklevel=2)
+    system = flip.T - np.eye(n)
+    system[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        psi = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"direct solve failed: {exc}") from exc
+    psi = np.maximum(psi, 0.0)
+    psi /= psi.sum()
+    residual = float(np.max(np.abs(psi @ flip - psi)))
+    if residual > 1e-12:
+        raise NoConvergence(f"stationary residual {residual:.3e} exceeds 1e-12")
+    return psi
 
 
 def read_matrix(path) -> np.ndarray:

@@ -4,10 +4,12 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .degrees import DegreeDistribution, degree_dtype
+if TYPE_CHECKING:
+    from .degrees import DegreeDistribution
 
 
 def fmt(value) -> str:
@@ -103,6 +105,8 @@ def _snapshot_passes(snapshots):
 
 
 def _snapshot_columns(group):
+    from .degrees import degree_dtype  # loaded already: `graph` reads it
+
     dists = [s.distribution for s in group]
     steps = [s.n for s in group]
     n = np.repeat(np.array(steps, degree_dtype(max(steps))),

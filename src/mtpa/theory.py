@@ -1,15 +1,14 @@
 """Deterministic numerics for the asymptotic degree distribution.
 
-Covers the stationary edge-type proportions (Perron left eigenvector of the
-perturbation limit), one lattice walk that solves the degree recurrences of
-both the perturbed and the non-perturbed dynamics, and the Dirichlet law of
-the non-perturbed proportions. The exact finite-step probabilities that
-only the convergence series read are in `convergence`.
+Covers one lattice walk that solves the degree recurrences of both the
+perturbed and the non-perturbed dynamics, and the Dirichlet law of the
+non-perturbed proportions. The stationary edge-type proportions they start
+from are computed in `matrices` and re-exported here; the exact finite-step
+probabilities that only the convergence series read are in `convergence`.
 """
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from . import matrices
 from .degrees import (Degree, DegreeDistribution, THEORETICAL_PERTURBED,
                       THEORETICAL_UNPERTURBED, degree_dtype, lattice_size)
 from .errors import BadArgs, BadCounts, BadPsi, CapacityExceeded, NoConvergence
+from .matrices import stationary_type_distribution
 
 #: hard cap on enumerated lattice cells before the solver refuses
 LATTICE_CAP = 10_000_000
@@ -26,40 +26,6 @@ EXACT_FACTORIAL_LIMIT = 20
 
 #: largest layer-total deviation; psi's 1e-12 slack alone moves one by 2e-12
 MARGINAL_TOLERANCE = 3e-12
-
-
-def stationary_type_distribution(type_flip_matrix) -> np.ndarray:
-    """Asymptotic edge-type proportions psi, with psi @ F = psi and sum 1.
-
-    For an irreducible row-stochastic F this is the unique stationary
-    probability vector of the type-flip chain, i.e. the simplex-normalized
-    left Perron eigenvector. One dense linear solve finds it, periodic
-    chains included: psi (F - I) = 0 with one equation replaced by sum 1.
-
-    Raises NotStochastic, NotIrreducible, or NoConvergence.
-    """
-    flip = matrices.as_row_stochastic(type_flip_matrix, what="F")
-    matrices.require_irreducible(flip, what="F")
-    n = flip.shape[0]
-    if np.any((flip == 0.0) | (flip == 1.0)) and n > 1:
-        warnings.warn(
-            "F has boundary entries (exactly 0 or 1); the proportion limit "
-            "was established for entries strictly inside (0, 1)",
-            stacklevel=2)
-    system = flip.T - np.eye(n)
-    system[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        psi = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"direct solve failed: {exc}") from exc
-    psi = np.maximum(psi, 0.0)
-    psi /= psi.sum()
-    residual = float(np.max(np.abs(psi @ flip - psi)))
-    if residual > 1e-12:
-        raise NoConvergence(f"stationary residual {residual:.3e} exceeds 1e-12")
-    return psi
 
 
 def _mass_of_fresh_vertex(d: Degree, m: int, assignment_rates) -> float:

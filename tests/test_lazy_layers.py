@@ -1,12 +1,14 @@
 """Each command loads only the layers it runs, and calls them late.
 
-`import mtpa` loads no module, and `mtpa.cli` imports a simulation, theory
-or harness module only when a command first reads one of its functions, so
-the module set a command process ends with is fixed here, command by
-command. The benchmark's probes replace functions on `mtpa.cli` and
-`mtpa.harness`; the tests below check that the replacement is what runs,
-and that a parallel `compare` in a fresh process, whose workers may have to
-load the simulators themselves, writes the bytes of a serial one.
+`import mtpa` loads no module, `mtpa.cli` imports a simulation, theory
+or harness module only when a command first reads one of its functions,
+and `mtpa.harness` imports `graph`, `urn` and `theory` one at a time, as
+the model it compares reads them, so the module set a command process
+ends with is fixed here, command by command. The benchmark's probes
+replace functions on `mtpa.cli` and `mtpa.harness`; the tests below check
+that the replacement is what runs, serial and in pool workers, and that a
+parallel `compare` in a fresh process, whose workers may have to load the
+simulators themselves, writes the bytes of a serial one.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
 from importlib import import_module
 from pathlib import Path
 
@@ -27,33 +30,35 @@ from test_cli_exit import child_env, outputs, spawn, workdir
 BENCH_CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 
 # every command reads these
-BASE = {"mtpa", "mtpa.cli", "mtpa.config", "mtpa.degrees", "mtpa.errors",
-        "mtpa.matrices", "mtpa.output"}
-SIMULATION = {"mtpa.graph", "mtpa.harness", "mtpa.theory", "mtpa.urn"}
+BASE = {"mtpa", "mtpa.cli", "mtpa.config", "mtpa.errors", "mtpa.matrices",
+        "mtpa.output"}
+# what a graph and an urn model's comparison read beyond BASE
+GRAPH = {"mtpa.degrees", "mtpa.graph", "mtpa.harness", "mtpa.theory"}
+URN = {"mtpa.harness", "mtpa.urn"}
 
 # name -> (argv, the modules beyond BASE its process loads)
 COMMANDS = {
     "help": (["--help"], set()),
     "solve": (["solve", "--n", "2", "--f", "symmetric:0.9", "--dmax", "8"],
-              {"mtpa.theory"}),
+              {"mtpa.degrees", "mtpa.theory"}),
     "solve-unperturbed": (["solve-unperturbed", "--n", "2", "--psi",
-                           "0.3,0.7", "--dmax", "8"], {"mtpa.theory"}),
+                           "0.3,0.7", "--dmax", "8"],
+                          {"mtpa.degrees", "mtpa.theory"}),
     "solve-unperturbed-e0": (["solve-unperturbed", "--n", "2", "--e0", "1,2",
-                              "--dmax", "8"], {"mtpa.theory"}),
+                              "--dmax", "8"], {"mtpa.degrees", "mtpa.theory"}),
     "study": (["study", "--config", "study.ini", "--psi-samples", "3"],
-              {"mtpa.harness", "mtpa.theory"}),
+              {"mtpa.degrees", "mtpa.harness", "mtpa.theory"}),
     "simulate-graph": (["simulate-graph", "--config", "decaying.ini",
-                        "--steps", "20"], {"mtpa.graph"}),
+                        "--steps", "20"], {"mtpa.degrees", "mtpa.graph"}),
     "simulate-urn": (["simulate-urn", "--config", "urn.ini", "--steps", "20"],
                      {"mtpa.urn"}),
     "audit": (["audit", "--n", "2", "--f", "symmetric:0.9", "--samples", "5"],
               {"mtpa.urn"}),
     "compare-graph": (["compare", "--config", "graph.ini", "--steps", "20"],
-                      SIMULATION),
-    "compare-urn": (["compare", "--config", "urn.ini", "--steps", "20"],
-                    SIMULATION),
+                      GRAPH),
+    "compare-urn": (["compare", "--config", "urn.ini", "--steps", "20"], URN),
     "diagnose": (["diagnose", "--config", "graph.ini", "--steps", "20",
-                  "--quantity", "tv"], SIMULATION | {"mtpa.convergence"}),
+                  "--quantity", "tv"], GRAPH | URN | {"mtpa.convergence"}),
 }
 
 # run `mtpa.cli.main` on argv, then print the mtpa modules as the last line
@@ -136,23 +141,60 @@ def test_a_replacement_on_the_cli_is_what_runs(name, tmp_path, monkeypatch):
         cli.main(WORK_COMMANDS[name] + ["--out", "out"])
 
 
-def test_a_replacement_on_the_harness_is_what_runs(tmp_path, monkeypatch):
-    workdir(tmp_path / "run")
-    calls = []
-    for name in ("new_graph", "run_urn"):
+# config -> the harness functions its comparison calls, with the count of
+# calls: once per run, or once per replicate (graph.ini has 2, urn.ini 3)
+HARNESS_CALLS = {
+    "graph.ini": {"stationary_type_distribution": 1, "solve_recurrence": 1,
+                  "new_graph": 2, "grow": 2, "check_graph_invariants": 2,
+                  "empirical_distribution": 2, "edge_type_proportions": 2},
+    "urn.ini": {"stationary_type_distribution": 1,
+                "bernoulli_column_sampler": 3, "new_urn": 3, "run_urn": 3,
+                "check_urn_invariants": 3},
+    # the study's calls, by perturbed_vs_unperturbed_study(cfg, 3)
+    "study.ini": {"dirichlet_psi_sample": 3, "solve_recurrence": 1,
+                  "solve_unperturbed_recurrence": 1},
+}
+
+
+def spy_on_harness(names, log: Path, monkeypatch) -> None:
+    """Replace each of `names` on the harness by a spy that appends its
+    name to `log`, a file, so that a pool worker's calls are seen too."""
+    for name in names:
         real = getattr(harness, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
+            with open(log, "a") as fh:
+                fh.write(_name + "\n")
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, spy)
+
+
+def test_a_replacement_on_the_harness_is_what_runs(tmp_path, monkeypatch):
+    run = workdir(tmp_path / "run")
     for config in ("graph.ini", "urn.ini"):
-        harness.run_experiment(parse_config(tmp_path / "run" / config))
-    assert calls.count("new_graph") == 2 and calls.count("run_urn") == 3
+        for threads in ("1", "2"):
+            log = tmp_path / f"{config}.{threads}.log"
+            with monkeypatch.context() as patch:
+                spy_on_harness(HARNESS_CALLS[config], log, patch)
+                patch.setenv("MTPA_THREADS", threads)
+                harness.run_experiment(parse_config(run / config))
+            assert (Counter(log.read_text().split())
+                    == HARNESS_CALLS[config]), (config, threads)
 
 
-# binds the replacements before harness has loaded graph or urn
+def test_a_replacement_on_the_harness_is_what_the_study_runs(tmp_path,
+                                                            monkeypatch):
+    log = tmp_path / "calls.log"
+    spy_on_harness(HARNESS_CALLS["study.ini"], log, monkeypatch)
+    harness.perturbed_vs_unperturbed_study(
+        parse_config(workdir(tmp_path / "run") / "study.ini"), 3)
+    assert Counter(log.read_text().split()) == HARNESS_CALLS["study.ini"]
+
+
+# binds the replacements named by argv[1] before harness has loaded any
+# layer, then runs each target in argv[2:]: a config's comparison, or the
+# study of study.ini; prints how often a replacement ran
 FRESH_HARNESS = """
 import sys
 import mtpa.harness as harness
@@ -162,21 +204,35 @@ calls = []
 def spy(*args, **kwargs):
     calls.append(args)
     raise RuntimeError("replaced")
-harness.new_graph = harness.run_urn = spy
-for config in sys.argv[1:]:
+for name in sys.argv[1].split(","):
+    setattr(harness, name, spy)
+for target in sys.argv[2:]:
     try:
-        harness.run_experiment(parse_config(config))
+        if target == "study":
+            harness.perturbed_vs_unperturbed_study(parse_config("study.ini"), 3)
+        else:
+            harness.run_experiment(parse_config(target))
     except RuntimeError:
         pass
 print(len(calls))
 """
 
 
-def test_a_replacement_bound_before_the_first_run_is_kept(tmp_path):
-    proc = spawn(["-c", FRESH_HARNESS, "graph.ini", "urn.ini"],
+def fresh_harness_calls(names: str, targets: list, tmp_path) -> int:
+    proc = spawn(["-c", FRESH_HARNESS, names, *targets],
                  workdir(tmp_path / "run"), capture_output=True, text=True,
                  check=True)
-    assert proc.stdout.strip() == "2"
+    return int(proc.stdout)
+
+
+def test_a_replacement_bound_before_the_first_run_is_kept(tmp_path):
+    assert fresh_harness_calls("new_graph,run_urn", ["graph.ini", "urn.ini"],
+                               tmp_path) == 2
+
+
+def test_a_theory_replacement_bound_before_the_first_run_is_kept(tmp_path):
+    assert fresh_harness_calls("solve_recurrence,dirichlet_psi_sample",
+                               ["graph.ini", "study"], tmp_path) == 2
 
 
 @pytest.mark.parametrize("config", ("graph.ini", "urn.ini"))

@@ -15,7 +15,10 @@ object:
   (`maxrss_mib`), and the `mtpa.*` modules its process imported
   (`modules`), read from one more run under `-X importtime` outside the
   timed rounds (`mtpa.cli` itself runs as `__main__`, so it is not
-  listed);
+  listed), and the number of cyclic garbage collector passes
+  (`gc_passes`) and their milliseconds (`gc_ms`) in one more run, whose
+  `gc.callbacks` hook times every pass from the interpreter's start-up to
+  its exit;
 - `teardown`: `python -c "import mtpa.cli"`, which ends with the usual
   interpreter teardown (`normal`), against the same import followed by
   `os._exit(0)` (`hard`), R rounds each, alternating; the medians and
@@ -33,6 +36,37 @@ import tempfile
 import time
 
 IMPORT = "import mtpa.cli"
+
+# `python -m mtpa.cli ARGS` as runpy runs it for -m, with a gc.callbacks
+# hook timing every collector pass; the process writes [passes, seconds]
+# to PATH as it ends, whichever way it ends
+GC_PROBE = """
+import gc, json, os, runpy, sys, time
+path = sys.argv.pop(1)
+passes, spent, start = [0], [0.0], [0.0]
+
+def hook(phase, info):
+    if phase == "start":
+        start[0] = time.perf_counter()
+    else:
+        passes[0] += 1
+        spent[0] += time.perf_counter() - start[0]
+
+def report():
+    with open(path, "w") as fh:
+        json.dump([passes[0], spent[0]], fh)
+
+def exit_after_report(code, _exit=os._exit):
+    report()
+    _exit(code)
+
+gc.callbacks.append(hook)
+os._exit = exit_after_report
+try:
+    runpy.run_module("mtpa.cli", run_name="__main__", alter_sys=True)
+finally:
+    report()
+"""
 
 
 def child(argv: list, env: dict, cwd: str) -> dict:
@@ -61,6 +95,17 @@ def imported(argv: list, env: dict, cwd: str) -> list:
     return sorted(n for n in names if n.split(".")[0] == "mtpa")
 
 
+def collector(args: list, env: dict, cwd: str) -> dict:
+    """Passes and milliseconds of the cyclic garbage collector in one
+    `python -m mtpa.cli ARGS` child, from GC_PROBE's hook."""
+    path = os.path.join(cwd, "gc_probe.json")
+    subprocess.run([sys.executable, "-c", GC_PROBE, path, *args],
+                   cwd=cwd, env=env, stdout=subprocess.DEVNULL, check=True)
+    with open(path) as fh:
+        passes, seconds = json.load(fh)
+    return {"gc_passes": passes, "gc_ms": round(1e3 * seconds, 2)}
+
+
 def medians(rows: list, digits: int = 4) -> dict:
     return {key: round(statistics.median(r[key] for r in rows), digits)
             for key in rows[0]}
@@ -83,6 +128,8 @@ def commands(root: str, env: dict, rounds: int) -> dict:
                         for r in range(rounds)]
                 out[f"{name}.{command.argv[0]}"] = dict(
                     medians(rows),
+                    **collector([*command.argv, "--out", f"{command.out}_gc"],
+                                env, tmp),
                     modules=imported(argv + [f"{command.out}_modules"], env,
                                      tmp))
     return out
