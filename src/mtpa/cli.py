@@ -19,9 +19,9 @@ A command process does only the start-up work its command needs:
   imports, cost milliseconds and reclaim a few hundred objects; imported
   as a module, this one leaves the collector as it was.
 - It imports only the layers it runs: the simulation, theory and harness
-  functions are read through `_this` and loaded on first use (see LAZY),
-  so `solve` never compiles the simulators and `simulate-graph` never
-  compiles the urn, the harness or the solver.
+  functions are read through `_this` and loaded on first use (see
+  `mtpa.LAZY`), so `solve` never compiles the simulators and
+  `simulate-graph` never compiles the urn, the harness or the solver.
 - Its parser gives flags only to the subparser of the command it runs.
 """
 from __future__ import annotations
@@ -38,40 +38,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, matrices
+from . import __version__, lazy, matrices
 from .config import (ExperimentConfig, SeedGraphSpec, config_fields,
                      parse_list, replicate_stream)
 from .errors import MtpaError, ValidationError
 from .output import (write_csv, write_distribution_csv, write_graph_snapshots,
                      write_manifest, write_urn_trajectory)
 
-# every simulation, theory and harness function a command calls, by its
-# module; each is imported when first read (`__getattr__`), so a command
-# loads only the layers it runs
-LAZY = {
-    "new_graph": "graph", "run": "graph",
-    "run_experiment": "harness", "perturbed_vs_unperturbed_study": "harness",
-    "convergence_series": "convergence",
-    "dirichlet_psi_sample": "theory", "solve_recurrence": "theory",
-    "solve_unperturbed_recurrence": "theory",
-    "assumption_audit": "urn", "bernoulli_column_sampler": "urn",
-    "new_urn": "urn", "run_urn": "urn",
-}
-
-
-def __getattr__(name: str):
-    if name not in LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # the import statement's own path, which -X importtime reports
-    value = getattr(__import__(f"{__package__}.{LAZY[name]}",
-                               fromlist=[name]), name)
-    globals()[name] = value
-    return value
-
-
-# this module: a handler calls each LAZY function through it, so it calls
-# the function as bound here at call time, a replacement set on the module
-# included
+# every simulation, theory and harness function a handler calls is read
+# through `_this`, this module, so a replacement set on the module is what
+# runs; `__getattr__` imports the function's module when it is first read
+__getattr__ = lazy(globals())[0]
 _this = sys.modules[__name__]
 
 

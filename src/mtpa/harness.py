@@ -8,21 +8,22 @@ depend on execution order. MTPA_THREADS caps process-level parallelism
 value is an error.
 
 A command loads only the layers its model runs: `graph`, `urn` and
-`theory` are each imported when this module first calls one of their
-LAYERS functions, or when one is read from this module, so an urn
-`compare` never loads `graph` or the lattice solver, and `study` never
-loads a simulator.
+`theory` are each imported when this module first reads one of their
+functions (see `mtpa.LAZY`), so an urn `compare` never loads `graph` or
+the lattice solver, and `study` never loads a simulator.
 """
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import lazy
 from .config import (GRAPH, ExperimentConfig, comparison_cutoff,
                      replicate_stream)
 from .errors import BadArgs, BadPsi, ValidationError
@@ -31,34 +32,12 @@ from .matrices import stationary_type_distribution
 if TYPE_CHECKING:
     from .degrees import DegreeDistribution
 
-# the functions this module calls from each layer, by the layer's module
-LAYERS = {
-    "graph": ("check_graph_invariants", "edge_type_proportions",
-              "empirical_distribution", "grow", "new_graph"),
-    "theory": ("dirichlet_psi_sample", "solve_recurrence",
-               "solve_unperturbed_recurrence"),
-    "urn": ("bernoulli_column_sampler", "check_urn_invariants", "new_urn",
-            "run_urn"),
-}
-_LAYER_OF = {name: module for module, names in LAYERS.items()
-             for name in names}
-
-
-def _load(module: str) -> None:
-    """Bind the LAYERS names of `module` in this module, leaving any name
-    that is bound already: a replacement set on this module stays the one
-    called, since every call here reads its function from these globals."""
-    names = LAYERS[module]
-    loaded = __import__(f"{__package__}.{module}", fromlist=names)
-    for name in names:
-        globals().setdefault(name, getattr(loaded, name))
-
-
-def __getattr__(name: str):
-    if name in _LAYER_OF:
-        _load(_LAYER_OF[name])
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# every `graph`, `urn` and `theory` function this module calls is read
+# through `_this`, this module, so a replacement set on the module is what
+# runs, in pool workers too; `__getattr__` imports the function's module
+# when it is first read
+__getattr__, _load = lazy(globals())
+_this = sys.modules[__name__]
 
 
 def max_workers(replicates: int) -> int:
@@ -148,23 +127,21 @@ class ComparisonReport:
 
 
 def _graph_replicate(cfg: ExperimentConfig, index: int):
-    _load("graph")  # a pool worker may start without it
     rng = replicate_stream(cfg.master_seed, index)
-    graph = new_graph(cfg.seed_spec())
-    grow(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps, rng)
-    violations = check_graph_invariants(graph, cfg.m_edges)
-    truncated = empirical_distribution(graph).truncated(cfg.cutoff)
-    return ReplicateResult(index, None, edge_type_proportions(graph), 0.0,
-                           violations), truncated
+    graph = _this.new_graph(cfg.seed_spec())
+    _this.grow(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps, rng)
+    violations = _this.check_graph_invariants(graph, cfg.m_edges)
+    truncated = _this.empirical_distribution(graph).truncated(cfg.cutoff)
+    psi = _this.edge_type_proportions(graph)
+    return ReplicateResult(index, None, psi, 0.0, violations), truncated
 
 
 def _urn_replicate(cfg: ExperimentConfig, index: int):
-    _load("urn")
     rng = replicate_stream(cfg.master_seed, index)
-    sampler = bernoulli_column_sampler(cfg.f_matrix)
-    urn = new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
-    run_urn(urn, sampler, cfg.n_steps, cfg.snapshot_every, rng)
-    violations = check_urn_invariants(urn)
+    sampler = _this.bernoulli_column_sampler(cfg.f_matrix)
+    urn = _this.new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
+    _this.run_urn(urn, sampler, cfg.n_steps, cfg.snapshot_every, rng)
+    violations = _this.check_urn_invariants(urn)
     return ReplicateResult(index, None, urn.fractions(), 0.0, violations), None
 
 
@@ -189,9 +166,8 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     # solve first, so an over-cap lattice fails before any replicate runs
     psi_ref = stationary_type_distribution(cfg.f_matrix)
     if cfg.model == GRAPH:
-        _load("theory")
-        theory = solve_recurrence(cfg.f_matrix, cfg.m_edges,
-                                  comparison_cutoff(cfg))
+        theory = _this.solve_recurrence(cfg.f_matrix, cfg.m_edges,
+                                        comparison_cutoff(cfg))
     # each model is simulated by the module of its name; loaded here, so
     # that forked pool workers start with it
     _load(cfg.model)
@@ -271,14 +247,13 @@ def perturbed_vs_unperturbed_study(cfg: ExperimentConfig, n_psi_samples: int,
     seed graph's per-type edge counts, which is the tree case and therefore
     requires one edge per step.
     """
-    _load("theory")
     if psi_samples is None:
         if cfg.m_edges != 1:
             raise BadArgs("Dirichlet proportions only apply when each step "
                           "adds a single edge; pass psi_samples explicitly")
         rng = replicate_stream(cfg.master_seed, 0, lane=1)
         counts = cfg.seed_spec().type_counts()
-        psi_samples = [dirichlet_psi_sample(counts, rng)
+        psi_samples = [_this.dirichlet_psi_sample(counts, rng)
                        for _ in range(n_psi_samples)]
     if not len(psi_samples):
         raise BadArgs("need at least one psi sample")
@@ -288,8 +263,8 @@ def perturbed_vs_unperturbed_study(cfg: ExperimentConfig, n_psi_samples: int,
     # a weight layer depends only on lighter ones, so both walks stop at
     # the cutoff, with the same rows; one walk carries every sample
     cutoff = comparison_cutoff(cfg)
-    perturbed = solve_recurrence(cfg.f_matrix, cfg.m_edges, cutoff)
-    degrees, mean, std = solve_unperturbed_recurrence(
+    perturbed = _this.solve_recurrence(cfg.f_matrix, cfg.m_edges, cutoff)
+    degrees, mean, std = _this.solve_unperturbed_recurrence(
         np.array(psi_samples, dtype=float).T, cfg.m_edges, cutoff)
     return StudyReport(
         n_samples=len(psi_samples),

@@ -1,8 +1,6 @@
 """CSV and manifest writers: locale-free, 17-significant-digit reals."""
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -136,6 +134,8 @@ def write_urn_trajectory(path, snapshots, n_types: int) -> Path:
 
 
 def file_digest(path) -> str:
+    import hashlib  # here: `--help` and a usage error write no manifest
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -150,6 +150,8 @@ def write_manifest(out_dir, *, command, version: str, master_seed,
     Written exactly once, after all outputs; re-running `command` with the
     same tool version reproduces every listed file bit-exactly.
     """
+    import json
+
     out_dir = Path(out_dir)
     manifest = {
         "tool": "mtpa",

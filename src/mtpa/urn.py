@@ -21,7 +21,7 @@ from .errors import (BadMatrix, BrokenUrn, EmptyUrn, NegativeCount,
                      NotStochastic, ValidationError)
 
 # most steps one run_urn chunk advances
-MAX_CHUNK_STEPS = 4096
+MAX_CHUNK_STEPS = 2048
 
 
 @dataclass

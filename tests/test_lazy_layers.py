@@ -96,12 +96,31 @@ def test_importing_mtpa_loads_no_module_of_it(tmp_path):
     assert json.loads(proc.stdout) == ["mtpa"]
 
 
-def test_every_public_name_resolves_to_its_module():
-    for name in mtpa.__all__:
-        module = import_module(f"mtpa.{mtpa._MODULE_OF[name]}")
-        assert getattr(mtpa, name) is getattr(module, name)
-    with pytest.raises(AttributeError):
-        mtpa.no_such_name
+# the package's public names: `mtpa.__all__` lists these, in this order
+PUBLIC = [
+    "ColumnSampler", "DegreeDistribution", "ExperimentConfig",
+    "PerturbationSchedule", "SeedGraphSpec", "TypedGraph", "UrnState",
+    "assumption_audit", "bernoulli_column_sampler", "empirical_distribution",
+    "grow", "new_graph", "new_urn", "pa_step", "replicate_stream", "run",
+    "run_experiment", "run_urn", "solve_recurrence",
+    "solve_unperturbed_recurrence", "stationary_type_distribution",
+    "tv_distance", "urn_step",
+]
+
+
+def test_every_lazy_name_resolves_to_its_module():
+    assert mtpa.__all__ == PUBLIC
+    assert set(PUBLIC) <= {name for names in mtpa.LAZY.values()
+                           for name in names}
+    for namespace in (mtpa, cli, harness):
+        for module, names in mtpa.LAZY.items():
+            defining = import_module(f"mtpa.{module}")
+            for name in names:
+                value = getattr(defining, name)
+                assert value.__module__ == defining.__name__, name
+                assert getattr(namespace, name) is value, (namespace, name)
+        with pytest.raises(AttributeError):
+            namespace.no_such_name
 
 
 def bench_work_calls() -> tuple:

@@ -168,3 +168,29 @@ def test_a_command_process_runs_with_the_collector_off(tmp_path):
     proc = spawn(["-c", AS_MAIN, *SOLVE], tmp_path, capture_output=True,
                  text=True, check=True)
     assert proc.stdout.splitlines()[0] == "collector on: False passes: 0"
+
+
+# --------------------------------------------------------------------------
+# the manifest's modules
+
+# run `mtpa.cli.main` on argv, then print its exit code and which of the
+# modules only the manifest reads the process has loaded
+MANIFEST_MODULES = """
+import sys
+import mtpa.cli
+code = mtpa.cli.main(sys.argv[1:])
+print(code, *sorted({"hashlib", "_hashlib", "json"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (["--help"], "0"),
+    (["--version"], "0"),
+    (["solve", "--bogus"], "2"),             # a flag the command lacks
+    (["solve", "--out", "out"], "2"),        # neither --config nor --n
+    (SOLVE, "0 _hashlib hashlib json"),      # writes a manifest
+])
+def test_only_a_manifest_loads_hashlib_and_json(argv, last_line, tmp_path):
+    proc = spawn(["-c", MANIFEST_MODULES, *argv], tmp_path,
+                 capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == last_line
