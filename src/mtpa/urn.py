@@ -20,8 +20,13 @@ from . import matrices
 from .errors import (BadMatrix, BrokenUrn, EmptyUrn, NegativeCount,
                      NotStochastic, ValidationError)
 
-# most steps one run_urn chunk advances
+# most steps one run_urn chunk advances, and most draws it makes
 MAX_CHUNK_STEPS = 2048
+MAX_CHUNK_DRAWS = 8192
+# most draws a chunk steps in order, one at a time, without numpy passes
+IN_ORDER_DRAWS = 128
+# most fixed-point rounds a chunk's doubtful draws go through
+MAX_ROUNDS = 8
 
 
 @dataclass
@@ -106,11 +111,11 @@ def new_urn(initial_composition, m: int, sampler: ColumnSampler) -> UrnState:
     return UrnState(composition=comp, m=m, initial_total=sum(comp))
 
 
-def _draw(x: float, comp, u: float, cdfs) -> int:
-    """One draw: the colour whose cumulative count first exceeds
-    x = u_pick * total in `comp`, flipped by its row CDF in `cdfs` (a list
-    of lists) with the uniform `u`. Returns the colour that gains the ball."""
-    return bisect_right(cdfs[bisect_right(list(accumulate(comp)), x)], u)
+def _draw(x: float, cum, u: float, cdfs) -> int:
+    """One draw: the colour whose cumulative count in `cum` (a list) first
+    exceeds x = u_pick * total, flipped by its row CDF in `cdfs` (a list of
+    lists) with the uniform `u`. Returns the colour that gains the ball."""
+    return bisect_right(cdfs[bisect_right(cum, x)], u)
 
 
 def urn_step(urn: UrnState, sampler: ColumnSampler,
@@ -124,8 +129,8 @@ def urn_step(urn: UrnState, sampler: ColumnSampler,
     total = urn.total
     us = rng.random(2 * m).tolist()
     cdfs = sampler.row_cdfs.tolist()
-    gained = [_draw(us[i] * total, urn.composition, us[m + i], cdfs)
-              for i in range(m)]
+    cum = list(accumulate(urn.composition))
+    gained = [_draw(us[i] * total, cum, us[m + i], cdfs) for i in range(m)]
     for k in gained:
         urn.composition[k] += 1
     urn.step_index += 1
@@ -147,74 +152,119 @@ def _flips(u: np.ndarray, pick: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return _passed(u, [column[pick] for column in cdf.T[:-1]])
 
 
-def _gains_before(gained: np.ndarray, n: int) -> np.ndarray:
-    """(K+1, n+1): row j counts the draws of the steps before step j that
-    gained each colour, colour n standing for a draw still in doubt."""
-    steps = len(gained)
-    keys = (np.arange(steps)[:, None] * (n + 1) + gained).ravel()
-    counts = np.bincount(keys, minlength=steps * (n + 1)).reshape(steps, n + 1)
-    before = np.zeros((steps + 1, n + 1), dtype=np.intp)
-    np.cumsum(counts, axis=0, out=before[1:])
-    return before
+def _in_order(comp: np.ndarray, total: int, m: int, us: np.ndarray,
+              cdf: np.ndarray) -> np.ndarray:
+    """Balls each colour gains over len(us) steps from composition `comp`,
+    stepped one at a time with `_draw` as `urn_step` steps them."""
+    x = us[:, :m] * (total + np.arange(0, m * len(us), m))[:, None]
+    cdfs, start = cdf.tolist(), comp.tolist()
+    counts = list(start)
+    for picks, flips in zip(x.tolist(), us[:, m:].tolist()):
+        cum = list(accumulate(counts))
+        for k in [_draw(a, cum, u, cdfs) for a, u in zip(picks, flips)]:
+            counts[k] += 1
+    return np.subtract(counts, start)
+
+
+def _colour_counts(draws: int, above) -> np.ndarray:
+    """How many of `draws` draws gained each colour, given how many gained a
+    colour above c for each c."""
+    bounds = [draws, *above, 0]
+    return np.array([a - b for a, b in zip(bounds, bounds[1:])])
 
 
 def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
                  sampler: ColumnSampler) -> np.ndarray:
     """Balls each colour gains over len(us) steps from composition `comp`.
 
-    Row j of `us` holds step j's 2*m uniforms. Step j's total is known in
-    advance, total + m*j, and each colour boundary (a cumulative count) lies
-    between its chunk-start value and that plus m*j. A draw whose
-    x = u * total_j passes the same boundaries under both bounds is settled:
-    its colour, and so its flip, is known without stepping. One round then
-    tightens the bounds to the settled draws' exact gains plus one ball per
-    draw still in doubt before step j; what stays in doubt is stepped in
-    order with `_draw`. Every product and compare is the one `urn_step`
-    makes, so the gains are the same bit for bit.
+    Row j of `us` holds step j's 2*m uniforms; a draw's pick product is
+    x = u * total_j, with step j's total known in advance, total + m*j.
+    A chunk of at most `IN_ORDER_DRAWS` draws is stepped in order with
+    `_draw`: numpy's per-call cost would exceed its few draws. Otherwise the
+    draws are held as (m, K) rows. Each colour boundary (a cumulative count)
+    lies between its chunk-start value and that plus m*j, and a draw whose
+    x passes the same boundaries under both bounds is settled: its colour,
+    and so its flip, is known without stepping. The draws in doubt then go
+    through a fixed point: from guessed gains, the boundaries each doubtful
+    draw sees, its pick and its flip, repeated until the gains repeat. A
+    draw depends only on the steps before it, so each round is exact at
+    least one step further, and a repeat is the exact answer. After
+    `MAX_ROUNDS` rounds the steps not yet known to be exact are stepped in
+    order. Every product and compare is the one `urn_step` makes, so the
+    gains are the same bit for bit.
     """
     steps, n = len(us), len(comp)
     cdf = sampler.row_cdfs
-    grown = m * np.arange(steps, dtype=float)
-    x = us[:, :m] * (total + grown)[:, None]
-    flip_u = us[:, m:]
-    edges = np.cumsum(comp)[:-1]
-    pick = _passed(x, edges)
+    if m * steps <= IN_ORDER_DRAWS:
+        return _in_order(comp, total, m, us, cdf)
+    grown = np.arange(0, m * steps, m)
+    # row i holds uniform i of every step (the m picks, then the m flips),
+    # step j in column j
+    uniforms = us.T.copy()
+    x = uniforms[:m] * (total + grown)
+    flip_u = uniforms[m:]
+    # boundary c at the low bound is edges[c + 1]; edges[0] is passed by all
+    edges = np.array([-np.inf, *accumulate(comp[:-1].tolist())])
+    pick = _passed(x, edges[1:])
+    # per pick, the low bound of the last boundary it passes, then its row
+    # CDF less the last entry
+    at_pick = np.take(np.vstack((edges, cdf[:, :-1].T)), pick, axis=1)
     # settled when x passes the high bound of the last boundary it passes
     # at the low bound, and so, the boundaries being sorted, of all before it
-    last_passed = np.concatenate(([-np.inf], edges))[pick]
-    settled = x >= last_passed + grown[:, None]
-    gained = np.where(settled, _flips(flip_u, pick, cdf), n)
+    doubt = x < at_pick[0] + grown
+    # above[c, j]: the draws of the steps before step j that gain a colour
+    # above c, each draw flipped as its low-bound pick says
+    above = np.zeros((n - 1, steps + 1), dtype=np.intp)
+    np.add.accumulate((flip_u >= at_pick[1:]).sum(axis=1), axis=1,
+                      out=above[:, 1:])
+    gains = _colour_counts(m * steps, above[:, -1].tolist())
+    doubtful = np.flatnonzero(doubt)
+    if not len(doubtful):
+        return gains
 
-    rows, draws = np.nonzero(~settled)
-    if len(rows):
-        before = _gains_before(gained, n)[rows]
-        low = (edges + np.cumsum(before[:, :n - 1], axis=1)).T
-        xs = x[rows, draws]
-        pick = _passed(xs, low)
-        known = pick == _passed(xs, low + before[:, n])
-        rows_k, draws_k = rows[known], draws[known]
-        gained[rows_k, draws_k] = _flips(flip_u[rows_k, draws_k], pick[known], cdf)
-        rows, draws = rows[~known], draws[~known]
+    # the doubtful draws in step order, and the index of the first doubtful
+    # draw of each one's step: how many doubtful draws come before its step
+    order = doubtful % steps * m + doubtful // steps
+    order.sort()
+    rows, draws = order // m, order % m
+    first = np.searchsorted(rows, rows)
+    flat = draws * steps + rows
+    # the colour each doubtful draw gains under each pick, pick-major
+    doubts = len(rows)
+    at = np.arange(doubts)
+    by_pick = (flip_u.take(flat) >= cdf[:, :-1, None]).sum(axis=1).ravel()
+    guess = start = by_pick.take(pick.take(flat) * doubts + at)
+    # x passes boundary c when its integer part reaches it. At a draw's
+    # step the boundary is its low bound plus the gains of colours up to c
+    # in the steps before: the settled draws' (those draws, less the
+    # doubtful ones, less those that gained above c) and the doubtful
+    # draws'. `reach[c]` is the integer part less all but the doubtful
+    # draws' share, so the draw passes boundary c when the doubtful draws
+    # of the steps before that gained a colour up to c are at most that.
+    colours = np.arange(n - 1)[:, None]
+    below = np.zeros((n - 1, doubts + 1), dtype=np.intp)
+    np.cumsum(guess > colours, axis=1, out=below[:, 1:])
+    reach = (x.take(flat).astype(np.intp) - edges[1:, None].astype(np.intp)
+             - (m * rows - first) + above.take(rows, axis=1)
+             - below.take(first, axis=1))
+    for _ in range(MAX_ROUNDS):
+        np.cumsum(guess <= colours, axis=1, out=below[:, 1:])
+        passed = (reach >= below.take(first, axis=1)).sum(axis=0)
+        new = by_pick.take(passed * doubts + at)
+        changed = np.flatnonzero(new != guess)
+        guess = new
+        if not len(changed):
+            return (gains + np.bincount(guess, minlength=n)
+                    - np.bincount(start, minlength=n))
 
-    before = _gains_before(gained, n)
-    gains = before[-1, :n]
-    if len(rows):
-        cdfs, resolved = cdf.tolist(), [0] * n
-        current, pending = -1, []
-        for j, base, x_j, u in zip(rows.tolist(), (comp + before[rows, :n]).tolist(),
-                                   x[rows, draws].tolist(),
-                                   flip_u[rows, draws].tolist()):
-            if j != current:
-                # the draws of one step share its start-of-step composition
-                for k in pending:
-                    resolved[k] += 1
-                current, pending = j, []
-                step_comp = [a + b for a, b in zip(base, resolved)]
-            pending.append(_draw(x_j, step_comp, u, cdfs))
-        for k in pending:
-            resolved[k] += 1
-        gains = gains + resolved
-    return gains
+    # the last round is exact up to the step of the first draw it changed;
+    # the steps after that one are stepped in order
+    exact = rows[changed[0]] + 1
+    known = np.searchsorted(rows, exact)
+    head = (_colour_counts(m * exact, above[:, exact].tolist())
+            + np.bincount(guess[:known], minlength=n)
+            - np.bincount(start[:known], minlength=n))
+    return head + _in_order(comp + head, total + m * exact, m, us[exact:], cdf)
 
 
 def _snapshot(urn: UrnState) -> UrnSnapshot:
@@ -227,11 +277,11 @@ def run_urn(urn: UrnState, sampler: ColumnSampler, n_steps: int,
 
     Same trajectory and uniform stream as repeated urn_step calls. Steps go
     in chunks of K, cut at snapshot boundaries, with K at most
-    `MAX_CHUNK_STEPS` and at most total // (2m): the m*K balls a chunk adds
-    then stay within half the total its draws are settled against (see
-    `_chunk_gains`). Each chunk draws its 2m*K uniforms with one call and
-    ends with the checks of `check_urn_invariants`; a violation raises
-    BrokenUrn.
+    `MAX_CHUNK_STEPS`, m*K at most `MAX_CHUNK_DRAWS`, and K at most
+    total // (2m): the m*K balls a chunk adds then stay within half the
+    total its draws are settled against (see `_chunk_gains`). Each chunk
+    draws its 2m*K uniforms with one call and ends with the checks of
+    `check_urn_invariants`; a violation raises BrokenUrn.
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
@@ -244,7 +294,8 @@ def run_urn(urn: UrnState, sampler: ColumnSampler, n_steps: int,
     while step < n_steps:
         boundary = min(n_steps, (step // snapshot_every + 1) * snapshot_every)
         total = urn.total
-        chunk = max(1, min(MAX_CHUNK_STEPS, total // (2 * m), boundary - step))
+        chunk = max(1, min(MAX_CHUNK_STEPS, MAX_CHUNK_DRAWS // m,
+                           total // (2 * m), boundary - step))
         us = rng.random(chunk * 2 * m).reshape(chunk, 2 * m)
         comp += _chunk_gains(comp, total, m, us, sampler)
         urn.composition[:] = comp.tolist()

@@ -12,8 +12,9 @@ import pytest
 from mtpa import urn as urn_module
 from mtpa.errors import BrokenUrn
 from mtpa.harness import replicate_stream
-from mtpa.urn import (MAX_CHUNK_STEPS, bernoulli_column_sampler,
-                      check_urn_invariants, new_urn, run_urn, urn_step)
+from mtpa.urn import (MAX_CHUNK_DRAWS, MAX_CHUNK_STEPS,
+                      bernoulli_column_sampler, check_urn_invariants, new_urn,
+                      run_urn, urn_step)
 
 SEEDS = range(3)
 
@@ -37,11 +38,14 @@ def reference_run(urn, sampler, n_steps, snapshot_every, rng) -> list:
 
 
 def assert_matches_step_loop(flip, start, m, n_steps, snapshot_every, seed,
-                             pre_steps=0):
-    """Run both from the same state; `pre_steps` urn_step calls first."""
+                             pre_steps=0, make_rng=None):
+    """Run both from the same state; `pre_steps` urn_step calls first.
+    Each side draws from its own `make_rng()`, by default the replicate
+    stream of `seed`."""
     sampler = bernoulli_column_sampler(flip)
     fast, slow = new_urn(start, m, sampler), new_urn(start, m, sampler)
-    rng_fast, rng_slow = replicate_stream(90, seed), replicate_stream(90, seed)
+    make_rng = make_rng or (lambda: replicate_stream(90, seed))
+    rng_fast, rng_slow = make_rng(), make_rng()
     for _ in range(pre_steps):
         urn_step(fast, sampler, rng_fast)
         urn_step(slow, sampler, rng_slow)
@@ -179,3 +183,100 @@ def test_negative_count_raises():
     urn.composition[:] = [-1, 5]
     with pytest.raises(BrokenUrn, match="negative ball count"):
         run_urn(urn, sampler, 10, 10, replicate_stream(93, 0))
+
+
+# --------------------------------------------------------------------------
+# the three regimes of a chunk: stepped in order while the urn is small,
+# a fixed point over the doubtful draws once it is not, and the in-order
+# remainder after `MAX_ROUNDS` rounds
+
+def dyadic_flip(n: int) -> np.ndarray:
+    """A flip matrix in eighths, with zero entries in every row for n >= 3,
+    so that dyadic uniforms land exactly on its row CDF entries."""
+    if n == 2:
+        return np.array([[1.0, 0.0], [0.375, 0.625]])
+    if n == 3:
+        return np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]])
+    flip = np.zeros((n, n))
+    for i in range(n):
+        flip[i, i] = 0.5
+        flip[i, (i + 1) % n] = 0.25
+        flip[i, (i + 3) % n] = 0.25
+    return flip
+
+
+def spread(total: int, n: int) -> list:
+    """`total` balls over n colours, as evenly as whole balls allow."""
+    return [total // n + (i < total % n) for i in range(n)]
+
+
+STREAMS = {"pcg64": lambda: replicate_stream(94, 0),
+           "dyadic": lambda: DyadicStream(5)}
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+@pytest.mark.parametrize("total", (10, 500, 5000, 50_000))
+@pytest.mark.parametrize("n, m", ((2, 21), (3, 4), (6, 2)))
+def test_each_regime_matches_step_loop(n, m, total, stream):
+    # about 10 balls: the chunks are stepped in order; 500 and 5,000: many
+    # draws are in doubt and go through the fixed point; 50,000: few are
+    assert_matches_step_loop(dyadic_flip(n), spread(total, n), m, 1200, 1000,
+                             0, make_rng=STREAMS[stream])
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+@pytest.mark.parametrize("total", (10, 500, 5000))
+@pytest.mark.parametrize("n, m", ((2, 21), (3, 4), (6, 2)))
+def test_fixed_point_on_tiny_urns(n, m, total, stream, monkeypatch):
+    # every chunk through the fixed point, however few its draws, so that
+    # nearly every draw is in doubt and the rounds carry the whole chunk
+    monkeypatch.setattr(urn_module, "IN_ORDER_DRAWS", 0)
+    assert_matches_step_loop(dyadic_flip(n), spread(total, n), m, 400, 100,
+                             0, make_rng=STREAMS[stream])
+
+
+@pytest.mark.parametrize("rounds", (1, 2))
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+@pytest.mark.parametrize("n, m", ((2, 21), (3, 4), (6, 2)))
+def test_remainder_after_the_last_round(n, m, stream, rounds, monkeypatch):
+    # with one or two rounds allowed, the steps after the last one the
+    # rounds made exact are stepped in order with `_draw`
+    calls = []
+    draw = urn_module._draw
+
+    def counted(*args):
+        calls.append(1)
+        return draw(*args)
+
+    monkeypatch.setattr(urn_module, "MAX_ROUNDS", rounds)
+    monkeypatch.setattr(urn_module, "_draw", counted)
+    sampler = bernoulli_column_sampler(dyadic_flip(n))
+    run_urn(new_urn(spread(500, n), m, sampler), sampler, 400, 400,
+            STREAMS[stream]())
+    assert calls
+    monkeypatch.setattr(urn_module, "_draw", draw)
+    assert_matches_step_loop(dyadic_flip(n), spread(500, n), m, 400, 100, 0,
+                             make_rng=STREAMS[stream])
+
+
+def test_large_urns_step_without_the_scalar_draw(monkeypatch):
+    # from 50,000 balls every chunk is settled by the bounds and the rounds
+    calls = []
+    draw = urn_module._draw
+    monkeypatch.setattr(urn_module, "_draw",
+                        lambda *args: calls.append(1) or draw(*args))
+    sampler = bernoulli_column_sampler(flip_matrix(3))
+    run_urn(new_urn(spread(50_000, 3), 4, sampler), sampler, 3000, 1000,
+            replicate_stream(95, 0))
+    assert calls == []
+
+
+def test_chunks_at_the_draw_cap():
+    # m * MAX_CHUNK_STEPS exceeds MAX_CHUNK_DRAWS, so the draw cap sets K
+    m = 21
+    assert MAX_CHUNK_DRAWS // m < MAX_CHUNK_STEPS
+    start = spread(60_000, 3)
+    assert sum(start) // (2 * m) > MAX_CHUNK_DRAWS // m
+    assert_matches_step_loop(flip_matrix(3), start, m,
+                             2 * (MAX_CHUNK_DRAWS // m) + 3,
+                             10 * MAX_CHUNK_STEPS, 0)

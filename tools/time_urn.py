@@ -1,12 +1,14 @@
 """Per-step timings of `run_urn`, for one checkout.
 
     python3 tools/time_urn.py SRC_ROOT [--rounds R] [--steps S]
-                              [--snapshot-every E]
+                              [--snapshot-every E] [--start B]
 
 Imports `mtpa` from SRC_ROOT/src, pins itself to one CPU, and prints one
 JSON object: for each (N, m) in SIZES, the best of R runs of S steps from
-one ball of each colour, snapshots every E steps (by default 1000, as in
-the `urn_compare` workload, which keeps every chunk at most 1000 steps; a
+B balls of each colour (by default 1, the ramp from a tiny urn that the
+`urn_compare` workload starts with; a large B such as 30000 times the
+steady state alone), snapshots every E steps (by default 1000, as in the
+`urn_compare` workload, which keeps every chunk at most 1000 steps; a
 sparse E lets chunks reach the cap), in microseconds per step. The flip
 matrix is 0.6 on the diagonal and the rest spread evenly, so every draw can
 flip. Where the checkout steps in chunks (it has `urn._chunk_gains`), each
@@ -31,6 +33,7 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--steps", type=int, default=100_000)
     parser.add_argument("--snapshot-every", type=int, default=1000)
+    parser.add_argument("--start", type=int, default=1)
     args = parser.parse_args()
     sys.path.insert(0, os.path.join(args.root, "src"))
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
@@ -44,12 +47,12 @@ def main() -> int:
         flip = np.full((n, n), 0.4 / (n - 1))
         np.fill_diagonal(flip, 0.6)
         sampler = bernoulli_column_sampler(flip)
-        urn = new_urn([1] * n, m, sampler)
+        urn = new_urn([args.start] * n, m, sampler)
         run_urn(urn, sampler, args.steps, args.snapshot_every,
                 replicate_stream(80, seed))
 
     out = {"steps": args.steps, "snapshot_every": args.snapshot_every,
-           "sizes": {}}
+           "start": args.start, "sizes": {}}
     for n, m in SIZES:
         best = math.inf
         for seed in range(args.rounds):
