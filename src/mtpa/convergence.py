@@ -1,7 +1,5 @@
 """Convergence diagnostics: the per-snapshot series of `diagnose`, and the
-exact finite-step attachment probabilities they and the tests read, with
-their limits and the elementary binomial bound that controls the
-linearization error of those probabilities.
+exact finite-step attachment probabilities and limits they read.
 
 Only `diagnose` loads this module; it reads the simulators and the solver
 alike.
@@ -21,8 +19,7 @@ from .degrees import compositions_of_weight
 from .errors import BadArgs, BadIndexMatrix, BadQuantity
 from .graph import new_graph, run
 from .harness import map_replicates, tv_distance
-from .theory import (_multinomial_pmf, solve_recurrence,
-                     stationary_type_distribution)
+from .theory import solve_recurrence, stationary_type_distribution
 from .urn import bernoulli_column_sampler, new_urn, run_urn
 
 
@@ -117,34 +114,6 @@ def exact_attachment_probability(d_prev, gained, num_edges_prev: int, m: int,
     return total
 
 
-def new_vertex_degree_probability(d, m: int, psi, type_flip_matrix) -> float:
-    """Probability that a fresh vertex ends the step with degree d.
-
-    Sums over every split of the m edges into (initial type, final type)
-    cells; zero unless weight(d) equals m. `psi` supplies the per-type
-    initial-assignment law, the matrix the flip law.
-    """
-    d = tuple(d)
-    if sum(d) != m:
-        return 0.0
-    psi = np.asarray(psi, dtype=float)
-    flip = np.asarray(type_flip_matrix, dtype=float)
-    total = 0.0
-    for assignment in _assignments_with_gains(d):
-        total += _cells_product(float(math.factorial(m)), assignment, psi, flip)
-    return total
-
-
-def new_vertex_degree_limit(d, m: int, psi, type_flip_matrix) -> float:
-    """Closed form of the fresh-vertex degree law at the proportion limit:
-    multinomial in the assignment rates psi @ F."""
-    d = tuple(d)
-    if sum(d) != m:
-        return 0.0
-    return _multinomial_pmf(d, np.asarray(psi, dtype=float)
-                            @ np.asarray(type_flip_matrix, dtype=float))
-
-
 def edge_gain_rate_limit(d, l: int, type_flip_matrix) -> float:
     """Limit of n * P(gain exactly one type-l edge), for predecessors of d."""
     d = tuple(d)
@@ -153,19 +122,6 @@ def edge_gain_rate_limit(d, l: int, type_flip_matrix) -> float:
     flip = np.asarray(type_flip_matrix, dtype=float)
     previous = d[:l] + (d[l] - 1,) + d[l + 1:]
     return float(np.dot(previous, flip[:, l])) / 2.0
-
-
-def binomial_bound_holds(n: int, x: float) -> bool:
-    """Check |(1-x)**n - (1-n*x)| <= C(n, 2) * x**2 at one point.
-
-    Holds for every integer n >= 1 and x in [0, 1]; a tiny relative slack
-    absorbs floating-point rounding at equality cases.
-    """
-    if n < 1 or not 0.0 <= x <= 1.0:
-        raise BadArgs("need n >= 1 and x in [0, 1]")
-    lhs = abs((1.0 - x) ** n - (1.0 - n * x))
-    rhs = math.comb(n, 2) * x * x
-    return lhs <= rhs * (1.0 + 1e-12) + 1e-15
 
 
 def _series_replicate(cfg: ExperimentConfig, index: int, theory=None) -> list:

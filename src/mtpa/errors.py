@@ -47,10 +47,6 @@ class BrokenUrn(MtpaError):
     """A run's composition breaks ball conservation or has a negative count."""
 
 
-class BadMatrix(MtpaError):
-    """A matrix argument violates its stochasticity contract."""
-
-
 # -- deterministic numerics ---------------------------------------------------
 
 class NotStochastic(MtpaError):

@@ -63,31 +63,19 @@ def parse_matrix(text: str, n: int, *, what: str = "matrix") -> np.ndarray:
     return np.array(entries, dtype=float).reshape(n, n)
 
 
-def is_irreducible(matrix: np.ndarray) -> bool:
-    """Strong connectivity of the digraph with arcs where entries exceed
-    STRUCTURAL_ZERO."""
-    adjacency = np.asarray(matrix, dtype=float) > STRUCTURAL_ZERO
-    return _reaches_all(adjacency) and _reaches_all(adjacency.T)
-
-
-def _reaches_all(adjacency: np.ndarray) -> bool:
-    n = adjacency.shape[0]
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        k = stack.pop()
-        for l in np.flatnonzero(adjacency[k]):
-            if not seen[l]:
-                seen[l] = True
-                count += 1
-                stack.append(l)
-    return count == n
-
-
 def require_irreducible(matrix: np.ndarray, *, what: str = "matrix") -> None:
-    if not is_irreducible(matrix):
+    """Raise NotIrreducible unless the digraph with arcs where entries
+    exceed STRUCTURAL_ZERO is strongly connected.
+
+    Each boolean squaring of the reflexive arc relation doubles the path
+    length it covers, so n.bit_length() squarings close it; the digraph is
+    strongly connected exactly when the closure has no False entry.
+    """
+    reach = np.asarray(matrix, dtype=float) > STRUCTURAL_ZERO
+    reach |= np.eye(len(reach), dtype=bool)
+    for _ in range(len(reach).bit_length()):
+        reach = reach @ reach
+    if not reach.all():
         raise NotIrreducible(f"{what} is not irreducible")
 
 

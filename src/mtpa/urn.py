@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices
-from .errors import (BadMatrix, BrokenUrn, EmptyUrn, NegativeCount,
-                     NotStochastic, ValidationError)
+from .errors import BrokenUrn, EmptyUrn, NegativeCount, ValidationError
 
 # most steps one run_urn chunk advances, and most draws it makes
 MAX_CHUNK_STEPS = 2048
@@ -54,12 +53,9 @@ class ColumnSampler:
 
 
 def bernoulli_column_sampler(type_flip_matrix) -> ColumnSampler:
-    """The sampler of perturbed type assignment; BadMatrix unless F is
+    """The sampler of perturbed type assignment; NotStochastic unless F is
     row-stochastic."""
-    try:
-        flip = matrices.as_row_stochastic(type_flip_matrix, what="type-flip matrix")
-    except NotStochastic as exc:
-        raise BadMatrix(str(exc)) from exc
+    flip = matrices.as_row_stochastic(type_flip_matrix, what="type-flip matrix")
     return ColumnSampler(flip.shape[0], matrices.row_cdfs(flip), flip.T.copy())
 
 

@@ -149,6 +149,32 @@ def test_the_work_commands_cover_the_bench_work_calls():
     assert sorted(WORK_COMMANDS) == sorted(bench_work_calls())
 
 
+# what the benchmark's probes read of the program: every set-up stop is a
+# name on `mtpa.cli`, the trace probe installs, and the memory probe's
+# imports resolve. `install` replaces functions on mtpa's modules, so this
+# runs in a fresh process
+BENCH_HOOKS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import child
+import mtpa.cli as cli
+for name in child.WORK_CALLS:
+    getattr(cli, name)
+child.install(child.Recorder())
+from mtpa.config import parse_config
+from mtpa.graph import new_graph, pa_step
+from mtpa.harness import replicate_stream
+print("ok")
+"""
+
+
+def test_the_bench_probes_find_what_they_wrap(tmp_path):
+    proc = spawn(["-c", BENCH_HOOKS, str(BENCH_CHILD.parent)], tmp_path,
+                 capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
 @pytest.mark.parametrize("name", sorted(WORK_COMMANDS))
 def test_a_replacement_on_the_cli_is_what_runs(name, tmp_path, monkeypatch):
     def sentinel(*args, **kwargs):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 
 import numpy as np
 import pytest
@@ -16,17 +15,13 @@ import pytest
 from mtpa import theory
 from mtpa.config import ExperimentConfig
 from mtpa.convergence import (attachment_probability_term,
-                              binomial_bound_holds, convergence_series,
-                              edge_gain_rate_limit,
+                              convergence_series, edge_gain_rate_limit,
                               exact_attachment_probability,
-                              exact_no_edge_probability,
-                              new_vertex_degree_limit,
-                              new_vertex_degree_probability)
+                              exact_no_edge_probability)
 from mtpa.degrees import compositions_of_weight
 from mtpa.errors import (BadArgs, BadCounts, BadIndexMatrix, BadPsi,
                          CapacityExceeded, NoConvergence, NotIrreducible,
                          NotStochastic)
-from mtpa.graph import PerturbationSchedule
 from mtpa.theory import (dirichlet_psi_sample, solve_recurrence,
                          solve_unperturbed_recurrence,
                          stationary_type_distribution)
@@ -382,23 +377,6 @@ def test_edge_gain_rate_limit_hand_value():
         edge_gain_rate_limit((0, 1), 0, F_NEAR_ID)
 
 
-def test_fresh_vertex_probability_hand_value_and_closed_form():
-    psi = np.array([0.5, 0.5])
-    for f in (F_NEAR_ID, F_ASYM):
-        value = new_vertex_degree_probability((1, 0), 1, psi, f)
-        limit = new_vertex_degree_limit((1, 0), 1, psi, f)
-        assert abs(value - limit) < 1e-12
-    assert abs(new_vertex_degree_probability((1, 0), 1, psi, F_NEAR_ID)
-               - 0.5) < 1e-15
-    # the split-sum and the closed form agree for m > 1 too
-    psi = stationary_type_distribution(F_ASYM)
-    for d in ((2, 0), (1, 1), (0, 2)):
-        split = new_vertex_degree_probability(d, 2, psi, F_ASYM)
-        closed = new_vertex_degree_limit(d, 2, psi, F_ASYM)
-        assert abs(split - closed) < 1e-12
-    assert new_vertex_degree_probability((1, 0), 2, psi, F_ASYM) == 0.0
-
-
 STEPS = (10, 100, 1000, 10_000)
 
 
@@ -424,46 +402,3 @@ def test_limit_diagnostics_converges():
         assert abs(value - limit) < 1e-3
         if l == 0:
             assert abs(limit - 0.5) < 1e-15
-    # q_n equals its limit at every n for a constant schedule
-    schedule = PerturbationSchedule(F_NEAR_ID)
-    psi = stationary_type_distribution(schedule.limit)
-    limit = new_vertex_degree_limit((2, 1), 2, psi, schedule.limit)
-    for n in STEPS:
-        value = new_vertex_degree_probability((2, 1), 2, psi,
-                                              schedule.matrix_at(n))
-        assert abs(value - limit) < 1e-12
-    assert limit == 0.0  # weight 3 != m = 2
-
-
-def test_limit_diagnostics_decaying_schedule_q_converges():
-    decay = np.array([[0.05, -0.05], [-0.05, 0.05]])
-    schedule = PerturbationSchedule(F_NEAR_ID, kind="decaying", decay=decay,
-                                    rho=1.0)
-    psi = stationary_type_distribution(schedule.limit)
-    limit = new_vertex_degree_limit((1, 1), 2, psi, schedule.limit)
-    gaps = [abs(new_vertex_degree_probability((1, 1), 2, psi,
-                                              schedule.matrix_at(n)) - limit)
-            for n in STEPS]
-    assert gaps[-1] < gaps[0]
-    assert gaps[-1] < 1e-4
-
-
-# --------------------------------------------------------------------------
-# binomial bound
-
-def test_binomial_bound_edge_cases():
-    assert binomial_bound_holds(1, 0.37)
-    lhs = abs((1 - 0.3) ** 2 - (1 - 2 * 0.3))
-    rhs = math.comb(2, 2) * 0.3 ** 2
-    assert abs(lhs - rhs) < 1e-15  # equality at n = 2
-    assert binomial_bound_holds(2, 0.3)
-
-
-def test_binomial_bound_random_instances():
-    rng = np.random.default_rng(12345)
-    start = time.perf_counter()
-    for _ in range(10_000):
-        n = int(rng.integers(1, 101))
-        x = float(rng.random())
-        assert binomial_bound_holds(n, x)
-    assert time.perf_counter() - start < 5.0

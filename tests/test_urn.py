@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mtpa.errors import BadMatrix, EmptyUrn, NegativeCount, ValidationError
+from mtpa.errors import EmptyUrn, NegativeCount, NotStochastic, ValidationError
 from mtpa.harness import replicate_stream
 from mtpa.urn import (assumption_audit, bernoulli_column_sampler,
                       check_urn_invariants, new_urn, run_urn, urn_step)
@@ -117,14 +117,14 @@ def test_empirical_column_means_match_transpose():
 
 
 def test_sampler_rejects_non_stochastic_rows():
-    with pytest.raises(BadMatrix):
+    with pytest.raises(NotStochastic):
         bernoulli_column_sampler([[0.5, 0.4], [0.2, 0.8]])
 
 
 def test_sampler_rejects_a_tiny_negative_entry():
     # within the row-sum tolerance, but it would make its row CDF decrease,
     # and on such a row `_draw` and `_flips` can flip the same uniform apart
-    with pytest.raises(BadMatrix, match="outside"):
+    with pytest.raises(NotStochastic, match="outside"):
         bernoulli_column_sampler([[0.5, -1e-13, 0.5 + 1e-13],
                                   [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
 
