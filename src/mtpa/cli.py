@@ -302,7 +302,7 @@ def _cmd_study(args) -> int:
 
 
 _MODEL = "--config --seed --out --n --m --f --f-file"
-_RUN = "--config! --seed --out --replicates --steps --snapshot-every"
+_RUN = "--config! --seed --out --replicates --steps"
 
 # command -> (handler, help, the flags it reads)
 COMMANDS = {
@@ -320,7 +320,7 @@ COMMANDS = {
                 "replicated simulation vs theory, with PASS/FAIL report",
                 _RUN),
     "diagnose": (_cmd_diagnose, "convergence series",
-                 _RUN + " --quantity! --d --l"),
+                 _RUN + " --snapshot-every --quantity! --d --l"),
     "audit": (_cmd_audit, "sample replacement matrices and audit them",
               "--config --seed --out --n --f --f-file --samples"),
     "study": (_cmd_study, "spread of the non-perturbed answer vs the "

@@ -15,11 +15,11 @@ import numpy as np
 
 from .config import (GRAPH, URN, ExperimentConfig, comparison_cutoff,
                      replicate_stream)
-from .degrees import compositions_of_weight
 from .errors import BadArgs, BadIndexMatrix, BadQuantity
 from .graph import new_graph, run
 from .harness import map_replicates, tv_distance
-from .theory import solve_recurrence, stationary_type_distribution
+from .theory import (_compositions, solve_recurrence,
+                     stationary_type_distribution)
 from .urn import bernoulli_column_sampler, new_urn, run_urn
 
 
@@ -84,9 +84,12 @@ def _cells_product(value: float, assignment, weights, flip) -> float:
 
 
 def _assignments_with_gains(gained) -> list:
-    # all nonnegative integer matrices whose column sums equal `gained`
+    # all nonnegative integer matrices whose column sums equal `gained`,
+    # each column's splits in lexicographic order
     n = len(gained)
-    per_column = [list(compositions_of_weight(g, n)) for g in gained]
+    layers = [list(zip(*degrees.tolist()))
+              for degrees, _ in _compositions(n, 0, max(gained))]
+    per_column = [layers[g] for g in gained]
     out = []
     for cols in itertools.product(*per_column):
         out.append(tuple(tuple(cols[l][k] for l in range(n)) for k in range(n)))

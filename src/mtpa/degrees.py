@@ -2,14 +2,14 @@
 
 A generalized degree is a length-N tuple of nonnegative integers counting a
 vertex's incident edges of each type. Its weight is the plain total degree.
-A distribution holds its degree vectors as rows in `sort_key` order.
+A distribution holds its degree vectors as rows in degree order: by
+weight, then lexicographically within a weight.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -18,26 +18,6 @@ Degree = tuple  # tuple[int, ...]
 EMPIRICAL = "EMPIRICAL"
 THEORETICAL_PERTURBED = "THEORETICAL_PERTURBED"
 THEORETICAL_UNPERTURBED = "THEORETICAL_UNPERTURBED"
-
-
-def sort_key(d: Degree) -> tuple:
-    """Canonical ordering: by weight, then lexicographic."""
-    return (sum(d), d)
-
-
-def compositions_of_weight(total: int, parts: int) -> Iterator[Degree]:
-    """All nonnegative integer vectors of given length summing to `total`.
-
-    Yielded in lexicographic order, so together with an outer loop over
-    increasing `total` this enumerates the degree lattice in `sort_key`
-    order.
-    """
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions_of_weight(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def lattice_size(n_types: int, max_weight: int) -> int:
@@ -65,7 +45,7 @@ class DegreeDistribution:
     """Sparse nonnegative mass function on degree vectors, as columns.
 
     Row k of the (K, N) integer array `degrees` is a degree vector and
-    `values[k]` its mass; the rows are distinct and in `sort_key` order.
+    `values[k]` its mass; the rows are distinct and in degree order.
     `provenance` records where the masses came from.
     """
 
@@ -96,11 +76,11 @@ class DegreeDistribution:
 
 def aligned(dists, max_weight: int) -> tuple:
     """The (K, N) degree vectors of weight at most `max_weight` that any of
-    `dists` holds, in `sort_key` order, and the (len(dists), K) masses on
+    `dists` holds, in degree order, and the (len(dists), K) masses on
     them, 0.0 where one lacks a vector; matched by vector, not position."""
     keep = [row_weights(dist.degrees) <= max_weight for dist in dists]
     rows = np.concatenate([d.degrees[k] for d, k in zip(dists, keep)])
-    # a leading weight column makes the lexicographic row order sort_key's
+    # a leading weight column makes the lexicographic row order degree order
     keys, where = np.unique(np.column_stack((row_weights(rows), rows)),
                             axis=0, return_inverse=True)
     owner = np.repeat(np.arange(len(dists)), list(map(np.count_nonzero, keep)))

@@ -183,14 +183,14 @@ def _tally(graph: TypedGraph, lo: int, hi: int,
 
 
 def _census(degrees: np.ndarray) -> tuple:
-    """Histogram of the degree rows: the distinct rows in `sort_key` order,
+    """Histogram of the degree rows: the distinct rows in degree order,
     as a small-int array, and how many times each occurs.
 
     Each row is keyed by one integer, since np.unique over rows (axis=0)
     is several times slower than over scalars: its weight, then its
     columns but the last (which the others and the weight fix) in mixed
     radix, ranked densely before a column that would overflow an int64.
-    Key order is `sort_key` order, so the sorted distinct keys decode to
+    Key order is degree order, so the sorted distinct keys decode to
     the rows. The key is an int32 when the column maxima bound it below
     2**31. It is sorted in place and counted at its run boundaries, where
     np.unique would sort a copy. The weight is added and the last column

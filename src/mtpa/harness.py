@@ -229,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
 @dataclass(eq=False)
 class StudyReport:
     """Spread of the conditional non-perturbed answer vs the perturbed one,
-    as columns over the (K, N) `degrees` in `sort_key` order."""
+    as columns over the (K, N) `degrees` in degree order."""
 
     n_samples: int
     degrees: np.ndarray

@@ -72,37 +72,37 @@ def _check_lattice(n: int, m: int, max_weight: int) -> None:
 
 
 def _compositions(n: int, m: int, max_weight: int):
-    """Each weight layer from m up to `max_weight`, as an (n, K) array whose
-    columns are the layer's degree vectors in lexicographic order."""
-    # parts[p - 1] holds the compositions of the current weight into p parts:
-    # those with a zero head come first, then the lighter ones plus e_0
-    parts = [np.zeros((p, 1), dtype=np.int64) for p in range(1, n + 1)]
-    for s in range(1, max_weight + 1):
-        heavier = [np.full((1, 1), s, dtype=np.int64)]
-        for lighter in parts[1:]:
-            zero_head = np.zeros((1, heavier[-1].shape[1]), dtype=np.int64)
-            bumped = lighter.copy()
-            bumped[0] += 1
-            heavier.append(np.hstack((np.vstack((zero_head, heavier[-1])),
-                                      bumped)))
-        parts = heavier
+    """Each weight layer from m up to `max_weight`: an (n, K) array whose
+    columns are the layer's degree vectors in lexicographic order, and the
+    (n, K) array of their predecessor links, whose entry (l, j) is the
+    column of d - e_l in the layer below, or -1 where d_l = 0."""
+    # parts[p - 1] holds the compositions of the current weight into p parts
+    # and their links: those with a zero head come first, with the links of
+    # their p - 1 parts, then the lighter ones plus e_0, whose head link is
+    # their own column in the lighter layer and whose other links, but -1,
+    # move past that layer's zero-head block
+    parts = [(np.zeros((p, 1), dtype=np.int64), np.full((p, 1), -1))
+             for p in range(1, n + 1)]
+    for s in range(max_weight + 1):
+        if s:
+            heavier = [(np.full((1, 1), s), np.zeros((1, 1), dtype=np.int64))]
+            for (lighter, lighter_links), (zero_head, _) in zip(
+                    parts[1:], parts):
+                head, head_links = heavier[-1]
+                k = head.shape[1]
+                degrees = np.zeros((lighter.shape[0], k + lighter.shape[1]),
+                                   dtype=np.int64)
+                links = np.full(degrees.shape, -1)
+                degrees[1:, :k], degrees[:, k:] = head, lighter
+                degrees[0, k:] += 1
+                links[1:, :k] = head_links
+                links[0, k:] = np.arange(lighter.shape[1])
+                np.add(lighter_links[1:], zero_head.shape[1],
+                       out=links[1:, k:], where=lighter_links[1:] >= 0)
+                heavier.append((degrees, links))
+            parts = heavier
         if s >= m:
             yield parts[-1]
-
-
-def _lex_rank(degrees: np.ndarray, weight: int, binomials: list) -> np.ndarray:
-    # position of each column in its weight layer's lexicographic order: at
-    # each part, count the vectors that agree before it and are smaller there,
-    # with binomials[q][r] = C(r + q, q) vectors of weight r in q + 1 parts
-    n = degrees.shape[0]
-    rank = np.zeros(degrees.shape[1], dtype=np.int64)
-    rest = weight
-    for i in range(n - 1):
-        table = binomials[n - 1 - i]
-        after = rest - degrees[i]
-        rank += table[rest] - table[after]
-        rest = after
-    return rank
 
 
 def _walk_layers(n: int, m: int, max_weight: int, fresh, coefficient):
@@ -114,32 +114,34 @@ def _walk_layers(n: int, m: int, max_weight: int, fresh, coefficient):
     source. Weight-m vectors get `fresh(d)`, a float or S of them. Each
     heavier d gets sum_l coefficient(d - e_l, l) * mass(d - e_l) / (s + 2),
     added over l in order, skipping predecessors of zero mass; `coefficient`
-    takes the predecessors as an (n, k) array and returns k rates. Lighter
+    takes the K vectors d - e_l as an (n, K) array and returns K rates, of
+    which those where d_l = 0, whose entry l is -1, are never read. Lighter
     vectors have mass zero and are omitted. Whatever the types do, every
     weight-s layer of every source must sum to the single-type closed form
     2m(m+1)/(s(s+1)(s+2)); a deviation past MARGINAL_TOLERANCE raises
     NoConvergence before the layer is yielded.
     """
-    binomials = [np.array([math.comb(r + q, q) for r in range(max_weight + 1)],
-                          dtype=np.int64) for q in range(n)]
     layers = _compositions(n, m, max_weight)
-    degrees = next(layers)
+    degrees, _ = next(layers)
     masses = np.array([fresh(d) for d in zip(*degrees.tolist())],
                       dtype=float).reshape(degrees.shape[1], -1)
     for s in range(m, max_weight + 1):
         denom = s + 2
         if s > m:
-            degrees = next(layers)
-            acc = np.zeros((degrees.shape[1], masses.shape[1]))
-            for l in range(n):
-                cells = np.flatnonzero(degrees[l])
-                previous = degrees[:, cells]
+            degrees, links = next(layers)
+            # a link of -1 reads the appended row of zero mass
+            terms = np.vstack((masses, np.zeros((1, masses.shape[1]))))[links]
+            # every column's d - e_l, made in place for the call and undone
+            previous = degrees.copy()
+            for l, term in enumerate(terms):
                 previous[l] -= 1
-                term = masses[_lex_rank(previous, s - 1, binomials)]
                 np.multiply(coefficient(previous, l)[:, None], term, out=term,
                             where=term != 0.0)
-                acc[cells] += term
-            masses = acc / denom
+                previous[l] += 1
+            masses = terms[0]
+            for term in terms[1:]:
+                masses += term
+            masses /= denom
         total = masses.sum(axis=0)
         marginal = 2.0 * m * (m + 1) / (s * (s + 1) * denom)
         off = np.flatnonzero(~(np.abs(total - marginal) <= MARGINAL_TOLERANCE))
@@ -151,9 +153,9 @@ def _walk_layers(n: int, m: int, max_weight: int, fresh, coefficient):
 
 
 def _walk(n: int, m: int, max_weight: int, fresh, coefficient) -> tuple:
-    """The layers of `_walk_layers` one after the other, in `sort_key`
-    order: a (K, n) small-int array of degree vectors and the (K, S) array
-    of their masses."""
+    """The layers of `_walk_layers` one after the other, in degree order
+    (see `degrees`): a (K, n) small-int array of degree vectors and the
+    (K, S) array of their masses."""
     dtype = degree_dtype(max_weight)
     degrees, masses = zip(*((layer_degrees.T.astype(dtype), layer)
                             for _, layer_degrees, layer in _walk_layers(
@@ -201,7 +203,7 @@ def solve_unperturbed_recurrence(psi, m: int, max_weight: int):
     `psi` may also be an (N, S) array whose columns are S realizations. The
     rate does not depend on psi, so one walk carries them all, a layer at a
     time, each column's masses equal bit for bit to its own solve. The
-    result is then the columns (degrees, mean, std) in `sort_key` order:
+    result is then the columns (degrees, mean, std) in degree order:
     each mass's mean and standard deviation over the columns.
     """
     psi = np.asarray(psi, dtype=float)

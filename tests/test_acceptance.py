@@ -17,12 +17,12 @@ from mtpa.cli import main
 from mtpa.convergence import (edge_gain_rate_limit,
                               exact_attachment_probability,
                               exact_no_edge_probability)
-from mtpa.degrees import compositions_of_weight
 from mtpa.harness import (ExperimentConfig, perturbed_vs_unperturbed_study,
                           replicate_stream)
 from mtpa.theory import solve_recurrence
 from mtpa.urn import (bernoulli_column_sampler, check_urn_invariants,
                       new_urn, run_urn)
+from test_walk import compositions_of_weight
 
 F_PINNED = [[0.9, 0.1], [0.1, 0.9]]
 

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from mtpa import output
-from mtpa.degrees import DegreeDistribution, degree_dtype, sort_key
+from mtpa.degrees import DegreeDistribution, degree_dtype
 from mtpa.graph import (GraphSnapshot, PerturbationSchedule, SeedGraphSpec,
                         _census, empirical_distribution, grow, new_graph)
 from mtpa.harness import replicate_stream
 from mtpa.output import write_distribution_csv, write_graph_snapshots
 from mtpa.theory import solve_unperturbed_recurrence
+from test_walk import sort_key
 
 # 0.1 is where 17 significant digits differ from repr; 5e-324 is subnormal
 SPECIAL_MASSES = (0.1, 1.0, 1e-300, 5e-324, 0.0, -0.0, 2.0 / 3.0, 1e300,

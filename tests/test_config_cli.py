@@ -751,8 +751,7 @@ def option_strings(command) -> set:
 
 def test_each_command_takes_only_the_flags_it_reads():
     model = {"--config", "--seed", "--out", "--n", "--m", "--f", "--f-file"}
-    run = {"--config", "--seed", "--out", "--replicates", "--steps",
-           "--snapshot-every"}
+    run = {"--config", "--seed", "--out", "--replicates", "--steps"}
     expected = {
         "simulate-graph": model | {"--steps", "--snapshot-every",
                                    "--seed-graph"},
@@ -761,14 +760,14 @@ def test_each_command_takes_only_the_flags_it_reads():
         "solve-unperturbed": {"--config", "--seed", "--out", "--n", "--m",
                               "--dmax", "--psi", "--e0"},
         "compare": run,
-        "diagnose": run | {"--quantity", "--d", "--l"},
+        "diagnose": run | {"--snapshot-every", "--quantity", "--d", "--l"},
         "audit": {"--config", "--seed", "--out", "--n", "--f", "--f-file",
                   "--samples"},
         "study": {"--config", "--seed", "--out", "--psi-samples"},
     }
     for command, flags in expected.items():
         assert option_strings(command) == flags, command
-    assert sum(len(flags) for flags in expected.values()) == 62
+    assert sum(len(flags) for flags in expected.values()) == 61
 
 
 BASE_ARGV = {
@@ -777,15 +776,18 @@ BASE_ARGV = {
     "simulate-urn": ["simulate-urn", "--n", "2", "--f", "symmetric:0.9",
                      "--steps", "5"],
     "solve": ["solve", "--n", "2", "--f", "symmetric:0.9", "--dmax", "5"],
+    "compare": ["compare", "--config", "urn.ini", "--steps", "20"],
     "solve-unperturbed": ["solve-unperturbed", "--n", "2", "--psi", "0.5,0.5",
                           "--dmax", "5"],
     "audit": ["audit", "--n", "2", "--f", "symmetric:0.9", "--samples", "5"],
     "study": ["study", "--config", "cfg.ini", "--psi-samples", "2"],
 }
 
-# flags no code path of their command reads, and spellings that are gone
+# flags no code path of their command reads, flags that change none of
+# their command's outputs, and spellings that are gone
 UNREAD = ([("simulate-graph", ["--replicates", "4"]),
-           ("simulate-urn", ["--replicates", "4"])]
+           ("simulate-urn", ["--replicates", "4"]),
+           ("compare", ["--snapshot-every", "5"])]
           + [(command, [flag, "5"])
              for command in ("solve", "solve-unperturbed", "audit", "study")
              for flag in ("--replicates", "--steps", "--snapshot-every")]
@@ -803,6 +805,8 @@ UNREAD = ([("simulate-graph", ["--replicates", "4"]),
 def test_an_unread_flag_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                          command, extra):
     write_config(tmp_path, MINIMAL)
+    write_config(tmp_path, MINIMAL.replace("graph", "urn")
+                 + "[compare]\npsi_tolerance = 1.0\n", name="urn.ini")
     (tmp_path / "f.txt").write_text("2 0.9 0.1 0.1 0.9\n")
     monkeypatch.chdir(tmp_path)
     assert main(BASE_ARGV[command] + ["--out", "o"]) == 0

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mtpa import graph as graph_module
-from mtpa.degrees import DegreeDistribution, sort_key
+from mtpa.degrees import DegreeDistribution
 from mtpa.graph import (CONSTANT, DECAYING, PerturbationSchedule,
                         SeedGraphSpec, _census, _index_dtype,
                         check_graph_invariants, empirical_distribution,
@@ -24,6 +24,7 @@ from mtpa.graph import (CONSTANT, DECAYING, PerturbationSchedule,
 from mtpa.harness import replicate_stream, tv_distance
 from mtpa.theory import solve_recurrence
 from test_run_urn import DyadicStream
+from test_walk import sort_key
 
 SEEDS = range(5)
 # steps per pass of `grow`: one, an odd few, and more than any call takes;

@@ -14,7 +14,7 @@ from mtpa import convergence, harness
 from mtpa.cli import main
 from mtpa.config import parse_config
 from mtpa.convergence import convergence_series
-from mtpa.degrees import DegreeDistribution, sort_key
+from mtpa.degrees import DegreeDistribution
 from mtpa.errors import BadArgs, BadQuantity, ValidationError
 from mtpa.graph import empirical_distribution, grow, new_graph
 from mtpa.harness import (ExperimentConfig, max_workers,
@@ -22,6 +22,7 @@ from mtpa.harness import (ExperimentConfig, max_workers,
                           run_experiment, tv_distance)
 from mtpa.output import write_csv
 from mtpa.theory import solve_recurrence
+from test_walk import sort_key
 
 F_NEAR_ID = [[0.9, 0.1], [0.1, 0.9]]
 

@@ -29,7 +29,7 @@ SAMPLES = {
     "solve-unperturbed": ["solve-unperturbed", "--n", "2", "--psi", "0.3,0.7",
                           "--dmax", "8", "--seed", "4", "--out", "o"],
     "compare": ["compare", "--config", "c.ini", "--replicates", "2",
-                "--steps", "20", "--snapshot-every", "5", "--out", "solve"],
+                "--steps", "20", "--out", "solve"],
     "diagnose": ["diagnose", "--config", "c.ini", "--quantity", "tv", "--d",
                  "1,2", "--l", "1"],
     "audit": ["audit", "--n", "2", "--f", "symmetric:0.9", "--samples", "5"],

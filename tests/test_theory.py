@@ -18,13 +18,13 @@ from mtpa.convergence import (attachment_probability_term,
                               convergence_series, edge_gain_rate_limit,
                               exact_attachment_probability,
                               exact_no_edge_probability)
-from mtpa.degrees import compositions_of_weight
 from mtpa.errors import (BadArgs, BadCounts, BadIndexMatrix, BadPsi,
                          CapacityExceeded, NoConvergence, NotIrreducible,
                          NotStochastic)
 from mtpa.theory import (dirichlet_psi_sample, solve_recurrence,
                          solve_unperturbed_recurrence,
                          stationary_type_distribution)
+from test_walk import compositions_of_weight
 
 F_ASYM = np.array([[0.8, 0.2], [0.4, 0.6]])
 F_NEAR_ID = np.array([[0.9, 0.1], [0.1, 0.9]])

@@ -1,20 +1,23 @@
 """Differential tests: the layer-at-a-time lattice walk against a scalar one.
 
 `scalar_walk` is the cell-by-cell walk the solvers used to run, kept here
-as the reference together with both solvers' per-cell callbacks. The
-array walk must give the same masses bit for bit, in the same dict order,
-and the batched `study` must give the same report as one solve per psi
-sample.
+as the reference together with both solvers' per-cell callbacks, and
+`compositions_of_weight` the recursive lattice enumerator it reads, with
+`sort_key`, the degree order it yields. The array walk must give the same
+masses bit for bit, in the same dict order, its layers and predecessor
+links must be those the enumerator gives, and the batched `study` must
+give the same report as one solve per psi sample.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mtpa import harness, theory
-from mtpa.degrees import compositions_of_weight, sort_key
+from mtpa.convergence import _assignments_with_gains
 from mtpa.errors import BadPsi, NoConvergence
 from mtpa.harness import ExperimentConfig, perturbed_vs_unperturbed_study
 from mtpa.theory import solve_recurrence, solve_unperturbed_recurrence
@@ -26,6 +29,23 @@ CELL_BUDGET = 6000
 
 # --------------------------------------------------------------------------
 # the scalar reference
+
+def sort_key(d) -> tuple:
+    """Degree order: by weight, then lexicographic."""
+    return (sum(d), d)
+
+
+def compositions_of_weight(total: int, parts: int):
+    """All nonnegative integer vectors of length `parts` summing to `total`,
+    in lexicographic order; with an outer loop over increasing `total`, the
+    degree lattice in `sort_key` order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions_of_weight(total - head, parts - 1):
+            yield (head,) + rest
+
 
 def scalar_walk(n, m, max_weight, fresh, coefficient) -> dict:
     layers = [list(compositions_of_weight(s, n))
@@ -160,6 +180,38 @@ def unperturbed_sources(samples, m):
     return (lambda d: [2.0 * theory._multinomial_pmf(d, p) / (m + 2)
                        for p in samples],
             lambda previous, l: previous[l])
+
+
+@pytest.mark.parametrize("n", TYPES)
+def test_links_point_at_the_predecessors(n):
+    top = max_weight_for(n, 1)
+    layers = list(theory._compositions(n, 0, top))
+    assert len(layers) == top + 1
+    assert (layers[0][1] == -1).all()
+    for s, (degrees, links) in enumerate(layers[1:], 1):
+        cells = list(zip(*degrees.tolist()))
+        assert cells == list(compositions_of_weight(s, n))
+        assert links.shape == degrees.shape
+        column = {d: j for j, d in enumerate(compositions_of_weight(s - 1, n))}
+        for d, link in zip(cells, links.T.tolist()):
+            assert link == [column[d[:l] + (d[l] - 1,) + d[l + 1:]] if d[l]
+                            else -1 for l in range(n)]
+    # a lattice from weight m is the same layers with the same links
+    from_two = list(theory._compositions(n, 2, top))
+    assert len(from_two) == top - 1
+    for (degrees, links), (want_degrees, want_links) in zip(from_two,
+                                                             layers[2:]):
+        assert np.array_equal(degrees, want_degrees)
+        assert np.array_equal(links, want_links)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_assignments_follow_the_recursive_enumerator(n):
+    for gained in (g for s in range(6) for g in compositions_of_weight(s, n)):
+        per_column = [list(compositions_of_weight(g, n)) for g in gained]
+        want = [tuple(tuple(cols[l][k] for l in range(n)) for k in range(n))
+                for cols in itertools.product(*per_column)]
+        assert _assignments_with_gains(gained) == want
 
 
 def test_layers_come_in_sort_key_order():

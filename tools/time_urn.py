@@ -35,8 +35,8 @@ import time
 SIZES = ((2, 1), (2, 2), (3, 2), (3, 4), (3, 8), (4, 2), (5, 2))
 
 
-def load(root: str, name: str):
-    """The `urn` and `harness` modules of root's mtpa, as package `name`."""
+def load(root: str, name: str, layers=("urn", "harness")):
+    """The `layers` modules of root's mtpa, as package `name`."""
     package = os.path.join(root, "src", "mtpa")
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(package, "__init__.py"),
@@ -44,8 +44,8 @@ def load(root: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return (importlib.import_module(f"{name}.urn"),
-            importlib.import_module(f"{name}.harness"))
+    return tuple(importlib.import_module(f"{name}.{layer}")
+                 for layer in layers)
 
 
 def main() -> int:
