@@ -4,8 +4,9 @@ study of the perturbed and the non-perturbed limits.
 Replicates are independent simulations whose generators are derived from
 (master_seed, replicate_index), so reports are reproducible and do not
 depend on execution order. MTPA_THREADS caps process-level parallelism
-(unset or 1 = serial, 0 = all cores); any other non-integer or negative
-value is an error.
+(unset or 1 = serial, 0 = one worker per CPU this process may run on, as
+`taskset` or a cpuset allows); any other non-integer or negative value is
+an error.
 
 A command loads only the layers its model runs: `graph`, `urn` and
 `theory` are each imported when this module first reads one of their
@@ -50,7 +51,9 @@ def max_workers(replicates: int) -> int:
         raise ValidationError(
             f"MTPA_THREADS must be a nonnegative integer, got {raw!r}")
     if requested == 0:
-        requested = os.cpu_count() or 1
+        requested = (len(os.sched_getaffinity(0))
+                     if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
     return max(1, min(requested, replicates))
 
 
@@ -140,7 +143,8 @@ def _urn_replicate(cfg: ExperimentConfig, index: int):
     rng = replicate_stream(cfg.master_seed, index)
     sampler = _this.bernoulli_column_sampler(cfg.f_matrix)
     urn = _this.new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
-    _this.run_urn(urn, sampler, cfg.n_steps, cfg.snapshot_every, rng)
+    # compare reads the last snapshot alone, so it asks for no other
+    _this.run_urn(urn, sampler, cfg.n_steps, max(cfg.n_steps, 1), rng)
     violations = _this.check_urn_invariants(urn)
     return ReplicateResult(index, None, urn.fractions(), 0.0, violations), None
 

@@ -19,13 +19,13 @@ import numpy as np
 from . import matrices
 from .errors import BrokenUrn, EmptyUrn, NegativeCount, ValidationError
 
-# most steps one run_urn chunk advances, and most draws it makes
-MAX_CHUNK_STEPS = 2048
-MAX_CHUNK_DRAWS = 8192
+# a run_urn chunk makes at most CHUNK_DRAWS draws, and at most as many
+# compares of a draw with a colour boundary unless that leaves it fewer
+# than CHUNK_STEPS steps
+CHUNK_STEPS = 1024
+CHUNK_DRAWS = 8192
 # most draws a chunk steps in order, one at a time, without numpy passes
 IN_ORDER_DRAWS = 128
-# most fixed-point rounds a chunk's doubtful draws go through
-MAX_ROUNDS = 8
 
 
 @dataclass
@@ -184,10 +184,16 @@ def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
     through a fixed point: from guessed gains, the boundaries each doubtful
     draw sees, its pick and its flip, repeated until the gains repeat. A
     draw depends only on the steps before it, so each round is exact at
-    least one step further, and a repeat is the exact answer. After
-    `MAX_ROUNDS` rounds the steps not yet known to be exact are stepped in
-    order. Every product and compare is the one `urn_step` makes, so the
-    gains are the same bit for bit.
+    least one step further: the rounds end, within K + 1 of them, and a
+    repeat is the exact answer. Every product and compare is the one
+    `urn_step` makes, so the gains are the same bit for bit.
+
+    `run_urn`'s chunk rule keeps both passes short: K at most
+    total // (2m) keeps the bounds' spread, m*K, within half the total, so
+    a small share of draws is in doubt, and its other terms bound the
+    arrays of draws against boundaries and CDF entries. Under it no chunk
+    of `tools/time_urn.py`'s shapes or the `urn_compare` workload's took
+    more than 5 rounds on numpy's stream (`BENCH_urn_rule.json`).
     """
     steps, n = len(us), len(comp)
     cdf = sampler.row_cdfs
@@ -243,24 +249,14 @@ def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
     reach = (x.take(flat).astype(np.intp) - edges[1:, None].astype(np.intp)
              - (m * rows - first) + above.take(rows, axis=1)
              - below.take(first, axis=1))
-    for _ in range(MAX_ROUNDS):
+    while True:
         np.cumsum(guess <= colours, axis=1, out=below[:, 1:])
         passed = (reach >= below.take(first, axis=1)).sum(axis=0)
         new = by_pick.take(passed * doubts + at)
-        changed = np.flatnonzero(new != guess)
-        guess = new
-        if not len(changed):
+        if np.array_equal(new, guess):
             return (gains + np.bincount(guess, minlength=n)
                     - np.bincount(start, minlength=n))
-
-    # the last round is exact up to the step of the first draw it changed;
-    # the steps after that one are stepped in order
-    exact = rows[changed[0]] + 1
-    known = np.searchsorted(rows, exact)
-    head = (_colour_counts(m * exact, above[:, exact].tolist())
-            + np.bincount(guess[:known], minlength=n)
-            - np.bincount(start[:known], minlength=n))
-    return head + _in_order(comp + head, total + m * exact, m, us[exact:], cdf)
+        guess = new
 
 
 def _snapshot(urn: UrnState) -> UrnSnapshot:
@@ -272,12 +268,27 @@ def run_urn(urn: UrnState, sampler: ColumnSampler, n_steps: int,
     """Run the urn, recording (step, composition, fractions) snapshots.
 
     Same trajectory and uniform stream as repeated urn_step calls. Steps go
-    in chunks of K, cut at snapshot boundaries, with K at most
-    `MAX_CHUNK_STEPS`, m*K at most `MAX_CHUNK_DRAWS`, and K at most
-    total // (2m): the m*K balls a chunk adds then stay within half the
-    total its draws are settled against (see `_chunk_gains`). Each chunk
-    draws its 2m*K uniforms with one call and ends with the checks of
-    `check_urn_invariants`; a violation raises BrokenUrn.
+    in chunks cut only at the snapshots asked for, of
+
+        K = min(total // (2m), CHUNK_DRAWS // m,
+                max(CHUNK_STEPS, CHUNK_DRAWS // ((N - 1)*m)))
+
+    steps (at least 1), with N - 1 read as 1 when N = 1. Each term:
+    - total // (2m): the m*K balls a chunk adds stay within half the total
+      its draws are settled against, so few draws are left in doubt (see
+      `_chunk_gains`). While the urn is small this term alone sets K.
+    - CHUNK_DRAWS // m: a chunk's arrays hold its m*K draws, and past
+      8192 of them a longer chunk steps slower, not faster: at m = 21 and
+      64, 1024 steps ran 1.4 and 1.7 times as long as 8192 draws.
+    - CHUNK_DRAWS // ((N - 1)*m): each draw is also compared with N - 1
+      colour boundaries and N - 1 CDF entries, in arrays of (N - 1)*m*K
+      entries, so wider shapes step faster in shorter chunks: (3, 4) in
+      1024 steps rather than 2048, while (2, 1) takes 8192.
+    - CHUNK_STEPS: a chunk of a large urn makes about 30 numpy calls
+      whatever its size, so within the draw cap the compare budget does
+      not shorten a chunk below 1024 steps, as at (3, 8).
+    Each chunk draws its 2m*K uniforms with one call and ends with the
+    checks of `check_urn_invariants`; a violation raises BrokenUrn.
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
@@ -286,12 +297,13 @@ def run_urn(urn: UrnState, sampler: ColumnSampler, n_steps: int,
     snapshots = [_snapshot(urn)]
     m = urn.m
     comp = np.array(urn.composition, dtype=np.int64)
+    longest = min(CHUNK_DRAWS // m, max(
+        CHUNK_STEPS, CHUNK_DRAWS // (max(len(comp) - 1, 1) * m)))
     step = 0
     while step < n_steps:
         boundary = min(n_steps, (step // snapshot_every + 1) * snapshot_every)
         total = urn.total
-        chunk = max(1, min(MAX_CHUNK_STEPS, MAX_CHUNK_DRAWS // m,
-                           total // (2 * m), boundary - step))
+        chunk = max(1, min(total // (2 * m), longest, boundary - step))
         us = rng.random(chunk * 2 * m).reshape(chunk, 2 * m)
         comp += _chunk_gains(comp, total, m, us, sampler)
         urn.composition[:] = comp.tolist()

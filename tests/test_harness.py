@@ -138,6 +138,11 @@ def test_max_workers_env(monkeypatch, tmp_path, capsys):
     assert max_workers(2) == 2  # capped at replicate count
     monkeypatch.setenv("MTPA_THREADS", "0")
     assert max_workers(64) >= 1
+    # all cores means the CPUs this process may run on, not the machine's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert max_workers(64) == 1
     for bad in ("two", "1.5", "", "-1"):
         monkeypatch.setenv("MTPA_THREADS", bad)
         with pytest.raises(ValidationError):
@@ -328,6 +333,52 @@ def test_run_experiment_urn_mode():
     assert report.psi_reference[0] == pytest.approx(2 / 3, abs=1e-12)
     assert len(report.replicates) == 5
     assert report.passed
+
+
+URN_COMPARE_CFG = """
+[model]
+kind = urn
+types = 3
+edges_per_step = 4
+f = 0.7,0.2,0.1,0.1,0.8,0.1,0.2,0.2,0.6
+[run]
+steps = 3000
+snapshot_every = {every}
+replicates = 2
+master_seed = 64
+[compare]
+psi_tolerance = 1.0
+"""
+
+
+def test_urn_compare_chunks_ignore_snapshot_every(monkeypatch, tmp_path):
+    # compare writes no snapshot, so a config's snapshot_every sets neither
+    # the urn's stepping chunks nor a byte of the outputs
+    from mtpa import urn as urn_module
+
+    monkeypatch.delenv("MTPA_THREADS", raising=False)
+    gains = urn_module._chunk_gains
+    runs = {}
+    for every in (1, 3000):
+        sizes = runs[every] = []
+
+        def spied(comp, total, m, us, sampler, sizes=sizes):
+            sizes.append(len(us))
+            return gains(comp, total, m, us, sampler)
+
+        monkeypatch.setattr(urn_module, "_chunk_gains", spied)
+        cfg = tmp_path / f"urn{every}.ini"
+        cfg.write_text(URN_COMPARE_CFG.format(every=every))
+        run_experiment(parse_config(cfg))
+        assert main(["compare", "--config", str(cfg),
+                     "--out", str(tmp_path / f"out{every}")]) == 0
+    assert runs[1] == runs[3000]
+    # the spy saw run_experiment's replicates and the CLI's alike
+    assert sum(runs[1]) == 2 * 2 * 3000
+    assert max(runs[1]) > 1
+    for name in ("report.txt", "replicates.csv"):
+        assert ((tmp_path / "out1" / name).read_bytes()
+                == (tmp_path / "out3000" / name).read_bytes())
 
 
 # --------------------------------------------------------------------------

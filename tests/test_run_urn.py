@@ -12,9 +12,8 @@ import pytest
 from mtpa import urn as urn_module
 from mtpa.errors import BrokenUrn
 from mtpa.harness import replicate_stream
-from mtpa.urn import (MAX_CHUNK_DRAWS, MAX_CHUNK_STEPS,
-                      bernoulli_column_sampler, check_urn_invariants, new_urn,
-                      run_urn, urn_step)
+from mtpa.urn import (CHUNK_DRAWS, CHUNK_STEPS, bernoulli_column_sampler,
+                      check_urn_invariants, new_urn, run_urn, urn_step)
 
 SEEDS = range(3)
 
@@ -111,15 +110,6 @@ def test_two_calls_in_a_row():
     assert rng_fast.random() == rng_slow.random()
 
 
-def test_chunks_at_the_size_cap():
-    # total // (2m) exceeds the cap from the first step, so whole chunks
-    # of MAX_CHUNK_STEPS run between snapshots
-    start = [6000, 3000, 1000]
-    assert sum(start) // 2 > MAX_CHUNK_STEPS
-    assert_matches_step_loop(flip_matrix(3), start, 1, 2 * MAX_CHUNK_STEPS + 5,
-                             10 * MAX_CHUNK_STEPS, 0)
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n, m", ((2, 21), (3, 4), (6, 2)))
 def test_tiny_starting_totals(n, m, seed, monkeypatch):
@@ -186,9 +176,9 @@ def test_negative_count_raises():
 
 
 # --------------------------------------------------------------------------
-# the three regimes of a chunk: stepped in order while the urn is small,
-# a fixed point over the doubtful draws once it is not, and the in-order
-# remainder after `MAX_ROUNDS` rounds
+# the two regimes of a chunk: stepped in order while the urn is small, and
+# a fixed point over the doubtful draws, run until it repeats, once it is
+# not
 
 def dyadic_flip(n: int) -> np.ndarray:
     """A flip matrix in eighths, with zero entries in every row for n >= 3,
@@ -235,30 +225,6 @@ def test_fixed_point_on_tiny_urns(n, m, total, stream, monkeypatch):
                              0, make_rng=STREAMS[stream])
 
 
-@pytest.mark.parametrize("rounds", (1, 2))
-@pytest.mark.parametrize("stream", sorted(STREAMS))
-@pytest.mark.parametrize("n, m", ((2, 21), (3, 4), (6, 2)))
-def test_remainder_after_the_last_round(n, m, stream, rounds, monkeypatch):
-    # with one or two rounds allowed, the steps after the last one the
-    # rounds made exact are stepped in order with `_draw`
-    calls = []
-    draw = urn_module._draw
-
-    def counted(*args):
-        calls.append(1)
-        return draw(*args)
-
-    monkeypatch.setattr(urn_module, "MAX_ROUNDS", rounds)
-    monkeypatch.setattr(urn_module, "_draw", counted)
-    sampler = bernoulli_column_sampler(dyadic_flip(n))
-    run_urn(new_urn(spread(500, n), m, sampler), sampler, 400, 400,
-            STREAMS[stream]())
-    assert calls
-    monkeypatch.setattr(urn_module, "_draw", draw)
-    assert_matches_step_loop(dyadic_flip(n), spread(500, n), m, 400, 100, 0,
-                             make_rng=STREAMS[stream])
-
-
 def test_large_urns_step_without_the_scalar_draw(monkeypatch):
     # from 50,000 balls every chunk is settled by the bounds and the rounds
     calls = []
@@ -271,12 +237,85 @@ def test_large_urns_step_without_the_scalar_draw(monkeypatch):
     assert calls == []
 
 
-def test_chunks_at_the_draw_cap():
-    # m * MAX_CHUNK_STEPS exceeds MAX_CHUNK_DRAWS, so the draw cap sets K
-    m = 21
-    assert MAX_CHUNK_DRAWS // m < MAX_CHUNK_STEPS
+# --------------------------------------------------------------------------
+# the chunk rule, K = min(total // (2m), CHUNK_DRAWS // m, max(CHUNK_STEPS,
+# CHUNK_DRAWS // ((N - 1)*m))), cut at snapshots: one test per term, each
+# also against the step loop
+
+def spy_chunks(monkeypatch) -> list:
+    """The steps of every chunk `run_urn` hands to `_chunk_gains` from now
+    on, in order."""
+    sizes = []
+    gains = urn_module._chunk_gains
+
+    def spied(comp, total, m, us, sampler):
+        sizes.append(len(us))
+        return gains(comp, total, m, us, sampler)
+
+    monkeypatch.setattr(urn_module, "_chunk_gains", spied)
+    return sizes
+
+
+def test_chunks_at_the_step_floor(monkeypatch):
+    # (N - 1)*m = 16 would allow 512 steps; the floor keeps 1024, as many
+    # as the draw cap allows at m = 8
+    m = 8
+    assert CHUNK_DRAWS // (2 * m) < CHUNK_STEPS <= CHUNK_DRAWS // m
     start = spread(60_000, 3)
-    assert sum(start) // (2 * m) > MAX_CHUNK_DRAWS // m
-    assert_matches_step_loop(flip_matrix(3), start, m,
-                             2 * (MAX_CHUNK_DRAWS // m) + 3,
-                             10 * MAX_CHUNK_STEPS, 0)
+    assert sum(start) // (2 * m) > CHUNK_STEPS
+    sizes = spy_chunks(monkeypatch)
+    assert_matches_step_loop(flip_matrix(3), start, m, 2 * CHUNK_STEPS + 5,
+                             10 ** 6, 0)
+    assert sizes == [CHUNK_STEPS, CHUNK_STEPS, 5]
+
+
+def test_chunks_at_the_draw_cap(monkeypatch):
+    # m = 21: the draw cap, 390 steps, is below the floor, and wins
+    m = 21
+    cap = CHUNK_DRAWS // m
+    assert cap < CHUNK_STEPS
+    start = spread(60_000, 3)
+    assert sum(start) // (2 * m) > cap
+    sizes = spy_chunks(monkeypatch)
+    assert_matches_step_loop(flip_matrix(3), start, m, 2 * cap + 3, 10 ** 6, 0)
+    assert sizes == [cap, cap, 3]
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_chunks_at_the_compare_budget(n, monkeypatch):
+    # (N - 1)*m = 4 and 6: 2048 and 1365 steps, between the floor and the
+    # draw cap of 4096
+    m = 2
+    budget = CHUNK_DRAWS // ((n - 1) * m)
+    assert CHUNK_STEPS < budget < CHUNK_DRAWS // m
+    start = spread(20_000, n)
+    assert sum(start) // (2 * m) > budget
+    sizes = spy_chunks(monkeypatch)
+    assert_matches_step_loop(flip_matrix(n), start, m, 2 * budget + 3,
+                             10 ** 6, 0)
+    assert sizes == [budget, budget, 3]
+
+
+def test_chunks_at_half_the_total(monkeypatch):
+    # from 3,000 balls at m = 4, total // (2m) is below the floor, so each
+    # chunk is an eighth of the urn's total at its start
+    m, steps = 4, 2000
+    start = spread(3000, 3)
+    sizes = spy_chunks(monkeypatch)
+    assert_matches_step_loop(flip_matrix(3), start, m, steps, 10 ** 6, 0)
+    expected, total, step = [], sum(start), 0
+    while step < steps:
+        expected.append(min(total // (2 * m), steps - step))
+        total, step = total + m * expected[-1], step + expected[-1]
+    assert sizes == expected
+    assert max(sizes) < CHUNK_STEPS
+
+
+def test_chunks_cut_at_snapshots(monkeypatch):
+    # the rule gives 1024 steps; snapshots every 1500 cut each second chunk
+    m = 4
+    assert max(CHUNK_STEPS, CHUNK_DRAWS // (2 * m)) == 1024
+    sizes = spy_chunks(monkeypatch)
+    assert_matches_step_loop(flip_matrix(3), spread(60_000, 3), m, 3000, 1500,
+                             0)
+    assert sizes == [1024, 476, 1024, 476]

@@ -1,20 +1,25 @@
 """Per-step timings of `run_urn`, for one checkout or two side by side.
 
     python3 tools/time_urn.py SRC_ROOT [SRC_ROOT_B] [--rounds R] [--steps S]
-                              [--snapshot-every E] [--start B]
+                              [--snapshot-every E[,E_B]] [--start B]
 
 Imports each root's SRC_ROOT/src/mtpa under its own package name, so two
 checkouts load into one process, pins itself to one CPU, and prints one
 JSON object: for each (N, m) in SIZES, R rounds of S steps from B balls of
 each colour (by default 1, the ramp from a tiny urn that the `urn_compare`
 workload starts with; a large B such as 30000 times the steady state
-alone), snapshots every E steps (by default 1000, as in the `urn_compare`
-workload, which keeps every chunk at most 1000 steps; a sparse E lets
-chunks reach the cap). Each round times every root once, in turn, the
-first root first in even rounds and last in odd ones, so a host whose
-speed drifts weighs on both alike. Each root's row gives the median and
-the best round in microseconds per step; with two roots, `pairs_won`
-counts the rounds each root was faster in (a tie counts for neither).
+alone), snapshots every E steps. E is 1000 by default, which cuts every
+chunk at 1000 steps at most; an E of S or more leaves the chunks to
+`run_urn`'s own rule, as an urn `compare` does. One E applies to every
+root; E,E_B gives each root its own, so `. . --snapshot-every 1000,50000`
+times one checkout cut and uncut, and `OLD NEW --snapshot-every
+1000,50000` an old checkout cut at the `urn_compare` config's 1000, as its
+`compare` stepped, against a new one uncut. Each round times every root
+once, in turn, the first root first in even rounds and last in odd ones,
+so a host whose speed drifts weighs on both alike. Each root's row gives
+the median and the best round in microseconds per step; with two roots,
+`pairs_won` counts the rounds each root was faster in (a tie counts for
+neither).
 The flip matrix is 0.6 on the diagonal and the rest spread evenly, so
 every draw can flip. Each size's rounds follow one untimed run per root.
 Where a checkout steps in chunks (it has `urn._chunk_gains`), that run
@@ -53,11 +58,17 @@ def main() -> int:
     parser.add_argument("roots", nargs="+", metavar="root")
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--steps", type=int, default=100_000)
-    parser.add_argument("--snapshot-every", type=int, default=1000)
+    parser.add_argument("--snapshot-every", default="1000")
     parser.add_argument("--start", type=int, default=1)
     args = parser.parse_args()
     if len(args.roots) > 2:
         parser.error("at most two roots")
+    try:
+        every = [int(e) for e in args.snapshot_every.split(",")]
+    except ValueError:
+        parser.error("--snapshot-every takes integers, comma separated")
+    if len(every) not in (1, len(args.roots)):
+        parser.error("--snapshot-every takes one value or one per root")
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
     import numpy as np
@@ -65,6 +76,7 @@ def main() -> int:
     labels = "ab"[:len(args.roots)]
     modules = {label: load(root, f"mtpa_{label}")
                for label, root in zip(labels, args.roots)}
+    every = dict(zip(labels, every * len(labels) if len(every) == 1 else every))
 
     def go(label, n, m, seed):
         urn_module, harness = modules[label]
@@ -72,11 +84,11 @@ def main() -> int:
         np.fill_diagonal(flip, 0.6)
         sampler = urn_module.bernoulli_column_sampler(flip)
         urn = urn_module.new_urn([args.start] * n, m, sampler)
-        urn_module.run_urn(urn, sampler, args.steps, args.snapshot_every,
+        urn_module.run_urn(urn, sampler, args.steps, every[label],
                            harness.replicate_stream(80, seed))
 
     out = {"roots": dict(zip(labels, args.roots)), "steps": args.steps,
-           "snapshot_every": args.snapshot_every, "start": args.start,
+           "snapshot_every": every, "start": args.start,
            "sizes": {}}
     for n, m in SIZES:
         row = {label: {} for label in labels}
