@@ -19,8 +19,8 @@ LAZY = {
     "convergence": ("convergence_series",),
     "degrees": ("DegreeDistribution",),
     "graph": ("PerturbationSchedule", "TypedGraph", "check_graph_invariants",
-              "edge_type_proportions", "empirical_distribution", "grow",
-              "new_graph", "pa_step", "run"),
+              "edge_type_proportions", "empirical_distribution", "new_graph",
+              "pa_step", "run"),
     "harness": ("perturbed_vs_unperturbed_study", "run_experiment",
                 "tv_distance"),
     "matrices": ("stationary_type_distribution",),
@@ -35,7 +35,7 @@ __all__ = [
     "ColumnSampler", "DegreeDistribution", "ExperimentConfig",
     "PerturbationSchedule", "SeedGraphSpec", "TypedGraph", "UrnState",
     "assumption_audit", "bernoulli_column_sampler", "empirical_distribution",
-    "grow", "new_graph", "new_urn", "pa_step", "replicate_stream", "run",
+    "new_graph", "new_urn", "pa_step", "replicate_stream", "run",
     "run_experiment", "run_urn", "solve_recurrence",
     "solve_unperturbed_recurrence", "stationary_type_distribution",
     "tv_distance", "urn_step",

@@ -1,8 +1,9 @@
 """Convergence diagnostics: the per-snapshot series of `diagnose`, and the
 exact finite-step attachment probabilities and limits they read.
 
-Only `diagnose` loads this module; it reads the simulators and the solver
-alike.
+Only `diagnose` loads this module. Its series simulate each replicate
+through `harness.simulate`, which loads the simulator of the config's model
+alone, so this module imports neither `graph` nor `urn`.
 """
 from __future__ import annotations
 
@@ -13,14 +14,11 @@ from functools import partial
 
 import numpy as np
 
-from .config import (GRAPH, URN, ExperimentConfig, comparison_cutoff,
-                     replicate_stream)
+from .config import GRAPH, URN, ExperimentConfig, comparison_cutoff
 from .errors import BadArgs, BadIndexMatrix, BadQuantity
-from .graph import new_graph, run
-from .harness import map_replicates, tv_distance
+from .harness import map_replicates, simulate, tv_distance
 from .theory import (_compositions, solve_recurrence,
                      stationary_type_distribution)
-from .urn import bernoulli_column_sampler, new_urn, run_urn
 
 
 def exact_no_edge_probability(d, num_edges_prev: int, m: int) -> float:
@@ -130,15 +128,10 @@ def edge_gain_rate_limit(d, l: int, type_flip_matrix) -> float:
 def _series_replicate(cfg: ExperimentConfig, index: int, theory=None) -> list:
     """(n, proportions) per snapshot of one replicate, or (n, TV to
     `theory`) when a theoretical distribution is given."""
-    rng = replicate_stream(cfg.master_seed, index)
+    _, snaps = simulate(cfg, index, cfg.snapshot_every,
+                        census=theory is not None)
     if cfg.model == URN:
-        sampler = bernoulli_column_sampler(cfg.f_matrix)
-        urn = new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
-        snaps = run_urn(urn, sampler, cfg.n_steps, cfg.snapshot_every, rng)
         return [(s.n, s.fractions) for s in snaps]
-    graph = new_graph(cfg.seed_spec())
-    snaps = run(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps,
-                cfg.snapshot_every, rng, census=theory is not None)
     if theory is None:
         return [(s.n, s.psi) for s in snaps]
     return [(s.n, tv_distance(s.distribution, theory, cfg.cutoff))

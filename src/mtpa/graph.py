@@ -12,18 +12,22 @@ slot draw is an exact degree-proportional vertex draw, and the slot's edge
 type is at the same time a uniform draw over the chosen vertex's incident
 edges.
 
-`pa_step` applies one step with scalar code and is the reference. `grow`
-applies many steps at once and is what runs use. The pool only grows by
-appends, so the pool size at every step is known in advance: `grow`
-allocates the final pool once and fills it in passes of whole steps, a
-constant number of edges per pass, drawing each pass's uniforms in one
-call. Each new edge then depends only on the slot it drew: its endpoint is
-that slot's vertex, and its type is its flip map applied to that slot's
-type. Within a pass, `grow` follows these chains back to the pool as it
-was at the start of the pass, in vectorized rounds, and gives the same
-graph bit for bit. The filled slots are then tallied into the degree
-table and the type counts (`_tally`); `run` tallies them one snapshot
-segment at a time.
+`pa_step` applies one step with scalar code and is the reference. `run`
+applies many steps at once and is what every caller uses. The pool only
+grows by appends, so the pool size at every step is known in advance:
+`run` allocates the final pool once and fills it in passes of whole steps,
+a constant number of edges per pass, drawing each pass's uniforms in one
+call (`_fill`). Each new edge then depends only on the slot it drew: its
+endpoint is that slot's vertex, and its type is its flip map applied to
+that slot's type. Within a pass, the fill follows these chains back to the
+pool as it was at the start of the pass, in vectorized rounds, and gives
+the same graph bit for bit. `run` then tallies the filled slots into the
+degree table and the type counts (`_tally`), one snapshot segment at a
+time; a caller that wants only the final graph asks for one snapshot, at
+the last step.
+
+F = I, the model without perturbation, is a valid limit: each edge keeps
+its initial type. Any other reducible limit is rejected.
 """
 from __future__ import annotations
 
@@ -46,12 +50,14 @@ class PerturbationSchedule:
     CONSTANT uses the limit matrix at every step. DECAYING materializes
     limit + decay / n**rho, clamps entries to [0, 1] and renormalizes rows,
     which keeps every realized matrix row-stochastic while converging to the
-    limit. `decay` must have zero row sums.
+    limit. `decay` must have zero row sums. The limit is irreducible, or
+    exactly the identity (the model without perturbation).
     """
 
     def __init__(self, limit, kind: str = CONSTANT, decay=None, rho: float = 1.0):
         self.limit = matrices.as_row_stochastic(limit, what="F")
-        matrices.require_irreducible(self.limit, what="F")
+        if not np.array_equal(self.limit, np.eye(len(self.limit))):
+            matrices.require_irreducible(self.limit, what="F")
         if kind not in (CONSTANT, DECAYING):
             raise ValidationError(f"unknown schedule kind {kind!r}")
         self.kind = kind
@@ -112,7 +118,7 @@ def _index_dtype(slots: int):
     return np.int32 if slots < 2**31 else np.int64
 
 
-# edges per pass of `grow`'s fill, rounded down to whole steps, and per
+# edges per pass of `_fill`, rounded down to whole steps, and per
 # pass of a tally; a fill pass's temporaries take about 60 B per edge
 _PASS_EDGES = 16384
 
@@ -276,7 +282,7 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     initial type at once, see module docstring) and one perturbation draw.
     Degrees, pool and type counts all update atomically at the end,
     so every probability inside the step is a function of the frozen state.
-    This is the scalar reference that `grow` must reproduce.
+    This is the scalar reference that `run` must reproduce.
     """
     n = graph.step_index + 1
     pool_v = graph.endpoint_pool
@@ -314,22 +320,6 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
 
     graph.per_vertex_degree = degrees
     graph.step_index = n
-    return graph
-
-
-def grow(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
-         n_steps: int, rng: np.random.Generator) -> TypedGraph:
-    """Apply `n_steps` growth steps at once, from any state.
-
-    Draws the same uniforms in the same order as `n_steps` calls of
-    `pa_step`, and leaves the same graph bit for bit: `_fill`, then one
-    `_tally` of the new slots.
-    """
-    if n_steps < 0:
-        raise ValidationError("n_steps must be nonnegative")
-    start = _fill(graph, schedule, m, n_steps, rng)
-    graph.type_counts = (_tally(graph, start, len(graph.endpoint_pool))
-                         + graph.type_counts).tolist()
     return graph
 
 
@@ -459,9 +449,10 @@ def run(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     """Apply n_steps growth steps, snapshotting proportions and the census.
 
     Emits the initial state, then every `snapshot_every` steps and at the
-    final step. Deterministic given the generator's seed. A caller that
-    reads only the proportions passes `census=False`, and its snapshots
-    carry no distribution (None).
+    final step. Draws the same uniforms in the same order as `n_steps`
+    calls of `pa_step`, from any state, and leaves the same graph bit for
+    bit. A caller that reads only the proportions, or the final graph,
+    passes `census=False`, and its snapshots carry no distribution (None).
 
     The snapshots cost one growth pass and their censuses: `_fill` grows
     all `n_steps` at once, its passes crossing snapshot boundaries with

@@ -6,19 +6,22 @@ Replicates are independent simulations whose generators are derived from
 depend on execution order. MTPA_THREADS caps process-level parallelism
 (unset or 1 = serial, 0 = one worker per CPU this process may run on, as
 `taskset` or a cpuset allows); any other non-integer or negative value is
-an error.
+an error. `simulate` runs every replicate of both models: `compare` asks it
+for the final graph or urn alone, and `diagnose`'s series (in
+`convergence`) for every snapshot.
 
 A command loads only the layers its model runs: `graph`, `urn` and
 `theory` are each imported when this module first reads one of their
-functions (see `mtpa.LAZY`), so an urn `compare` never loads `graph` or
-the lattice solver, and `study` never loads a simulator.
+functions (see `mtpa.LAZY`), so an urn `compare` or `diagnose` never loads
+`graph`, an urn `compare` never loads the lattice solver, and `study` never
+loads a simulator.
 """
 from __future__ import annotations
 
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -97,11 +100,12 @@ class ComparisonReport:
     psi_tolerance: float
     pass_fraction: float
     cutoff: int
-    failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        # tv_passed is None for the urn model, which has no TV verdict
+        return (self.tv_passed is not False and self.psi_passed
+                and not any(r.violations for r in self.replicates))
 
     def summary_lines(self) -> list:
         """The report as text, with the verdicts `run_experiment` reached."""
@@ -129,29 +133,43 @@ class ComparisonReport:
         return lines
 
 
-def _graph_replicate(cfg: ExperimentConfig, index: int):
+def simulate(cfg: ExperimentConfig, index: int, snapshot_every: int,
+             census: bool = False) -> tuple:
+    """Replicate `index` of `cfg`, simulated by its model: the final graph
+    or urn, and its snapshots, every `snapshot_every` steps and at the last
+    (a graph's with their censuses if `census`). `compare` and `diagnose`
+    run every replicate through here."""
     rng = replicate_stream(cfg.master_seed, index)
-    graph = _this.new_graph(cfg.seed_spec())
-    _this.grow(graph, cfg.schedule(), cfg.m_edges, cfg.n_steps, rng)
-    violations = _this.check_graph_invariants(graph, cfg.m_edges)
-    truncated = _this.empirical_distribution(graph).truncated(cfg.cutoff)
-    psi = _this.edge_type_proportions(graph)
-    return ReplicateResult(index, None, psi, 0.0, violations), truncated
-
-
-def _urn_replicate(cfg: ExperimentConfig, index: int):
-    rng = replicate_stream(cfg.master_seed, index)
+    if cfg.model == GRAPH:
+        graph = _this.new_graph(cfg.seed_spec())
+        return graph, _this.run(graph, cfg.schedule(), cfg.m_edges,
+                                cfg.n_steps, snapshot_every, rng, census=census)
     sampler = _this.bernoulli_column_sampler(cfg.f_matrix)
     urn = _this.new_urn(cfg.urn_composition(), cfg.m_edges, sampler)
-    # compare reads the last snapshot alone, so it asks for no other
-    _this.run_urn(urn, sampler, cfg.n_steps, max(cfg.n_steps, 1), rng)
-    violations = _this.check_urn_invariants(urn)
-    return ReplicateResult(index, None, urn.fractions(), 0.0, violations), None
+    return urn, _this.run_urn(urn, sampler, cfg.n_steps, snapshot_every, rng)
+
+
+def _replicate(cfg: ExperimentConfig, index: int):
+    """A compare replicate's result, and a graph's census cut at the
+    cutoff; compare reads the last snapshot alone, so it asks for no
+    other."""
+    state, _ = simulate(cfg, index, max(cfg.n_steps, 1))
+    if cfg.model != GRAPH:
+        violations = _this.check_urn_invariants(state)
+        return ReplicateResult(index, None, state.fractions(), 0.0,
+                               violations), None
+    violations = _this.check_graph_invariants(state, cfg.m_edges)
+    truncated = _this.empirical_distribution(state).truncated(cfg.cutoff)
+    psi = _this.edge_type_proportions(state)
+    return ReplicateResult(index, None, psi, 0.0, violations), truncated
 
 
 def map_replicates(cfg: ExperimentConfig, task) -> list:
     """`task(index)` for every replicate index, in index order; `task` must
     pickle, so it is a module-level function or a partial of one."""
+    # each replicate simulates cfg's model, by the module of its name;
+    # loaded here, so that forked pool workers start with it
+    _load(cfg.model)
     indices = range(cfg.replicates)
     workers = max_workers(cfg.replicates)
     if workers == 1:
@@ -172,20 +190,13 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     if cfg.model == GRAPH:
         theory = _this.solve_recurrence(cfg.f_matrix, cfg.m_edges,
                                         comparison_cutoff(cfg))
-    # each model is simulated by the module of its name; loaded here, so
-    # that forked pool workers start with it
-    _load(cfg.model)
-    replicate = _graph_replicate if cfg.model == GRAPH else _urn_replicate
-    raw = map_replicates(cfg, partial(replicate, cfg))
+    raw = map_replicates(cfg, partial(_replicate, cfg))
     results = [result for result, _ in raw]
     for result in results:
         result.psi_error = float(np.max(np.abs(
             np.asarray(result.psi) - psi_ref)))
 
-    failures = []
-    unaccounted = None
-    per_degree = None
-    mean_tv = tv_passed = None
+    unaccounted = per_degree = mean_tv = tv_passed = None
     if cfg.model == GRAPH:
         from .degrees import aligned
 
@@ -198,19 +209,9 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         per_degree = (degrees, sum(empirical) / len(results), theoretical)
         mean_tv = float(np.mean([r.tv for r in results]))
         tv_passed = mean_tv <= cfg.tv_tolerance
-        if not tv_passed:
-            failures.append(
-                f"mean TV {mean_tv:.6f} exceeds {cfg.tv_tolerance:g}")
 
     ok = sum(1 for r in results if r.psi_error <= cfg.psi_tolerance)
     psi_passed = ok / len(results) >= cfg.pass_fraction
-    if not psi_passed:
-        failures.append(
-            f"only {ok}/{len(results)} replicates have terminal proportions "
-            f"within {cfg.psi_tolerance:g}")
-    violations = [v for r in results for v in r.violations]
-    if violations:
-        failures.append(f"{len(violations)} conservation violations")
 
     return ComparisonReport(
         model=cfg.model,
@@ -226,7 +227,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         psi_tolerance=cfg.psi_tolerance,
         pass_fraction=cfg.pass_fraction,
         cutoff=cfg.cutoff,
-        failures=failures,
     )
 
 

@@ -16,7 +16,7 @@ import pytest
 from mtpa import output
 from mtpa.degrees import DegreeDistribution, degree_dtype
 from mtpa.graph import (GraphSnapshot, PerturbationSchedule, SeedGraphSpec,
-                        _census, empirical_distribution, grow, new_graph)
+                        _census, empirical_distribution, new_graph, run)
 from mtpa.harness import replicate_stream
 from mtpa.output import write_distribution_csv, write_graph_snapshots
 from mtpa.theory import solve_unperturbed_recurrence
@@ -219,7 +219,8 @@ def test_census_is_a_counter_of_the_rows(degrees):
 def test_empirical_distribution_is_the_counted_census(n):
     flip = 0.7 * np.eye(n) + 0.3 / n
     g = new_graph(SeedGraphSpec.default(n))
-    grow(g, PerturbationSchedule(flip), 3, 2000, replicate_stream(n, 0))
+    run(g, PerturbationSchedule(flip), 3, 2000, 2000, replicate_stream(n, 0),
+        census=False)
     dist = empirical_distribution(g)
     expected = counter_census(g.per_vertex_degree)
     assert list(dist.masses) == [d for d, _ in expected]

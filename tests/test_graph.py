@@ -11,7 +11,7 @@ from mtpa.errors import (EmptyGraph, EmptyPool, LoopEdge, MissingType,
                          ValidationError)
 from mtpa.graph import (DECAYING, PerturbationSchedule, SeedGraphSpec,
                         TypedGraph, _census, check_graph_invariants,
-                        empirical_distribution, grow, new_graph, pa_step, run)
+                        empirical_distribution, new_graph, pa_step, run)
 from mtpa.harness import replicate_stream
 
 F_NEAR_ID = [[0.9, 0.1], [0.1, 0.9]]
@@ -112,7 +112,9 @@ def test_schedule_validation():
     with pytest.raises(NotStochastic):
         PerturbationSchedule([[0.8, 0.1], [0.1, 0.9]])
     with pytest.raises(NotIrreducible):
-        PerturbationSchedule([[1.0, 0.0], [0.0, 1.0]])
+        PerturbationSchedule([[1.0, 0.0], [0.5, 0.5]])
+    # F = I is the model without perturbation, the one reducible F it runs
+    PerturbationSchedule([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError):
         PerturbationSchedule(F_NEAR_ID, kind="bogus")
     with pytest.raises(ValidationError):
@@ -356,7 +358,7 @@ def test_invariants_flag_a_corrupted_pool():
 def test_invariants_flag_a_corrupted_degree():
     schedule = PerturbationSchedule(F_NEAR_ID)
     g = new_graph(SeedGraphSpec.default(2))
-    grow(g, schedule, 2, 50, replicate_stream(41, 0))
+    run(g, schedule, 2, 50, 50, replicate_stream(41, 0), census=False)
     # move one unit of degree between types: the handshake still holds,
     # so only the recount of the pool can see it
     old = g.per_vertex_degree[5].tolist()
@@ -440,7 +442,8 @@ def test_type_permutation_equivariance_distributional():
         reps, steps = 40, 2000
         for r in range(reps):
             g = new_graph(SeedGraphSpec.default(2))
-            grow(g, schedule, 1, steps, replicate_stream(512 + lane, r))
+            run(g, schedule, 1, steps, steps, replicate_stream(512 + lane, r),
+                census=False)
             for d, c in census(g).items():
                 acc[d] = acc.get(d, 0) + c
         total = sum(acc.values())

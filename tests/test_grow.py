@@ -1,6 +1,6 @@
-"""Differential tests: the whole-run engine `grow` against `pa_step`.
+"""Differential tests: the whole-run engine `run` against `pa_step`.
 
-`grow` must draw the same uniforms in the same order as a loop of
+`run` must draw the same uniforms in the same order as a loop of
 `pa_step` calls and leave the same graph bit for bit: pools, type counts,
 per-vertex degrees and the census derived from them, every snapshot of a
 run, and the state of the generator afterwards.
@@ -20,14 +20,14 @@ from mtpa.degrees import DegreeDistribution
 from mtpa.graph import (CONSTANT, DECAYING, PerturbationSchedule,
                         SeedGraphSpec, _census, _index_dtype,
                         check_graph_invariants, empirical_distribution,
-                        edge_type_proportions, grow, new_graph, pa_step, run)
+                        edge_type_proportions, new_graph, pa_step, run)
 from mtpa.harness import replicate_stream, tv_distance
 from mtpa.theory import solve_recurrence
 from test_run_urn import DyadicStream
 from test_walk import sort_key
 
 SEEDS = range(5)
-# steps per pass of `grow`: one, an odd few, and more than any call takes;
+# steps per pass of the fill: one, an odd few, and more than any call takes;
 # the differential tests loop over them, so their ids stay as they were
 PASS_STEPS = (1, 7, 10**6)
 
@@ -98,9 +98,13 @@ def assert_same_stream(rng_a, rng_b):
 @pytest.mark.parametrize("seed_kind", ["default", "parallel", "gaps"])
 def test_run_matches_pa_step(seed_kind, n_types, m, rho, tmp_path,
                              monkeypatch):
-    schedule = make_schedule(n_types, rho)
+    # F = I, the model without perturbation, is one more constant schedule
+    schedules = [make_schedule(n_types, rho)]
+    if rho is None:
+        schedules.append(PerturbationSchedule(np.eye(n_types)))
     spec = seed_spec(seed_kind, n_types, tmp_path)
-    for pass_steps, seed in itertools.product(PASS_STEPS, SEEDS):
+    for schedule, pass_steps, seed in itertools.product(schedules, PASS_STEPS,
+                                                        SEEDS):
         monkeypatch.setattr(graph_module, "_PASS_EDGES", pass_steps * m)
         # 130 steps with a snapshot every 40: the last interval is short
         ref, eng = new_graph(spec), new_graph(spec)
@@ -128,7 +132,7 @@ def test_grow_continues_a_graph_stepped_by_pa_step(rho):
             pa_step(eng, schedule, 2, rng_eng)
         for _ in range(250):
             pa_step(ref, schedule, 2, rng_ref)
-        grow(eng, schedule, 2, 250, rng_eng)
+        run(eng, schedule, 2, 250, 250, rng_eng, census=False)
         assert_same_graph(ref, eng)
         assert_same_stream(rng_ref, rng_eng)
         assert check_graph_invariants(eng, 2) == []
@@ -138,7 +142,7 @@ def test_zero_steps_draw_nothing():
     schedule = make_schedule(2, 0.5)
     g = new_graph(SeedGraphSpec.default(2))
     rng, untouched = replicate_stream(3, 0), replicate_stream(3, 0)
-    assert grow(g, schedule, 2, 0, rng) is g
+    run(g, schedule, 2, 0, 1, rng, census=False)
     snaps = run(g, schedule, 2, 0, 7, rng)
     assert [s.n for s in snaps] == [0]
     assert_same_graph(g, new_graph(SeedGraphSpec.default(2)))
@@ -155,7 +159,7 @@ def test_long_run_matches_pa_step(monkeypatch):
         rng_ref, rng_eng = replicate_stream(9, 0), replicate_stream(9, 0)
         for _ in range(5000):
             pa_step(ref, schedule, 3, rng_ref)
-        grow(eng, schedule, 3, 5000, rng_eng)
+        run(eng, schedule, 3, 5000, 5000, rng_eng, census=False)
         assert_same_graph(ref, eng)
         assert_same_stream(rng_ref, rng_eng)
 
@@ -166,7 +170,8 @@ def test_invariants_recount_the_last_pass(monkeypatch):
     # vertex
     monkeypatch.setattr(graph_module, "_PASS_EDGES", 16)
     g = new_graph(SeedGraphSpec.default(2))
-    grow(g, make_schedule(2, None), 2, 50, replicate_stream(41, 0))
+    run(g, make_schedule(2, None), 2, 50, 50, replicate_stream(41, 0),
+        census=False)
     assert g.num_edges % 16 == 6
     assert check_graph_invariants(g, 2) == []
     newest = g.num_vertices - 1
@@ -183,13 +188,14 @@ def test_invariants_recount_the_last_pass(monkeypatch):
 
 
 def test_replicate_memory_is_bounded_per_edge():
-    # a 100k-step criterion-3 replicate: each of grow, the check and the
+    # a 100k-step criterion-3 replicate: each of run, the check and the
     # census peaks at no more than 24 B per edge, the graph included
     spec = seed_spec("parallel", 2, None)
     schedule = PerturbationSchedule(np.array([[0.9, 0.1], [0.1, 0.9]]))
     rng = replicate_stream(0, 0)  # made untraced: it may import numpy.random
     phases = {
-        "grow": lambda g: grow(g, schedule, 2, 100_000, rng),
+        "run": lambda g: run(g, schedule, 2, 100_000, 100_000, rng,
+                            census=False),
         "check": lambda g: check_graph_invariants(g, 2),
         "census": empirical_distribution,
     }
@@ -218,7 +224,7 @@ def test_ties_at_cdf_entries(m):
         rng_ref, rng_eng = DyadicStream(seed), DyadicStream(seed)
         for _ in range(200):
             pa_step(ref, schedule, m, rng_ref)
-        grow(eng, schedule, m, 200, rng_eng)
+        run(eng, schedule, m, 200, 200, rng_eng, census=False)
         assert_same_graph(ref, eng)
         assert_same_stream(rng_ref, rng_eng)
 
@@ -303,7 +309,7 @@ def test_tv_distance_does_not_depend_on_census_order():
     # census must be the same bytes whatever order its rows come in
     schedule = make_schedule(2, None)
     g = new_graph(SeedGraphSpec.default(2))
-    grow(g, schedule, 2, 3000, replicate_stream(8, 0))
+    run(g, schedule, 2, 3000, 3000, replicate_stream(8, 0), census=False)
     theory_cut = solve_recurrence(schedule.limit, 2, 16).truncated(8)
     cut = empirical_distribution(g).truncated(8)
     order = list(range(len(cut)))

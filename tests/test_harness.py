@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 import mtpa
-from mtpa import convergence, harness
+from mtpa import harness
 from mtpa.cli import main
 from mtpa.config import parse_config
 from mtpa.convergence import convergence_series
 from mtpa.degrees import DegreeDistribution
 from mtpa.errors import BadArgs, BadQuantity, ValidationError
-from mtpa.graph import empirical_distribution, grow, new_graph
+from mtpa.graph import empirical_distribution, new_graph, run
 from mtpa.harness import (ExperimentConfig, max_workers,
                           perturbed_vs_unperturbed_study, replicate_stream,
                           run_experiment, tv_distance)
@@ -76,7 +76,8 @@ def test_tv_is_correctly_rounded_on_grown_graphs():
     wrong = []
     for seed in range(20):
         graph = new_graph(cfg.seed_spec())
-        grow(graph, cfg.schedule(), 2, 3000, replicate_stream(seed, 0))
+        run(graph, cfg.schedule(), 2, 3000, 3000, replicate_stream(seed, 0),
+            census=False)
         census = empirical_distribution(graph)
         want = exact_tv(census, theory, 8).hex()
         if {tv_distance(census, theory, 8).hex(),
@@ -211,7 +212,7 @@ def test_error_table_equals_a_dict_accumulation(tmp_path, monkeypatch,
                               cfg.max_weight).truncated(cfg.cutoff)
     acc = dict.fromkeys(theory.masses, 0.0)
     for index in range(cfg.replicates):
-        _, census = harness._graph_replicate(cfg, index)
+        _, census = harness._replicate(cfg, index)
         for d, p in census.masses.items():
             acc[d] = acc.get(d, 0.0) + p
     rows = []
@@ -245,8 +246,8 @@ def test_an_over_cap_cutoff_fails_before_any_replicate(tmp_path, monkeypatch,
     def no_growth(*args, **kwargs):
         raise AssertionError("a replicate started before the solve")
 
-    monkeypatch.setattr(harness, "grow", no_growth)  # compare
-    monkeypatch.setattr(convergence, "run", no_growth)  # diagnose tv
+    # compare and diagnose tv both grow their replicates through harness.run
+    monkeypatch.setattr(harness, "run", no_growth)
     path = tmp_path / "cap.ini"
     path.write_text(OVER_CAP)
     assert main(argv + ["--config", str(path),
@@ -267,9 +268,11 @@ def test_run_experiment_records_tolerance_failures():
     report = run_experiment(small_graph_cfg(tv_tolerance=1e-9,
                                             psi_tolerance=1e-9))
     assert not report.passed
-    assert any("TV" in f for f in report.failures)
-    assert any("proportions" in f for f in report.failures)
-    assert any("overall: FAIL" in line for line in report.summary_lines())
+    assert report.tv_passed is False and report.psi_passed is False
+    lines = report.summary_lines()
+    assert lines[2].startswith("mean TV") and lines[2].endswith(": FAIL")
+    assert lines[4].startswith("psi within") and lines[4].endswith(": FAIL")
+    assert "overall: FAIL" in lines
 
 
 def test_tolerance_equal_to_mean_tv_passes():
@@ -286,10 +289,18 @@ def test_summary_prints_the_stored_verdicts():
     # the text repeats the verdicts run_experiment reached, never re-decides
     report = run_experiment(small_graph_cfg())
     report.tv_passed = report.psi_passed = False
-    report.failures = ["forced"]
     lines = report.summary_lines()
     assert lines[2].endswith(": FAIL") and lines[4].endswith(": FAIL")
     assert lines[-1] == "overall: FAIL"
+
+
+def test_a_conservation_violation_alone_fails_the_report():
+    report = run_experiment(small_graph_cfg())
+    assert report.passed
+    report.replicates[0].violations.append("forced")
+    assert not report.passed
+    assert report.summary_lines()[-3:] == [
+        "conservation checks: FAIL", "  violation: forced", "overall: FAIL"]
 
 
 def test_run_experiment_is_reproducible():
@@ -389,7 +400,7 @@ def test_graph_proportions_match_urn_in_distribution():
     # terminal proportions across seeds must be KS-indistinguishable
     scipy_stats = pytest.importorskip("scipy.stats")
     from mtpa.graph import (PerturbationSchedule, SeedGraphSpec,
-                            edge_type_proportions, grow, new_graph)
+                            edge_type_proportions, new_graph, run)
     from mtpa.urn import bernoulli_column_sampler, new_urn, run_urn
 
     seeds = 40
@@ -398,7 +409,7 @@ def test_graph_proportions_match_urn_in_distribution():
     graph_sample = []
     for r in range(seeds):
         g = new_graph(SeedGraphSpec.default(2))
-        grow(g, schedule, 1, steps, replicate_stream(62, r))
+        run(g, schedule, 1, steps, steps, replicate_stream(62, r), census=False)
         graph_sample.append(edge_type_proportions(g)[0])
 
     sampler = bernoulli_column_sampler(np.asarray(F_NEAR_ID))

@@ -57,8 +57,13 @@ COMMANDS = {
     "compare-graph": (["compare", "--config", "graph.ini", "--steps", "20"],
                       GRAPH),
     "compare-urn": (["compare", "--config", "urn.ini", "--steps", "20"], URN),
+    # a diagnose loads its model's simulator alone: graph.ini's, then urn.ini's
     "diagnose": (["diagnose", "--config", "graph.ini", "--steps", "20",
-                  "--quantity", "tv"], GRAPH | URN | {"mtpa.convergence"}),
+                  "--quantity", "tv"], GRAPH | {"mtpa.convergence"}),
+    "diagnose-urn": (["diagnose", "--config", "urn.ini", "--steps", "20",
+                      "--quantity", "psi"],
+                     URN | {"mtpa.convergence", "mtpa.degrees",
+                            "mtpa.theory"}),
 }
 
 # run `mtpa.cli.main` on argv, then print the mtpa modules as the last line
@@ -101,7 +106,7 @@ PUBLIC = [
     "ColumnSampler", "DegreeDistribution", "ExperimentConfig",
     "PerturbationSchedule", "SeedGraphSpec", "TypedGraph", "UrnState",
     "assumption_audit", "bernoulli_column_sampler", "empirical_distribution",
-    "grow", "new_graph", "new_urn", "pa_step", "replicate_stream", "run",
+    "new_graph", "new_urn", "pa_step", "replicate_stream", "run",
     "run_experiment", "run_urn", "solve_recurrence",
     "solve_unperturbed_recurrence", "stationary_type_distribution",
     "tv_distance", "urn_step",
@@ -190,7 +195,7 @@ def test_a_replacement_on_the_cli_is_what_runs(name, tmp_path, monkeypatch):
 # calls: once per run, or once per replicate (graph.ini has 2, urn.ini 3)
 HARNESS_CALLS = {
     "graph.ini": {"stationary_type_distribution": 1, "solve_recurrence": 1,
-                  "new_graph": 2, "grow": 2, "check_graph_invariants": 2,
+                  "new_graph": 2, "run": 2, "check_graph_invariants": 2,
                   "empirical_distribution": 2, "edge_type_proportions": 2},
     "urn.ini": {"stationary_type_distribution": 1,
                 "bernoulli_column_sampler": 3, "new_urn": 3, "run_urn": 3,

@@ -4,7 +4,9 @@
 squaring; a breadth-first search written here is its reference, on random
 matrices whose entries lie above, at and below `STRUCTURAL_ZERO`. The
 commands that read the stationary psi reject a reducible F, and the urn's
-sampler raises the validator's own `NotStochastic`.
+sampler raises the validator's own `NotStochastic`. Both simulators run
+F = I, the model without perturbation; the graph rejects any other
+reducible F.
 """
 from __future__ import annotations
 
@@ -95,11 +97,15 @@ replicates = 2
 @pytest.mark.parametrize("argv, code", [
     (["solve", "--n", "2", "--f", "1,0,0,1"], 2),
     (["compare", "--config", "identity.ini"], 2),
-    (["simulate-graph", "--n", "2", "--f", "1,0,0,1", "--steps", "20"], 2),
+    (["simulate-graph", "--n", "2", "--f", "1,0,0,1", "--steps", "20"], 0),
     (["simulate-urn", "--n", "2", "--f", "1,0,0,1", "--steps", "20"], 0),
+    (["simulate-graph", "--n", "3", "--f", "1,0,0,0,0.5,0.5,0,0.5,0.5",
+      "--steps", "20"], 2),
+    (["diagnose", "--config", "identity.ini", "--quantity", "psi"], 2),
+    (["diagnose", "--config", "identity.ini", "--quantity", "tv"], 2),
 ])
-def test_only_the_urn_runs_a_reducible_f(argv, code, tmp_path, monkeypatch,
-                                         capsys):
+def test_which_commands_run_a_reducible_f(argv, code, tmp_path, monkeypatch,
+                                          capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "identity.ini").write_text(IDENTITY_CFG)
     assert main(argv + ["--out", "out"]) == code

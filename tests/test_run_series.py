@@ -1,11 +1,12 @@
-"""Differential tests: `run`'s one growth pass against one `grow` per
+"""Differential tests: `run`'s one growth pass against one `run` call per
 snapshot.
 
 `run` grows all its steps at once and reads every snapshot off the grown
-pool. It must give what a loop of one `grow` call per snapshot gives, bit
-for bit: each snapshot's step, proportions and census (rows, masses and
-their types), the final graph, and the state of the generator. Snapshot
-tallies that do not add up to the grown graph must raise.
+pool. It must give what a loop of census-free `run` calls gives, one per
+snapshot, each asking for its last step alone, bit for bit: each
+snapshot's step, proportions and census (rows, masses and their types),
+the final graph, and the state of the generator. Snapshot tallies that do
+not add up to the grown graph must raise.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from mtpa import graph as graph_module
 from mtpa.errors import BrokenGraph
 from mtpa.graph import (GraphSnapshot, PerturbationSchedule, SeedGraphSpec,
                         check_graph_invariants, edge_type_proportions,
-                        empirical_distribution, grow, new_graph, run)
+                        empirical_distribution, new_graph, run)
 from mtpa.harness import replicate_stream
 from test_grow import (PASS_STEPS, assert_same_graph, assert_same_stream,
                        make_schedule, seed_spec)
@@ -30,8 +31,8 @@ M = 3
 
 def grow_per_snapshot(graph, schedule, m, n_steps, snapshot_every, rng,
                       census) -> list:
-    """`run` as one `grow` call per snapshot, each census taken from the
-    graph's own degree table."""
+    """`run` as one census-free `run` call per snapshot, each census taken
+    from the graph's own degree table."""
     def snapshot():
         return GraphSnapshot(graph.step_index, edge_type_proportions(graph),
                              empirical_distribution(graph) if census
@@ -41,7 +42,7 @@ def grow_per_snapshot(graph, schedule, m, n_steps, snapshot_every, rng,
     done = 0
     while done < n_steps:
         chunk = min(snapshot_every, n_steps - done)
-        grow(graph, schedule, m, chunk, rng)
+        run(graph, schedule, m, chunk, chunk, rng, census=False)
         done += chunk
         snapshots.append(snapshot())
     return snapshots

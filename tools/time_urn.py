@@ -23,8 +23,9 @@ neither).
 The flip matrix is 0.6 on the diagonal and the rest spread evenly, so
 every draw can flip. Each size's rounds follow one untimed run per root.
 Where a checkout steps in chunks (it has `urn._chunk_gains`), that run
-counts the share of draws left to the scalar `urn._draw`, which its row
-gives as `resolved_share`.
+counts the share of draws stepped in order by the scalar `urn._draw`, in
+chunks of at most `urn.IN_ORDER_DRAWS` draws (the fixed point never calls
+it), which its row gives as `in_order_share`.
 """
 from __future__ import annotations
 
@@ -110,7 +111,7 @@ def main() -> int:
                 go(label, n, m, 0)
             finally:
                 urn_module._draw = draw
-            row[label]["resolved_share"] = calls[0] / (args.steps * m)
+            row[label]["in_order_share"] = calls[0] / (args.steps * m)
         times = {label: [] for label in labels}
         for seed in range(args.rounds):
             for label in (labels if seed % 2 == 0 else labels[::-1]):
