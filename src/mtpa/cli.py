@@ -2,7 +2,8 @@
 
 Every subcommand writes its outputs plus a manifest (resolved config, master
 seed, tool version, per-file digests) into --out. Exit codes: 0 success,
-1 tolerance failure from `compare`, 2 usage or configuration errors.
+1 tolerance failure from `compare`, 2 a usage error or any `MtpaError`
+(a rejected input, a failed numeric check or a broken run).
 
 A process started as `python -m mtpa.cli` or as the `mtpa` script enters
 through `console_main`, which ends it with `os._exit` once `main` has

@@ -60,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrices
-from .errors import NotStochastic, ParseError, ValidationError
+from .errors import ValidationError
 
 GRAPH = "graph"
 URN = "urn"
@@ -97,19 +97,19 @@ class SeedGraphSpec:
                         continue
                     parts = body.split()
                     if len(parts) != 3:
-                        raise ParseError(
+                        raise ValidationError(
                             f"{path}:{lineno}: expected 'a b t', got {body!r}")
                     try:
                         a, b, t = (int(p) for p in parts)
                     except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                        raise ValidationError(f"{path}:{lineno}: {exc}") from exc
                     if t < 1:
-                        raise ParseError(
+                        raise ValidationError(
                             f"{path}:{lineno}: types are 1-based, got {t}")
                     max_type = max(max_type, t)
                     edges.append((a, b, t - 1))
         except OSError as exc:
-            raise ParseError(f"cannot read seed graph {path}: {exc}") from exc
+            raise ValidationError(f"cannot read seed graph {path}: {exc}") from exc
         return cls(n_types if n_types is not None else max_type, edges)
 
     def type_counts(self) -> list:
@@ -173,10 +173,7 @@ class ExperimentConfig:
                 raise ValidationError("f is required when types > 1 "
                                       "(model.f, --f or --f-file)")
             self.f_matrix = [[1.0]]
-        try:
-            self.f_matrix = matrices.as_row_stochastic(self.f_matrix, what="f")
-        except NotStochastic as exc:
-            raise ValidationError(str(exc)) from exc
+        self.f_matrix = matrices.as_row_stochastic(self.f_matrix, what="f")
         if len(self.f_matrix) != self.n_types:
             raise ValidationError(
                 f"f has {len(self.f_matrix)} rows for {self.n_types} types")
@@ -292,9 +289,9 @@ def config_fields(path) -> dict:
         with open(path) as fh:
             parser.read_file(fh, source=str(path))
     except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
-        raise ParseError(f"config {path}: {exc}") from exc
+        raise ValidationError(f"config {path}: {exc}") from exc
     _check_keys(parser)
 
     def parsed(section, key, cast):

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .config import GRAPH, URN, ExperimentConfig, comparison_cutoff
-from .errors import BadArgs, BadIndexMatrix, BadQuantity
+from .errors import ValidationError
 from .harness import map_replicates, simulate, tv_distance
 from .theory import (_compositions, solve_recurrence,
                      stationary_type_distribution)
@@ -30,11 +30,11 @@ def exact_no_edge_probability(d, num_edges_prev: int, m: int) -> float:
     d = tuple(d)
     s = sum(d)
     if m < 1 or any(v < 0 for v in d):
-        raise BadArgs("need m >= 1 and nonnegative degree entries")
+        raise ValidationError("need m >= 1 and nonnegative degree entries")
     if s == 0:
         return 1.0
     if num_edges_prev < 1 or 2 * num_edges_prev < s:
-        raise BadArgs(
+        raise ValidationError(
             f"need 2*num_edges_prev >= weight, got {num_edges_prev} vs {s}")
     return (1.0 - s / (2.0 * num_edges_prev)) ** m
 
@@ -51,15 +51,15 @@ def attachment_probability_term(d_prev, assignment, num_edges_prev: int,
     cell = np.asarray(assignment, dtype=np.int64)
     n = len(d_prev)
     if cell.shape != (n, n) or np.any(cell < 0):
-        raise BadIndexMatrix(f"assignment must be {n}x{n} nonnegative integers")
+        raise ValidationError(f"assignment must be {n}x{n} nonnegative integers")
     total_new = int(cell.sum())
     if total_new > m:
-        raise BadIndexMatrix(f"assignment places {total_new} edges, step has {m}")
+        raise ValidationError(f"assignment places {total_new} edges, step has {m}")
     if any(v < 0 for v in d_prev):
-        raise BadArgs("degree entries must be nonnegative")
+        raise ValidationError("degree entries must be nonnegative")
     s_prev = sum(d_prev)
     if num_edges_prev < 1 or 2 * num_edges_prev < s_prev:
-        raise BadArgs("need 2*num_edges_prev >= weight of d_prev")
+        raise ValidationError("need 2*num_edges_prev >= weight of d_prev")
     flip = np.asarray(type_flip_matrix, dtype=float)
     two_e = 2.0 * num_edges_prev
     value = _cells_product(
@@ -104,9 +104,9 @@ def exact_attachment_probability(d_prev, gained, num_edges_prev: int, m: int,
     """
     gained = tuple(int(g) for g in gained)
     if any(g < 0 for g in gained):
-        raise BadArgs("gained entries must be nonnegative")
+        raise ValidationError("gained entries must be nonnegative")
     if sum(gained) > m:
-        raise BadArgs(f"cannot gain {sum(gained)} edges in a step of {m}")
+        raise ValidationError(f"cannot gain {sum(gained)} edges in a step of {m}")
     total = 0.0
     for assignment in _assignments_with_gains(gained):
         total += attachment_probability_term(d_prev, assignment,
@@ -119,7 +119,7 @@ def edge_gain_rate_limit(d, l: int, type_flip_matrix) -> float:
     """Limit of n * P(gain exactly one type-l edge), for predecessors of d."""
     d = tuple(d)
     if d[l] < 1:
-        raise BadArgs(f"d must have a type-{l + 1} edge to shed")
+        raise ValidationError(f"d must have a type-{l + 1} edge to shed")
     flip = np.asarray(type_flip_matrix, dtype=float)
     previous = d[:l] + (d[l] - 1,) + d[l + 1:]
     return float(np.dot(previous, flip[:, l])) / 2.0
@@ -166,30 +166,30 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
     """
     name = quantity.strip().lower()
     if name not in SERIES_TARGETS:
-        raise BadQuantity(f"unknown quantity {quantity!r}")
+        raise ValidationError(f"unknown quantity {quantity!r}")
     if name != "psi" and cfg.model != GRAPH:
-        raise BadQuantity(f"{name} series requires the graph model")
+        raise ValidationError(f"{name} series requires the graph model")
     for target, value in (("degree", degree), ("type", type_index)):
         if (value is None) == (target in SERIES_TARGETS[name]):
-            raise BadArgs(f"the {name} series "
-                          f"{'needs' if value is None else 'reads no'} "
-                          f"target {target}")
+            raise ValidationError(f"the {name} series "
+                                  f"{'needs' if value is None else 'reads no'} "
+                                  f"target {target}")
     if degree is not None:
         degree = tuple(int(v) for v in degree)
         if len(degree) != cfg.n_types:
-            raise BadArgs(f"target degree has {len(degree)} entries for "
-                          f"{cfg.n_types} types")
+            raise ValidationError(f"target degree has {len(degree)} entries for "
+                                  f"{cfg.n_types} types")
     if type_index is not None and not 0 <= type_index < cfg.n_types:
-        raise BadArgs(f"target type {type_index + 1} is not one of "
-                      f"1..{cfg.n_types}")
+        raise ValidationError(f"target type {type_index + 1} is not one of "
+                              f"1..{cfg.n_types}")
     if degree is not None:
         weight = sum(degree) - (type_index is not None)
         seed = Counter(v for a, b, _ in cfg.seed_spec().edges for v in (a, b))
         lightest = min(cfg.m_edges, *seed.values())
         if weight < lightest:
-            raise BadArgs(f"the {name} series reads a degree of weight "
-                          f"{weight}, but no vertex weighs less than "
-                          f"{lightest}")
+            raise ValidationError(f"the {name} series reads a degree of weight "
+                                  f"{weight}, but no vertex weighs less than "
+                                  f"{lightest}")
     if name == "psi":
         psi_ref = stationary_type_distribution(cfg.f_matrix)
         header = (["replicate", "n"]

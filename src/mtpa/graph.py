@@ -40,8 +40,7 @@ import numpy as np
 from . import matrices
 from .config import CONSTANT, DECAYING, SeedGraphSpec
 from .degrees import DegreeDistribution, EMPIRICAL, degree_dtype, row_weights
-from .errors import (BrokenGraph, EmptyGraph, EmptyPool, LoopEdge, MissingType,
-                     ValidationError)
+from .errors import BrokenRun, ValidationError
 
 
 class PerturbationSchedule:
@@ -249,14 +248,14 @@ def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
         raise ValidationError("n_types must be at least 1")
     vertex_ids = sorted({v for a, b, _ in seed_spec.edges for v in (a, b)})
     if not vertex_ids:
-        raise EmptyGraph("seed graph has no vertices")
+        raise ValidationError("seed graph has no vertices")
     index = {v: i for i, v in enumerate(vertex_ids)}
 
     graph = TypedGraph(n)
     ends, types = [], []
     for a, b, t in seed_spec.edges:
         if a == b:
-            raise LoopEdge(f"seed edge ({a}, {b}) is a loop")
+            raise ValidationError(f"seed edge ({a}, {b}) is a loop")
         if not 0 <= t < n:
             raise ValidationError(f"edge type index {t} outside [0, {n})")
         ends += (index[a], index[b])
@@ -270,7 +269,7 @@ def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
     graph.type_counts = _tally(graph, 0, len(ends)).tolist()
     for t, count in enumerate(graph.type_counts):
         if count == 0:
-            raise MissingType(t + 1)
+            raise ValidationError(f"seed graph has no edge of type {t + 1}")
     return graph
 
 
@@ -289,7 +288,7 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     pool_t = graph.pool_types
     frozen = len(pool_v)
     if frozen == 0:
-        raise EmptyPool("graph has no edges to sample from")
+        raise ValidationError("graph has no edges to sample from")
     cdfs = schedule.cdf_table(n, 1)[0].tolist()
     us = rng.random(2 * m).tolist()
 
@@ -336,7 +335,7 @@ def _fill(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     if n_steps == 0:
         return start
     if start == 0:
-        raise EmptyPool("graph has no edges to sample from")
+        raise ValidationError("graph has no edges to sample from")
     first_vertex = graph.num_vertices
     idx = _index_dtype(start + 2 * m * n_steps)
     pool = np.empty(start + 2 * m * n_steps, idx)
@@ -461,7 +460,7 @@ def run(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     table, whose first rows are then the snapshot's vertices, and whose
     later rows are still zero. After the last snapshot the tallied range
     must end at the pool's end, the type counts must sum to the edges and
-    the table to the slots, or `BrokenGraph` is raised.
+    the table to the slots, or `BrokenRun` is raised.
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
@@ -488,8 +487,8 @@ def run(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     slots = len(graph.endpoint_pool)
     if (lo != slots or sum(graph.type_counts) != graph.num_edges
             or int(graph.per_vertex_degree.sum()) != slots):
-        raise BrokenGraph("the tallied snapshots do not add up to the grown "
-                          "graph's edges and degrees")
+        raise BrokenRun("the tallied snapshots do not add up to the grown "
+                        "graph's edges and degrees")
     return snapshots
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import lazy
 from .config import (GRAPH, ExperimentConfig, comparison_cutoff,
                      replicate_stream)
-from .errors import BadArgs, BadPsi, ValidationError
+from .errors import ValidationError
 from .matrices import stationary_type_distribution
 
 if TYPE_CHECKING:
@@ -253,16 +253,16 @@ def perturbed_vs_unperturbed_study(cfg: ExperimentConfig, n_psi_samples: int,
     """
     if psi_samples is None:
         if cfg.m_edges != 1:
-            raise BadArgs("Dirichlet proportions only apply when each step "
-                          "adds a single edge; pass psi_samples explicitly")
+            raise ValidationError("Dirichlet proportions only apply when each step "
+                                  "adds a single edge; pass psi_samples explicitly")
         rng = replicate_stream(cfg.master_seed, 0, lane=1)
         counts = cfg.seed_spec().type_counts()
         psi_samples = [_this.dirichlet_psi_sample(counts, rng)
                        for _ in range(n_psi_samples)]
     if not len(psi_samples):
-        raise BadArgs("need at least one psi sample")
+        raise ValidationError("need at least one psi sample")
     if any(np.shape(psi) != (cfg.n_types,) for psi in psi_samples):
-        raise BadPsi(f"every psi sample needs {cfg.n_types} entries")
+        raise ValidationError(f"every psi sample needs {cfg.n_types} entries")
 
     # a weight layer depends only on lighter ones, so both walks stop at
     # the cutoff, with the same rows; one walk carries every sample

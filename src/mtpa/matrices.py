@@ -6,8 +6,7 @@ import warnings
 
 import numpy as np
 
-from .errors import (NoConvergence, NotIrreducible, NotStochastic, ParseError,
-                     ValidationError)
+from .errors import NoConvergence, NotIrreducible, NotStochastic, ValidationError
 
 ROW_SUM_TOL = 1e-12
 # entries at or below this are treated as structural zeros when testing
@@ -119,16 +118,16 @@ def read_matrix(path) -> np.ndarray:
         with open(path) as fh:
             tokens = fh.read().split()
     except OSError as exc:
-        raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
     if not tokens:
-        raise ParseError(f"matrix file {path} is empty")
+        raise ValidationError(f"matrix file {path} is empty")
     try:
         n = int(tokens[0])
         entries = [float(t) for t in tokens[1:]]
     except ValueError as exc:
-        raise ParseError(f"matrix file {path}: {exc}") from exc
+        raise ValidationError(f"matrix file {path}: {exc}") from exc
     if n < 1 or len(entries) != n * n:
-        raise ParseError(
+        raise ValidationError(
             f"matrix file {path}: expected {n}*{n} entries, got {len(entries)}")
     return np.array(entries, dtype=float).reshape(n, n)
 

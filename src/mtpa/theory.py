@@ -15,7 +15,7 @@ import numpy as np
 from . import matrices
 from .degrees import (Degree, DegreeDistribution, THEORETICAL_PERTURBED,
                       THEORETICAL_UNPERTURBED, degree_dtype, lattice_size)
-from .errors import BadArgs, BadCounts, BadPsi, CapacityExceeded, NoConvergence
+from .errors import NoConvergence, ValidationError
 from .matrices import stationary_type_distribution
 
 #: hard cap on enumerated lattice cells before the solver refuses
@@ -62,11 +62,11 @@ def _multinomial_pmf(d: Degree, probabilities) -> float:
 
 def _check_lattice(n: int, m: int, max_weight: int) -> None:
     if m < 1:
-        raise BadArgs("m must be at least 1")
+        raise ValidationError("m must be at least 1")
     if max_weight < m:
-        raise BadArgs(f"max_weight {max_weight} is below m {m}")
+        raise ValidationError(f"d_max {max_weight} is below m {m}")
     if lattice_size(n, max_weight) > LATTICE_CAP:
-        raise CapacityExceeded(
+        raise ValidationError(
             f"lattice up to weight {max_weight} in {n} types exceeds "
             f"{LATTICE_CAP} cells")
 
@@ -209,11 +209,11 @@ def solve_unperturbed_recurrence(psi, m: int, max_weight: int):
     psi = np.asarray(psi, dtype=float)
     samples = list(psi.T) if psi.ndim == 2 else [psi]
     if psi.ndim not in (1, 2) or not samples:
-        raise BadPsi(f"psi of shape {psi.shape} is not one or more "
-                     "probability vectors")
+        raise ValidationError(f"psi of shape {psi.shape} is not one or more "
+                              "probability vectors")
     for sample in samples:
         if not np.all(sample >= 0) or not abs(sample.sum() - 1.0) <= 1e-12:
-            raise BadPsi(f"psi {sample!r} is not a probability vector")
+            raise ValidationError(f"psi {sample.tolist()} is not a probability vector")
     n = psi.shape[0]
     _check_lattice(n, m, max_weight)
     walk = (n, m, max_weight,
@@ -234,5 +234,5 @@ def dirichlet_psi_sample(initial_type_counts, rng: np.random.Generator) -> np.nd
     """
     counts = list(initial_type_counts)
     if not counts or any((int(c) != c or c < 1) for c in counts):
-        raise BadCounts(f"counts {counts!r} must be positive integers")
+        raise ValidationError(f"counts {counts!r} must be positive integers")
     return rng.dirichlet(np.asarray(counts, dtype=float))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices
-from .errors import BrokenUrn, EmptyUrn, NegativeCount, ValidationError
+from .errors import BrokenRun, ValidationError
 
 # a run_urn chunk makes at most CHUNK_DRAWS draws, and at most as many
 # compares of a draw with a colour boundary unless that leaves it fewer
@@ -99,9 +99,9 @@ def new_urn(initial_composition, m: int, sampler: ColumnSampler) -> UrnState:
     if comp != given:
         raise ValidationError(f"ball counts must be whole numbers, got {given}")
     if any(c < 0 for c in comp):
-        raise NegativeCount(f"negative ball count in {comp}")
+        raise ValidationError(f"negative ball count in {comp}")
     if sum(comp) <= 0:
-        raise EmptyUrn("initial composition has no balls")
+        raise ValidationError("initial composition has no balls")
     if m < 1:
         raise ValidationError("m must be at least 1")
     return UrnState(composition=comp, m=m, initial_total=sum(comp))
@@ -288,7 +288,7 @@ def run_urn(urn: UrnState, sampler: ColumnSampler, n_steps: int,
       whatever its size, so within the draw cap the compare budget does
       not shorten a chunk below 1024 steps, as at (3, 8).
     Each chunk draws its 2m*K uniforms with one call and ends with the
-    checks of `check_urn_invariants`; a violation raises BrokenUrn.
+    checks of `check_urn_invariants`; a violation raises BrokenRun.
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
@@ -311,7 +311,7 @@ def run_urn(urn: UrnState, sampler: ColumnSampler, n_steps: int,
         step += chunk
         violations = check_urn_invariants(urn)
         if violations:
-            raise BrokenUrn("; ".join(violations))
+            raise BrokenRun("; ".join(violations))
         if step == boundary:
             snapshots.append(_snapshot(urn))
     return snapshots

@@ -24,7 +24,9 @@ SRC = os.path.dirname(os.path.dirname(mtpa.__file__))
 
 FILES = dict(CONFIGS, **{
     "tight.ini": GRAPH_CFG.replace("tv_tolerance = 1.0",
-                                   "tv_tolerance = 1e-9")})
+                                   "tv_tolerance = 1e-9"),
+    "fractional.ini": GRAPH_CFG.replace("steps = 400", "steps = 2.5"),
+    "loop.txt": "0 1 1\n1 1 2\n0 2 2\n"})
 
 # name -> (argv, exit code); --out is appended to the commands that write
 CASES = {
@@ -34,11 +36,31 @@ CASES = {
     "solve": (COMMANDS["solve"], 0),
     "usage_error": (["solve", "--n", "2", "--bogus", "1"], 2),
     "config_error": (["compare", "--config", "missing.ini"], 2),
+    "seed_loop": (["simulate-graph", "--config", "graph.ini",
+                   "--seed-graph", "loop.txt"], 2),
+    # `--c0 -1,2` would read -1,2 as a flag, so argparse would reject it
+    "negative_count": (["simulate-urn", "--n", "2", "--f", "symmetric:0.9",
+                        "--c0=-1,2"], 2),
+    "lattice_cap": (["solve", "--n", "3", "--f", "symmetric:0.8",
+                     "--dmax", "400"], 2),
+    "unknown_quantity": (["diagnose", "--config", "graph.ini",
+                          "--quantity", "bogus"], 2),
+    "fractional_steps": (["compare", "--config", "fractional.ini"], 2),
     "help": (["--help"], 0),
     "subcommand_help": (["compare", "--help"], 0),
     "version": (["--version"], 0),
 }
 WRITES = ("compare_pass", "compare_fail", "simulate_graph", "solve")
+# name -> the one line an input error leaves on stderr
+ERRORS = {
+    "seed_loop": "error: seed edge (1, 1) is a loop\n",
+    "negative_count": "error: negative ball count in [-1, 2]\n",
+    "lattice_cap": "error: lattice up to weight 400 in 3 types exceeds "
+                   "10000000 cells\n",
+    "unknown_quantity": "error: unknown quantity 'bogus'\n",
+    "fractional_steps": "error: run.steps: invalid literal for int() with "
+                        "base 10: '2.5'\n",
+}
 
 
 def child_env() -> dict:
@@ -80,6 +102,8 @@ def test_process_matches_in_process_main(name, tmp_path, monkeypatch,
     assert proc.stdout.decode() == seen.out
     assert proc.stderr.decode() == seen.err
     assert seen.out or seen.err
+    if name in ERRORS:
+        assert seen.err == ERRORS[name]
     if name in WRITES:
         got = outputs(tmp_path / "process" / "out")
         assert "manifest.json" in got

@@ -8,7 +8,7 @@ import pytest
 
 from mtpa.cli import _resolve_config, build_parser, main
 from mtpa.config import config_fields, parse_config
-from mtpa.errors import ParseError, ValidationError
+from mtpa.errors import ValidationError
 from mtpa.harness import run_experiment
 from mtpa.matrices import read_matrix
 from mtpa.output import file_digest
@@ -62,12 +62,13 @@ def test_config_bad_row_names_the_key(tmp_path):
 
 
 def test_config_missing_file_is_parse_error(tmp_path):
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="^cannot read config "):
         parse_config(tmp_path / "nope.ini")
 
 
 def test_config_malformed_ini_is_parse_error(tmp_path):
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="^config .*: File contains no "
+                       "section headers"):
         parse_config(write_config(tmp_path, "types = 2\nno section header"))
 
 
@@ -116,7 +117,7 @@ def test_matrix_file_format(tmp_path):
     assert np.allclose(read_matrix(path), [[0.9, 0.1], [0.1, 0.9]])
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n0.9 0.1 0.1\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match=r"expected 2\*2 entries, got 3$"):
         read_matrix(bad)
 
 
@@ -568,7 +569,7 @@ def test_a_bound_is_checked_only_by_the_commands_that_read_it(tmp_path,
     for argv in (["solve"], ["solve-unperturbed", "--psi", "0.5,0.5"]):
         assert main(argv + ["--config", str(compare),
                             "--out", str(tmp_path / "o")]) == 2
-        assert "max_weight 5 is below m 6" in capsys.readouterr().err
+        assert "d_max 5 is below m 6" in capsys.readouterr().err
 
 
 SOLVED_TO_THE_CUTOFF = MINIMAL + """
@@ -625,7 +626,7 @@ def test_dmax_sets_the_config_field(tmp_path, capsys):
     # one range check for the file and the flag
     assert main(["solve", "--n", "1", "--m", "3", "--dmax", "2",
                  "--out", str(out)]) == 2
-    assert "max_weight 2 is below m 3" in capsys.readouterr().err
+    assert "d_max 2 is below m 3" in capsys.readouterr().err
 
 
 def test_m_dependent_defaults_follow_an_m_flag(tmp_path, capsys):

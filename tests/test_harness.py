@@ -15,7 +15,7 @@ from mtpa.cli import main
 from mtpa.config import parse_config
 from mtpa.convergence import convergence_series
 from mtpa.degrees import DegreeDistribution
-from mtpa.errors import BadArgs, BadQuantity, ValidationError
+from mtpa.errors import ValidationError
 from mtpa.graph import empirical_distribution, new_graph, run
 from mtpa.harness import (ExperimentConfig, max_workers,
                           perturbed_vs_unperturbed_study, replicate_stream,
@@ -473,17 +473,19 @@ def test_series_tv_shrinks_along_run():
 
 def test_series_argument_errors():
     cfg = small_graph_cfg()
-    with pytest.raises(BadQuantity):
+    with pytest.raises(ValidationError, match="^unknown quantity 'entropy'$"):
         convergence_series(cfg, "entropy")
-    with pytest.raises(BadArgs):
+    with pytest.raises(ValidationError,
+                       match="^the u_n series needs target degree$"):
         convergence_series(cfg, "u_n")
-    with pytest.raises(BadArgs):
+    with pytest.raises(ValidationError,
+                       match="^the np_el series needs target type$"):
         convergence_series(cfg, "np_el", degree=(1, 1))
     # the urn has no seed graph for the analytic series to start from
     urn = small_graph_cfg(model="urn", initial_composition=[1, 3])
     for quantity, targets in (("tv", {}), ("u_n", dict(degree=(1, 1))),
                               ("np_el", dict(degree=(2, 1), type_index=0))):
-        with pytest.raises(BadQuantity,
+        with pytest.raises(ValidationError,
                            match=f"^{quantity} series requires the graph"):
             convergence_series(urn, quantity, **targets)
 
@@ -511,7 +513,8 @@ def test_study_spread_matches_uniform_proportions():
 def test_study_requires_single_edge_steps_for_dirichlet():
     cfg = ExperimentConfig(model="graph", n_types=2, m_edges=2,
                            f_matrix=F_NEAR_ID, max_weight=6, cutoff=4)
-    with pytest.raises(BadArgs):
+    with pytest.raises(ValidationError,
+                       match="^Dirichlet proportions only apply when each "):
         perturbed_vs_unperturbed_study(cfg, 10)
     # explicit proportions lift the restriction
     study = perturbed_vs_unperturbed_study(

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from mtpa import graph as graph_module
-from mtpa.errors import BrokenGraph
+from mtpa.errors import BrokenRun
 from mtpa.graph import (GraphSnapshot, PerturbationSchedule, SeedGraphSpec,
                         check_graph_invariants, edge_type_proportions,
                         empirical_distribution, new_graph, run)
@@ -131,7 +131,7 @@ def test_a_segment_tallied_other_than_once_raises(times, census,
 
     g = new_graph(SeedGraphSpec.default(2))
     monkeypatch.setattr(graph_module, "_tally", miscount)
-    with pytest.raises(BrokenGraph, match="do not add up"):
+    with pytest.raises(BrokenRun, match="do not add up"):
         run(g, make_schedule(2, None), 2, 200, 30, replicate_stream(1, 0),
             census=census)
     assert len(calls) == 7

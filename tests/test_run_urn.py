@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mtpa import urn as urn_module
-from mtpa.errors import BrokenUrn
+from mtpa.errors import BrokenRun
 from mtpa.harness import replicate_stream
 from mtpa.urn import (CHUNK_DRAWS, CHUNK_STEPS, bernoulli_column_sampler,
                       check_urn_invariants, new_urn, run_urn, urn_step)
@@ -162,7 +162,7 @@ def test_broken_conservation_raises():
     sampler = bernoulli_column_sampler(flip_matrix(2))
     urn = new_urn([1, 3], 2, sampler)
     urn.initial_total = 5
-    with pytest.raises(BrokenUrn, match="ball conservation"):
+    with pytest.raises(BrokenRun, match="ball conservation"):
         run_urn(urn, sampler, 10, 10, replicate_stream(93, 0))
 
 
@@ -171,7 +171,7 @@ def test_negative_count_raises():
     sampler = bernoulli_column_sampler(flip_matrix(2))
     urn = new_urn([1, 3], 2, sampler)
     urn.composition[:] = [-1, 5]
-    with pytest.raises(BrokenUrn, match="negative ball count"):
+    with pytest.raises(BrokenRun, match="negative ball count"):
         run_urn(urn, sampler, 10, 10, replicate_stream(93, 0))
 
 

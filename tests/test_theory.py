@@ -18,9 +18,8 @@ from mtpa.convergence import (attachment_probability_term,
                               convergence_series, edge_gain_rate_limit,
                               exact_attachment_probability,
                               exact_no_edge_probability)
-from mtpa.errors import (BadArgs, BadCounts, BadIndexMatrix, BadPsi,
-                         CapacityExceeded, NoConvergence, NotIrreducible,
-                         NotStochastic)
+from mtpa.errors import (NoConvergence, NotIrreducible, NotStochastic,
+                         ValidationError)
 from mtpa.theory import (dirichlet_psi_sample, solve_recurrence,
                          solve_unperturbed_recurrence,
                          stationary_type_distribution)
@@ -206,14 +205,15 @@ def test_permutation_symmetry_is_exact():
 
 
 def test_solver_argument_errors(monkeypatch):
-    with pytest.raises(BadArgs):
+    with pytest.raises(ValidationError, match="^m must be at least 1$"):
         solve_recurrence(F_ASYM, 0, 5)
-    with pytest.raises(BadArgs):
+    with pytest.raises(ValidationError, match="^d_max 2 is below m 3$"):
         solve_recurrence(F_ASYM, 3, 2)
     monkeypatch.setattr(theory, "LATTICE_CAP", 10)
-    with pytest.raises(CapacityExceeded):
+    too_large = "^lattice up to weight 20 in 2 types exceeds 10 cells$"
+    with pytest.raises(ValidationError, match=too_large):
         solve_recurrence(F_ASYM, 1, 20)
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(ValidationError, match=too_large):
         solve_unperturbed_recurrence([0.5, 0.5], 1, 20)
 
 
@@ -250,14 +250,15 @@ def test_unperturbed_scales_linearly_in_psi_at_weight_one():
 
 
 def test_unperturbed_rejects_bad_psi():
-    with pytest.raises(BadPsi):
+    with pytest.raises(ValidationError,
+                       match=r"^psi \[0\.7, 0\.7\] is not a probability vector$"):
         solve_unperturbed_recurrence([0.7, 0.7], 1, 5)
 
 
 def test_unperturbed_rejects_non_finite_psi():
     nan, inf = float("nan"), float("inf")
     for psi in ([nan, 0.5], [0.5, nan], [nan, nan], [inf, 0.5], [inf, -inf]):
-        with pytest.raises(BadPsi, match="not a probability vector"):
+        with pytest.raises(ValidationError, match="not a probability vector"):
             solve_unperturbed_recurrence(psi, 1, 5)
 
 
@@ -294,9 +295,11 @@ def test_dirichlet_mean_matches_parameters():
 def test_dirichlet_single_type_and_errors():
     rng = np.random.default_rng(0)
     assert dirichlet_psi_sample([4], rng).tolist() == [1.0]
-    with pytest.raises(BadCounts):
+    with pytest.raises(ValidationError,
+                       match=r"^counts \[0, 1\] must be positive integers$"):
         dirichlet_psi_sample([0, 1], rng)
-    with pytest.raises(BadCounts):
+    with pytest.raises(ValidationError,
+                       match=r"^counts \[1\.5, 1\] must be positive integers$"):
         dirichlet_psi_sample([1.5, 1], rng)
 
 
@@ -307,7 +310,8 @@ def test_no_edge_probability_hand_values():
     assert abs(exact_no_edge_probability((2, 0), 10, 2) - 0.81) < 1e-15
     assert exact_no_edge_probability((0, 0), 10, 3) == 1.0
     assert exact_no_edge_probability((4,), 2, 1) == 0.0
-    with pytest.raises(BadArgs):
+    with pytest.raises(ValidationError,
+                       match="^need 2\\*num_edges_prev >= weight, got 2 vs 5$"):
         exact_no_edge_probability((5,), 2, 1)
 
 
@@ -324,9 +328,11 @@ def test_single_gain_hand_value():
 
 
 def test_assignment_matrix_validation():
-    with pytest.raises(BadIndexMatrix):
+    with pytest.raises(ValidationError,
+                       match="^assignment places 3 edges, step has 2$"):
         attachment_probability_term((1, 1), [[2, 0], [0, 1]], 10, 2, F_NEAR_ID)
-    with pytest.raises(BadIndexMatrix):
+    with pytest.raises(ValidationError,
+                       match="^assignment must be 2x2 nonnegative integers$"):
         attachment_probability_term((1, 1), [[-1, 0], [0, 0]], 10, 2,
                                     F_NEAR_ID)
 
@@ -373,7 +379,8 @@ def test_gain_law_sums_to_one_over_all_gains():
 
 def test_edge_gain_rate_limit_hand_value():
     assert abs(edge_gain_rate_limit((2, 1), 0, F_NEAR_ID) - 0.5) < 1e-15
-    with pytest.raises(BadArgs):
+    with pytest.raises(ValidationError,
+                       match="^d must have a type-1 edge to shed$"):
         edge_gain_rate_limit((0, 1), 0, F_NEAR_ID)
 
 

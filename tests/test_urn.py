@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mtpa.errors import EmptyUrn, NegativeCount, NotStochastic, ValidationError
+from mtpa.errors import NotStochastic, ValidationError
 from mtpa.harness import replicate_stream
 from mtpa.urn import (assumption_audit, bernoulli_column_sampler,
                       check_urn_invariants, new_urn, run_urn, urn_step)
@@ -36,9 +36,11 @@ def test_new_urn_validation():
     urn = new_urn([3, 1], 5, sampler)
     assert urn.composition == [3, 1]
     assert urn.total == 4
-    with pytest.raises(EmptyUrn):
+    with pytest.raises(ValidationError,
+                       match="^initial composition has no balls$"):
         new_urn([0, 0], 1, sampler)
-    with pytest.raises(NegativeCount):
+    with pytest.raises(ValidationError,
+                       match=r"^negative ball count in \[2, -1\]$"):
         new_urn([2, -1], 1, sampler)
     with pytest.raises(ValidationError):
         new_urn([1, 1], 0, sampler)

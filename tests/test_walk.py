@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mtpa import harness, theory
 from mtpa.convergence import _assignments_with_gains
-from mtpa.errors import BadPsi, NoConvergence
+from mtpa.errors import NoConvergence, ValidationError
 from mtpa.harness import ExperimentConfig, perturbed_vs_unperturbed_study
 from mtpa.theory import solve_recurrence, solve_unperturbed_recurrence
 
@@ -261,10 +262,15 @@ def test_every_psi_sample_is_validated():
     good = proportions(3)
     for bad in ([0.5, float("nan"), 0.5], [0.5, float("inf"), -0.5],
                 [0.6, 0.6, -0.2], [0.2, 0.2, 0.2]):
-        with pytest.raises(BadPsi, match="not a probability vector"):
+        with pytest.raises(ValidationError, match="not a probability vector"):
             solve_unperturbed_recurrence(np.array([good, bad]).T, 1, 5)
-    for shape in ((3, 0), (0,), (3, 2, 2)):
-        with pytest.raises(BadPsi):
+    for shape, message in (
+            ((3, 0), "psi of shape (3, 0) is not one or more probability "
+                     "vectors"),
+            ((0,), "psi [] is not a probability vector"),
+            ((3, 2, 2), "psi of shape (3, 2, 2) is not one or more "
+                        "probability vectors")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             solve_unperturbed_recurrence(np.ones(shape) / 3, 1, 5)
 
 
@@ -375,7 +381,9 @@ def test_study_validates_every_explicit_sample():
     cfg = ExperimentConfig(model="graph", n_types=2, m_edges=2,
                            f_matrix=[[0.7, 0.3], [0.4, 0.6]],
                            max_weight=10, cutoff=5)
-    for bad in ([0.5, float("nan")], [0.5, 0.5, 0.0], [1.5, -0.5]):
-        with pytest.raises(BadPsi):
+    for bad, message in (([0.5, float("nan")], "not a probability vector"),
+                         ([0.5, 0.5, 0.0], "every psi sample needs 2 entries"),
+                         ([1.5, -0.5], "not a probability vector")):
+        with pytest.raises(ValidationError, match=message):
             perturbed_vs_unperturbed_study(cfg, 0,
                                            psi_samples=[[0.5, 0.5], bad])
