@@ -26,19 +26,17 @@ LAZY = {
     "matrices": ("stationary_type_distribution",),
     "theory": ("dirichlet_psi_sample", "solve_recurrence",
                "solve_unperturbed_recurrence"),
-    "urn": ("ColumnSampler", "UrnState", "assumption_audit",
-            "bernoulli_column_sampler", "check_urn_invariants", "new_urn",
-            "run_urn", "urn_step"),
+    "urn": ("UrnState", "bernoulli_column_sampler", "check_urn_invariants",
+            "new_urn", "run_urn", "urn_step"),
 }
 
 __all__ = [
-    "ColumnSampler", "DegreeDistribution", "ExperimentConfig",
-    "PerturbationSchedule", "SeedGraphSpec", "TypedGraph", "UrnState",
-    "assumption_audit", "bernoulli_column_sampler", "empirical_distribution",
-    "new_graph", "new_urn", "pa_step", "replicate_stream", "run",
-    "run_experiment", "run_urn", "solve_recurrence",
-    "solve_unperturbed_recurrence", "stationary_type_distribution",
-    "tv_distance", "urn_step",
+    "DegreeDistribution", "ExperimentConfig", "PerturbationSchedule",
+    "SeedGraphSpec", "TypedGraph", "UrnState", "bernoulli_column_sampler",
+    "empirical_distribution", "new_graph", "new_urn", "pa_step",
+    "replicate_stream", "run", "run_experiment", "run_urn",
+    "solve_recurrence", "solve_unperturbed_recurrence",
+    "stationary_type_distribution", "tv_distance", "urn_step",
 ]
 
 

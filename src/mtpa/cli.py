@@ -34,6 +34,7 @@ if __name__ == "__main__":
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -75,11 +76,26 @@ FLAGS = {
     "--quantity": dict(help="psi | tv | u_n | np_el"),
     "--d": dict(help="target degree, comma list"),
     "--l": dict(type=int, help="target type (1-based)"),
-    "--samples": dict(type=int, default=10_000,
-                      help="replacement matrices to sample"),
     "--psi-samples": dict(type=int, default=1000,
                           help="Dirichlet type proportions to sample"),
 }
+
+# the flags whose value is a comma list, which may start with a minus
+_LIST_FLAGS = ("--f", "--c0", "--psi", "--e0", "--d")
+
+
+def _join_list_values(argv: list) -> list:
+    """argv with each _LIST_FLAGS flag that is followed by a value starting
+    with a minus and then a digit or "." joined to it as one `flag=value`
+    token. argparse reads such a value, unless it is a plain number, as a
+    flag; joined, it parses as the value of its flag."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in _LIST_FLAGS and re.match(r"-[\d.]", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def build_parser(flagged=None) -> argparse.ArgumentParser:
@@ -269,24 +285,6 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _cmd_audit(args) -> int:
-    cfg = _resolve_config(args)
-    sampler = _this.bernoulli_column_sampler(cfg.f_matrix)
-    report = _this.assumption_audit(
-        sampler, args.samples, replicate_stream(cfg.master_seed, 0, lane=2))
-    out = _out_dir(args)
-    path = out / "audit.txt"
-    with open(path, "w") as fh:
-        for line in report.lines():
-            fh.write(line + "\n")
-    config = {"f": [float(v) for v in cfg.f_matrix.ravel()],
-              "samples": args.samples}
-    _manifest(args, out, config, cfg.master_seed, [path])
-    for line in report.lines():
-        print(line)
-    return 0
-
-
 def _cmd_study(args) -> int:
     cfg = _resolve_config(args)
     study = _this.perturbed_vs_unperturbed_study(cfg, args.psi_samples)
@@ -322,8 +320,6 @@ COMMANDS = {
                 _RUN),
     "diagnose": (_cmd_diagnose, "convergence series",
                  _RUN + " --snapshot-every --quantity! --d --l"),
-    "audit": (_cmd_audit, "sample replacement matrices and audit them",
-              "--config --seed --out --n --f --f-file --samples"),
     "study": (_cmd_study, "spread of the non-perturbed answer vs the "
                           "deterministic perturbed one",
               "--config! --seed --out --psi-samples"),
@@ -336,7 +332,7 @@ def main(argv=None) -> int:
     # command name in argv names the subparser that argparse runs
     parser = build_parser(flagged=[arg for arg in argv if arg in COMMANDS][:1])
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_list_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     args.raw_argv = argv

@@ -5,7 +5,9 @@ to its proportion in the start-of-step composition. Each draw i picks up an
 independently sampled replacement matrix R and the urn gains R's column for
 the drawn colour. Column j of R is the flipped edge type: the unit vector
 e_k with probability F[j, k], columns independent. So every column weighs
-one ball, and the generating (expected) matrix is F.T.
+one ball, and the generating (expected) matrix is F.T. The sampler of R is
+F's row CDFs (`bernoulli_column_sampler`), and a step draws only the column
+it applies.
 """
 from __future__ import annotations
 
@@ -28,35 +30,17 @@ CHUNK_DRAWS = 8192
 IN_ORDER_DRAWS = 128
 
 
-@dataclass
-class ColumnSampler:
-    """Replacement matrices whose column j is e_k with probability F[j, k].
+def bernoulli_column_sampler(type_flip_matrix) -> np.ndarray:
+    """The sampler of perturbed type assignment: `matrices.row_cdfs` of F,
+    whose row j holds the cumulative law of replacement column j's row
+    index. NotStochastic unless F is row-stochastic.
 
-    `row_cdfs[j]` (`matrices.row_cdfs` of F) holds the cumulative law of
-    column j's row index. Steps draw just the column they apply, with a
-    single uniform, which leaves the joint law of (draw, applied column)
-    unchanged because columns are independent of the draws and of each
-    other. `generating` is F.T.
+    Steps draw just the column they apply, with a single uniform, which
+    leaves the joint law of (draw, applied column) unchanged because columns
+    are independent of the draws and of each other.
     """
-
-    n_colours: int
-    row_cdfs: np.ndarray
-    generating: np.ndarray
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One whole replacement matrix, n_colours uniforms."""
-        columns = np.arange(self.n_colours)
-        rows = _flips(rng.random(self.n_colours), columns, self.row_cdfs)
-        out = np.zeros((self.n_colours, self.n_colours), dtype=np.int64)
-        out[rows, columns] = 1
-        return out
-
-
-def bernoulli_column_sampler(type_flip_matrix) -> ColumnSampler:
-    """The sampler of perturbed type assignment; NotStochastic unless F is
-    row-stochastic."""
-    flip = matrices.as_row_stochastic(type_flip_matrix, what="type-flip matrix")
-    return ColumnSampler(flip.shape[0], matrices.row_cdfs(flip), flip.T.copy())
+    return matrices.row_cdfs(
+        matrices.as_row_stochastic(type_flip_matrix, what="type-flip matrix"))
 
 
 @dataclass
@@ -83,15 +67,15 @@ class UrnSnapshot(NamedTuple):
     fractions: tuple
 
 
-def new_urn(initial_composition, m: int, sampler: ColumnSampler) -> UrnState:
+def new_urn(initial_composition, m: int, sampler: np.ndarray) -> UrnState:
     """Validate the initial ball counts against the sampler's colours.
 
     A count must be a whole number; 2.0 is taken as 2, and 1.5 is an error.
     """
     given = list(initial_composition)
-    if len(given) != sampler.n_colours:
+    if len(given) != len(sampler):
         raise ValidationError(
-            f"composition has {len(given)} colours, sampler expects {sampler.n_colours}")
+            f"composition has {len(given)} colours, sampler expects {len(sampler)}")
     try:
         comp = [int(c) for c in given]
     except (TypeError, ValueError, OverflowError) as exc:
@@ -114,7 +98,7 @@ def _draw(x: float, cum, u: float, cdfs) -> int:
     return bisect_right(cdfs[bisect_right(cum, x)], u)
 
 
-def urn_step(urn: UrnState, sampler: ColumnSampler,
+def urn_step(urn: UrnState, sampler: np.ndarray,
              rng: np.random.Generator) -> UrnState:
     """One step: m colour draws from the frozen composition, then m columns.
 
@@ -124,7 +108,7 @@ def urn_step(urn: UrnState, sampler: ColumnSampler,
     m = urn.m
     total = urn.total
     us = rng.random(2 * m).tolist()
-    cdfs = sampler.row_cdfs.tolist()
+    cdfs = sampler.tolist()
     cum = list(accumulate(urn.composition))
     gained = [_draw(us[i] * total, cum, us[m + i], cdfs) for i in range(m)]
     for k in gained:
@@ -140,12 +124,6 @@ def _passed(values: np.ndarray, bounds) -> np.ndarray:
     for bound in bounds:
         count += values >= bound
     return count
-
-
-def _flips(u: np.ndarray, pick: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """The colour each draw gains: how many entries of its picked colour's
-    row CDF (all but the last, which is 1.0) its uniform is at or above."""
-    return _passed(u, [column[pick] for column in cdf.T[:-1]])
 
 
 def _in_order(comp: np.ndarray, total: int, m: int, us: np.ndarray,
@@ -170,8 +148,9 @@ def _colour_counts(draws: int, above) -> np.ndarray:
 
 
 def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
-                 sampler: ColumnSampler) -> np.ndarray:
-    """Balls each colour gains over len(us) steps from composition `comp`.
+                 cdf: np.ndarray) -> np.ndarray:
+    """Balls each colour gains over len(us) steps from composition `comp`,
+    flipped by the row CDFs `cdf`.
 
     Row j of `us` holds step j's 2*m uniforms; a draw's pick product is
     x = u * total_j, with step j's total known in advance, total + m*j.
@@ -196,7 +175,6 @@ def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
     more than 5 rounds on numpy's stream (`BENCH_urn_rule.json`).
     """
     steps, n = len(us), len(comp)
-    cdf = sampler.row_cdfs
     if m * steps <= IN_ORDER_DRAWS:
         return _in_order(comp, total, m, us, cdf)
     grown = np.arange(0, m * steps, m)
@@ -263,7 +241,7 @@ def _snapshot(urn: UrnState) -> UrnSnapshot:
     return UrnSnapshot(urn.step_index, tuple(urn.composition), urn.fractions())
 
 
-def run_urn(urn: UrnState, sampler: ColumnSampler, n_steps: int,
+def run_urn(urn: UrnState, sampler: np.ndarray, n_steps: int,
             snapshot_every: int, rng: np.random.Generator) -> list:
     """Run the urn, recording (step, composition, fractions) snapshots.
 
@@ -315,62 +293,6 @@ def run_urn(urn: UrnState, sampler: ColumnSampler, n_steps: int,
         if step == boundary:
             snapshots.append(_snapshot(urn))
     return snapshots
-
-
-@dataclass
-class AuditReport:
-    """Summary of sampled replacement matrices against their contracts."""
-
-    n_samples: int
-    negative_entry_matrices: int
-    column_weight_violations: int
-    empirical_generating: np.ndarray
-    declared_generating: np.ndarray
-    max_generating_deviation: float
-
-    @property
-    def violation_free(self) -> bool:
-        return (self.negative_entry_matrices == 0
-                and self.column_weight_violations == 0)
-
-    def lines(self) -> list:
-        ok = "ok" if self.violation_free else "VIOLATIONS"
-        return [
-            f"samples drawn: {self.n_samples}",
-            f"matrices with negative entries: {self.negative_entry_matrices}",
-            f"matrices with non-constant column weight: {self.column_weight_violations}",
-            f"max |empirical - declared| generating entry: "
-            f"{self.max_generating_deviation:.6g}",
-            f"audit: {ok}",
-        ]
-
-
-def assumption_audit(sampler: ColumnSampler, n_samples: int,
-                     rng: np.random.Generator) -> AuditReport:
-    """Draw matrices and report contract violations instead of raising.
-
-    The contracts: no negative entry, and every column of a matrix weighs
-    the same, exactly.
-    """
-    if n_samples < 1:
-        raise ValidationError("n_samples must be at least 1")
-    n = sampler.n_colours
-    negative = 0
-    bad_weight = 0
-    acc = np.zeros((n, n), dtype=float)
-    for _ in range(n_samples):
-        matrix = np.asarray(sampler.sample(rng), dtype=float)
-        if np.any(matrix < 0):
-            negative += 1
-        weights = matrix.sum(axis=0)
-        if np.any(weights != weights[0]):
-            bad_weight += 1
-        acc += matrix
-    empirical = acc / n_samples
-    declared = np.asarray(sampler.generating, dtype=float)
-    deviation = float(np.max(np.abs(empirical - declared)))
-    return AuditReport(n_samples, negative, bad_weight, empirical, declared,
-                       deviation)
 
 
 def check_urn_invariants(urn: UrnState) -> list:

@@ -38,7 +38,6 @@ CASES = {
     "config_error": (["compare", "--config", "missing.ini"], 2),
     "seed_loop": (["simulate-graph", "--config", "graph.ini",
                    "--seed-graph", "loop.txt"], 2),
-    # `--c0 -1,2` would read -1,2 as a flag, so argparse would reject it
     "negative_count": (["simulate-urn", "--n", "2", "--f", "symmetric:0.9",
                         "--c0=-1,2"], 2),
     "lattice_cap": (["solve", "--n", "3", "--f", "symmetric:0.8",
@@ -50,11 +49,28 @@ CASES = {
     "subcommand_help": (["compare", "--help"], 0),
     "version": (["--version"], 0),
 }
+# list values that start with a minus, spelled "--flag value"; the
+# "--flag=value" spelling gives the same exit code and stderr
+SIGNED = {
+    "negative_count_spaced": ["simulate-urn", "--n", "2", "--f",
+                              "symmetric:0.9", "--c0", "-1,2"],
+    "negative_psi": ["solve-unperturbed", "--n", "2", "--psi", "-0.5,1.5"],
+    "negative_e0": ["solve-unperturbed", "--n", "2", "--e0", "-1,2"],
+    "negative_f": ["solve", "--n", "2", "--f", "-0.1,1.1,0.5,0.5"],
+    "negative_d": ["diagnose", "--config", "graph.ini", "--quantity", "u_n",
+                   "--d", "-1,3"],
+}
+CASES.update((name, (argv, 2)) for name, argv in SIGNED.items())
 WRITES = ("compare_pass", "compare_fail", "simulate_graph", "solve")
 # name -> the one line an input error leaves on stderr
 ERRORS = {
     "seed_loop": "error: seed edge (1, 1) is a loop\n",
     "negative_count": "error: negative ball count in [-1, 2]\n",
+    "negative_count_spaced": "error: negative ball count in [-1, 2]\n",
+    "negative_psi": "error: psi [-0.5, 1.5] is not a probability vector\n",
+    "negative_e0": "error: counts [-1, 2] must be positive integers\n",
+    "negative_f": "error: f has entries outside [0, 1]\n",
+    "negative_d": "error: need m >= 1 and nonnegative degree entries\n",
     "lattice_cap": "error: lattice up to weight 400 in 3 types exceeds "
                    "10000000 cells\n",
     "unknown_quantity": "error: unknown quantity 'bogus'\n",
@@ -108,6 +124,23 @@ def test_process_matches_in_process_main(name, tmp_path, monkeypatch,
         got = outputs(tmp_path / "process" / "out")
         assert "manifest.json" in got
         assert got == outputs(tmp_path / "inproc" / "out")
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED))
+def test_a_signed_list_value_reads_the_same_in_either_spelling(
+        name, tmp_path, monkeypatch, capsys):
+    *argv, flag, value = SIGNED[name]
+    monkeypatch.chdir(workdir(tmp_path / "work"))
+    assert main(argv + [flag, value]) == 2
+    spaced = capsys.readouterr()
+    assert main(argv + [f"{flag}={value}"]) == 2
+    assert capsys.readouterr() == spaced
+
+
+def test_a_list_flag_followed_by_a_flag_stays_a_usage_error(capsys):
+    assert main(["solve-unperturbed", "--n", "2", "--psi", "--out", "x"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --psi: expected one argument\n")
 
 
 # an atexit callback runs only if the interpreter tears itself down

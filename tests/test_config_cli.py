@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mtpa.cli import _resolve_config, build_parser, main
+from mtpa.cli import COMMANDS, FLAGS, _resolve_config, build_parser, main
 from mtpa.config import config_fields, parse_config
 from mtpa.errors import ValidationError
 from mtpa.harness import run_experiment
@@ -348,16 +350,6 @@ snapshot_every = 5000
     assert float(rows[-1][1]) == pytest.approx(0.5, abs=1e-3)
 
 
-def test_audit_cli(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["audit", "--n", "2", "--f", "symmetric:0.9",
-                 "--samples", "2000", "--seed", "1",
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-    text = (out / "audit.txt").read_text()
-    assert "audit: ok" in text
-
-
 def test_study_cli(tmp_path, capsys):
     cfg = write_config(tmp_path, MINIMAL + """
 [run]
@@ -471,9 +463,7 @@ def test_model_flags_override_a_config_in_every_subcommand(tmp_path, capsys):
     for command, flags, name in (
             ("solve", model + ["--dmax", "10"], "distribution.csv"),
             ("simulate-graph", model + ["--steps", "50"], "distribution.csv"),
-            ("simulate-urn", model + ["--steps", "50"], "trajectory.csv"),
-            # audit reads no m, so it takes no --m
-            ("audit", model[2:] + ["--samples", "50"], "audit.txt")):
+            ("simulate-urn", model + ["--steps", "50"], "trajectory.csv")):
         via_config, via_flags = tmp_path / f"{command}_c", tmp_path / f"{command}_f"
         assert main([command, "--config", str(cfg)] + flags
                     + ["--out", str(via_config)]) == 0
@@ -762,13 +752,25 @@ def test_each_command_takes_only_the_flags_it_reads():
                               "--dmax", "--psi", "--e0"},
         "compare": run,
         "diagnose": run | {"--snapshot-every", "--quantity", "--d", "--l"},
-        "audit": {"--config", "--seed", "--out", "--n", "--f", "--f-file",
-                  "--samples"},
         "study": {"--config", "--seed", "--out", "--psi-samples"},
     }
     for command, flags in expected.items():
         assert option_strings(command) == flags, command
-    assert sum(len(flags) for flags in expected.values()) == 61
+    assert sum(len(flags) for flags in expected.values()) == 54
+
+
+def test_every_flag_is_some_commands_and_every_listed_flag_is_known():
+    listed = {flag.rstrip("!") for _, _, flags in COMMANDS.values()
+              for flag in flags.split()}
+    assert listed == set(FLAGS)
+
+
+def test_the_readme_flag_table_lists_exactly_the_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | flags |\n|---|---|\n", 1)[1]
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|$",
+                      table.split("\n\n", 1)[0], re.M)
+    assert rows == [(name, flags) for name, (_, _, flags) in COMMANDS.items()]
 
 
 BASE_ARGV = {
@@ -780,7 +782,6 @@ BASE_ARGV = {
     "compare": ["compare", "--config", "urn.ini", "--steps", "20"],
     "solve-unperturbed": ["solve-unperturbed", "--n", "2", "--psi", "0.5,0.5",
                           "--dmax", "5"],
-    "audit": ["audit", "--n", "2", "--f", "symmetric:0.9", "--samples", "5"],
     "study": ["study", "--config", "cfg.ini", "--psi-samples", "2"],
 }
 
@@ -790,15 +791,14 @@ UNREAD = ([("simulate-graph", ["--replicates", "4"]),
            ("simulate-urn", ["--replicates", "4"]),
            ("compare", ["--snapshot-every", "5"])]
           + [(command, [flag, "5"])
-             for command in ("solve", "solve-unperturbed", "audit", "study")
+             for command in ("solve", "solve-unperturbed", "study")
              for flag in ("--replicates", "--steps", "--snapshot-every")]
           + [("solve-unperturbed", ["--f", "symmetric:0.9"]),
              ("solve-unperturbed", ["--f-file", "f.txt"]),
-             ("audit", ["--m", "2"]),
              ("solve", ["--d", "12"])]  # not an abbreviation of --dmax
           + [(command, ["--types", "2"])
              for command in ("simulate-graph", "simulate-urn", "solve",
-                             "solve-unperturbed", "audit")])
+                             "solve-unperturbed")])
 
 
 @pytest.mark.parametrize("command, extra", UNREAD,

@@ -98,8 +98,6 @@ COMMANDS = {
     "diagnose_psi_urn": ["diagnose", "--config", "urn.ini",
                          "--quantity", "psi"],
     "diagnose_tv": ["diagnose", "--config", "graph.ini", "--quantity", "tv"],
-    "audit": ["audit", "--n", "2", "--f", "symmetric:0.9", "--samples", "500",
-              "--seed", "1"],
     "study": ["study", "--config", "study.ini", "--psi-samples", "20"],
     "diagnose_u_n": ["diagnose", "--config", "graph.ini", "--quantity", "u_n",
                      "--d", "2,1"],
@@ -114,9 +112,6 @@ COMMANDS = {
 }
 
 GOLDEN = {
-    "audit": {
-        "audit.txt": "db420a34b78e82deccc4a7ae53625f88bfe5893d51f90103d99a1989cf824a33",
-    },
     "compare_graph": {
         "errors.csv": "524358292efc7c6de33edb863504f55558d2a96d7d6c0e1316bbe33eccde2994",
         "replicates.csv": "8d9419d77fa123e750f9730d116435849bd3bf8ce60bc6cbf7663d0c5ff42982",

@@ -52,8 +52,6 @@ COMMANDS = {
                         "--steps", "20"], {"mtpa.degrees", "mtpa.graph"}),
     "simulate-urn": (["simulate-urn", "--config", "urn.ini", "--steps", "20"],
                      {"mtpa.urn"}),
-    "audit": (["audit", "--n", "2", "--f", "symmetric:0.9", "--samples", "5"],
-              {"mtpa.urn"}),
     "compare-graph": (["compare", "--config", "graph.ini", "--steps", "20"],
                       GRAPH),
     "compare-urn": (["compare", "--config", "urn.ini", "--steps", "20"], URN),
@@ -103,13 +101,12 @@ def test_importing_mtpa_loads_no_module_of_it(tmp_path):
 
 # the package's public names: `mtpa.__all__` lists these, in this order
 PUBLIC = [
-    "ColumnSampler", "DegreeDistribution", "ExperimentConfig",
-    "PerturbationSchedule", "SeedGraphSpec", "TypedGraph", "UrnState",
-    "assumption_audit", "bernoulli_column_sampler", "empirical_distribution",
-    "new_graph", "new_urn", "pa_step", "replicate_stream", "run",
-    "run_experiment", "run_urn", "solve_recurrence",
-    "solve_unperturbed_recurrence", "stationary_type_distribution",
-    "tv_distance", "urn_step",
+    "DegreeDistribution", "ExperimentConfig", "PerturbationSchedule",
+    "SeedGraphSpec", "TypedGraph", "UrnState", "bernoulli_column_sampler",
+    "empirical_distribution", "new_graph", "new_urn", "pa_step",
+    "replicate_stream", "run", "run_experiment", "run_urn",
+    "solve_recurrence", "solve_unperturbed_recurrence",
+    "stationary_type_distribution", "tv_distance", "urn_step",
 ]
 
 

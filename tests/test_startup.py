@@ -1,8 +1,9 @@
 """A command process does only the start-up work its command needs.
 
 `main` gives flags only to the subparser of the command it runs, which
-must parse every argv as the parser with all eight subparsers flagged
-does, errors included. A `python -m mtpa.cli` process runs its command with
+must parse every argv as the parser with all seven subparsers flagged
+does, errors included, once a list value that starts with a minus is
+joined to its flag. A `python -m mtpa.cli` process runs its command with
 the cyclic garbage collector off; importing `mtpa.cli` and calling `main`
 in process leaves the collector as it was.
 """
@@ -32,7 +33,6 @@ SAMPLES = {
                 "--steps", "20", "--out", "solve"],
     "diagnose": ["diagnose", "--config", "c.ini", "--quantity", "tv", "--d",
                  "1,2", "--l", "1"],
-    "audit": ["audit", "--n", "2", "--f", "symmetric:0.9", "--samples", "5"],
     "study": ["study", "--config", "s.ini", "--psi-samples", "3"],
 }
 

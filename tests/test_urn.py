@@ -1,16 +1,17 @@
-"""Urn tests: construction, one-step laws against enumeration, audits."""
+"""Urn tests: construction, the sampler, one-step laws against enumeration,
+trajectories."""
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mtpa import matrices
 from mtpa.errors import NotStochastic, ValidationError
 from mtpa.harness import replicate_stream
-from mtpa.urn import (assumption_audit, bernoulli_column_sampler,
-                      check_urn_invariants, new_urn, run_urn, urn_step)
+from mtpa.urn import (bernoulli_column_sampler, check_urn_invariants, new_urn,
+                      run_urn, urn_step)
 
 F_ASYM = np.array([[0.8, 0.2], [0.4, 0.6]])
 IDENTITY = np.eye(2)
@@ -18,14 +19,6 @@ IDENTITY = np.eye(2)
 
 def three_sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
-
-
-def constant_sampler(matrix):
-    """An audit stub that draws the same replacement matrix every time."""
-    fixed = np.asarray(matrix)
-    return SimpleNamespace(n_colours=fixed.shape[0],
-                           generating=fixed.astype(float),
-                           sample=lambda rng: fixed)
 
 
 # --------------------------------------------------------------------------
@@ -44,7 +37,8 @@ def test_new_urn_validation():
         new_urn([2, -1], 1, sampler)
     with pytest.raises(ValidationError):
         new_urn([1, 1], 0, sampler)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="^composition has 3 colours, sampler expects 2$"):
         new_urn([1, 1, 1], 1, sampler)
 
 
@@ -71,51 +65,16 @@ def test_ball_conservation_formula():
 # --------------------------------------------------------------------------
 # the column sampler
 
-def test_identity_flip_yields_identity_matrices():
-    sampler = bernoulli_column_sampler(IDENTITY)
-    rng = replicate_stream(41, 0)
-    for _ in range(20):
-        assert np.array_equal(sampler.sample(rng), np.eye(2, dtype=int))
-
-
-def test_sampled_columns_always_sum_to_one():
-    sampler = bernoulli_column_sampler(F_ASYM)
-    rng = replicate_stream(42, 0)
-    for _ in range(500):
-        matrix = sampler.sample(rng)
-        assert matrix.sum(axis=0).tolist() == [1, 1]
-        assert np.all(matrix >= 0)
-
-
-def test_sampled_columns_follow_the_inverse_cdf_loop():
-    flip = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.0, 0.4, 0.6]])
-    sampler = bernoulli_column_sampler(flip)
-    cdfs = np.cumsum(flip, axis=1)
-    rng, reference_rng = replicate_stream(52, 0), replicate_stream(52, 0)
-    for _ in range(300):
-        expected = np.zeros((3, 3), dtype=np.int64)
-        for j, u in enumerate(reference_rng.random(3)):
-            k = 0
-            while k < 2 and u >= cdfs[j, k]:
-                k += 1
-            expected[k, j] = 1
-        assert np.array_equal(sampler.sample(rng), expected)
-
-
-def test_empirical_column_means_match_transpose():
-    flip = np.array([[0.9, 0.1], [0.1, 0.9]])
-    sampler = bernoulli_column_sampler(flip)
-    rng = replicate_stream(43, 0)
-    n = 100_000
-    acc = np.zeros((2, 2))
-    for _ in range(n):
-        acc += sampler.sample(rng)
-    mean = acc / n
-    for k in range(2):
-        for l in range(2):
-            p = flip.T[k, l]
-            assert abs(mean[k, l] - p) < three_sigma(p, n)
-    assert np.array_equal(sampler.generating, flip.T)
+@pytest.mark.parametrize("flip", [
+    IDENTITY, F_ASYM,
+    [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.0, 0.4, 0.6]]])
+def test_the_sampler_is_the_row_cdfs_of_the_validated_f(flip):
+    # column j of a replacement matrix is e_k with k the number of row j's
+    # CDF entries at or below a uniform
+    expected = matrices.row_cdfs(matrices.as_row_stochastic(flip))
+    got = bernoulli_column_sampler(flip)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_sampler_rejects_non_stochastic_rows():
@@ -125,7 +84,8 @@ def test_sampler_rejects_non_stochastic_rows():
 
 def test_sampler_rejects_a_tiny_negative_entry():
     # within the row-sum tolerance, but it would make its row CDF decrease,
-    # and on such a row `_draw` and `_flips` can flip the same uniform apart
+    # and on such a row `urn_step`'s bisection and `run_urn`'s counted
+    # compares can flip the same uniform apart
     with pytest.raises(NotStochastic, match="outside"):
         bernoulli_column_sampler([[0.5, -1e-13, 0.5 + 1e-13],
                                   [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
@@ -262,44 +222,3 @@ def test_terminal_spread_shrinks_with_horizon():
         early.append(by_n[1000])
         late.append(by_n[100_000])
     assert np.var(late) < np.var(early)
-
-
-# --------------------------------------------------------------------------
-# audits
-
-def test_audit_clean_sampler():
-    sampler = bernoulli_column_sampler(F_ASYM)
-    report = assumption_audit(sampler, 5000, replicate_stream(54, 0))
-    assert report.violation_free
-    assert report.negative_entry_matrices == 0
-    assert report.column_weight_violations == 0
-    assert any("ok" in line for line in report.lines())
-
-
-def test_audit_flags_unbalanced_columns():
-    # colour 1 adds two balls, others one: column weights differ
-    broken = constant_sampler([[2, 0], [0, 1]])
-    report = assumption_audit(broken, 100, replicate_stream(55, 0))
-    assert report.column_weight_violations == 100
-    assert not report.violation_free
-
-
-def test_audit_flags_negative_entries():
-    broken = constant_sampler([[1, 2], [0, -1]])
-    report = assumption_audit(broken, 10, replicate_stream(56, 0))
-    assert report.negative_entry_matrices == 10
-
-
-def test_audit_empirical_generating_within_four_sigma():
-    flip = np.array([[0.9, 0.1], [0.1, 0.9]])
-    sampler = bernoulli_column_sampler(flip)
-    n = 100_000
-    report = assumption_audit(sampler, n, replicate_stream(57, 0))
-    bound = 4.0 * math.sqrt(0.9 * 0.1 / n)
-    assert report.max_generating_deviation < bound
-
-
-def test_audit_requires_samples():
-    with pytest.raises(ValidationError):
-        assumption_audit(bernoulli_column_sampler(F_ASYM), 0,
-                         replicate_stream(58, 0))
