@@ -118,8 +118,9 @@ def _index_dtype(slots: int):
 
 
 # edges per pass of `_fill`, rounded down to whole steps, and per
-# pass of a tally; a fill pass's temporaries take about 60 B per edge
-_PASS_EDGES = 16384
+# pass of a tally; a fill pass's temporaries take 43 B per edge on a
+# constant schedule and 49 B on a decaying one, beside its CDF table
+_PASS_EDGES = 4096
 
 
 class TypedGraph:
@@ -372,8 +373,11 @@ def _grow_pass(pool: np.ndarray, pool_types: np.ndarray, base: int,
     the endpoint of that slot's edge. Its type is its flip map (the step's
     flip outcome for each parent type) applied to the type of slot s. Both
     chains end below `base` (or, for endpoints, at a newcomer slot).
-    Endpoints are resolved by pointer doubling, types one generation per
-    round; both take rounds that grow with the log of the pass's edges.
+    Types are settled in rounds: the first, full width, settles every edge
+    whose parent slot lies below `base`, and each later one the in-pass
+    edges whose parent was settled in the round before. Endpoints are
+    resolved by pointer doubling. Both take rounds that grow with the log
+    of the pass's edges.
     """
     k = m * n_steps
     n_types = table.shape[1]
@@ -383,31 +387,41 @@ def _grow_pass(pool: np.ndarray, pool_types: np.ndarray, base: int,
     frozen = base + 2 * m * step
     slot = np.minimum((draws[0::2] * frozen).astype(idx), frozen - 1)
     del frozen
-
-    # flip[e, t]: the type edge e takes when its parent slot has type t,
-    # i.e. how many of the step's CDF entries row t lie at or below e's
-    # flip uniform (the last entry is 1.0 and never does)
-    row = step if len(table) > 1 else 0
     flip_u = draws[1::2]
-    flip = np.zeros((k, n_types), pool_types.dtype)
-    for t in range(n_types):
-        for c in range(n_types - 1):
-            flip[:, t] += table[row, t, c] <= flip_u
-    del draws, flip_u
+    cdfs = table.reshape(-1)
+    decaying = len(table) > 1
 
-    # types, in rounds: the pass's slots read -1 until their edge's type
-    # is known, and round r settles the edges r generations below `base`
+    def flipped(edges, parent_type):
+        # the types `edges` take: how many of their step's CDF entries, row
+        # `parent_type`, lie at or below their flip uniforms (the last entry
+        # is 1.0 and never does)
+        at = parent_type.astype(np.intp)
+        at *= n_types
+        if decaying:  # the table holds one (N, N) block per step
+            at += step[edges] * np.intp(n_types**2)
+        u = flip_u[edges]
+        types = np.zeros(len(at), pool_types.dtype)
+        for _ in range(n_types - 1):
+            types += cdfs.take(at) <= u
+            at += 1
+        return types
+
+    # the pass's slots read -1 until their edge's type is known; in the
+    # full-width round an in-pass parent's -1 wraps to some other CDF
+    # entry, and its edge waits for a later round
     new_types = pool_types[base:base + 2 * k]
     new_types[:] = -1
-    pending = np.arange(k)
+    types = flipped(slice(None), pool_types.take(slot))
+    pending = np.flatnonzero(slot >= base)
+    types[pending] = -1
+    new_types[0::2] = new_types[1::2] = types
     while pending.size:
-        parent_type = pool_types[slot[pending]]
+        parent_type = pool_types.take(slot[pending])
         known = parent_type >= 0
         ready = pending[known]
-        new_types[2 * ready] = new_types[2 * ready + 1] = flip[
-            ready, parent_type[known]]
+        new_types[2 * ready] = new_types[2 * ready + 1] = flipped(
+            ready, parent_type[known])
         pending = pending[~known]
-    del flip
 
     # endpoints, by pointer doubling: an odd slot of this pass holds the
     # endpoint its own edge drew; then every slot is below `base` or a

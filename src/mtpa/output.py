@@ -11,13 +11,7 @@ if TYPE_CHECKING:
 
 
 def fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 #: rows formatted per pass of the column writer, which bounds its memory

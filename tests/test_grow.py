@@ -94,7 +94,7 @@ def assert_same_stream(rng_a, rng_b):
 @pytest.mark.parametrize("rho", [None, 0.5, 0.37, 1.7],
                          ids=["constant", "rho0.5", "rho0.37", "rho1.7"])
 @pytest.mark.parametrize("m", [1, 2, 5])
-@pytest.mark.parametrize("n_types", [1, 2, 3])
+@pytest.mark.parametrize("n_types", [1, 2, 3, 6])
 @pytest.mark.parametrize("seed_kind", ["default", "parallel", "gaps"])
 def test_run_matches_pa_step(seed_kind, n_types, m, rho, tmp_path,
                              monkeypatch):
@@ -189,7 +189,8 @@ def test_invariants_recount_the_last_pass(monkeypatch):
 
 def test_replicate_memory_is_bounded_per_edge():
     # a 100k-step criterion-3 replicate: each of run, the check and the
-    # census peaks at no more than 24 B per edge, the graph included
+    # census peaks within about 1 B per edge of what it measured, the graph
+    # included; 16k-edge passes took run to 17.7 B per edge
     spec = seed_spec("parallel", 2, None)
     schedule = PerturbationSchedule(np.array([[0.9, 0.1], [0.1, 0.9]]))
     rng = replicate_stream(0, 0)  # made untraced: it may import numpy.random
@@ -210,7 +211,8 @@ def test_replicate_memory_is_bounded_per_edge():
     finally:
         tracemalloc.stop()
     assert g.num_edges == 200_200
-    assert all(peak <= 24 for peak in peaks.values()), peaks
+    bounds = {"run": 16, "check": 20, "census": 17.5}
+    assert all(peaks[name] <= bound for name, bound in bounds.items()), peaks
 
 
 @pytest.mark.parametrize("m", (1, 3))
