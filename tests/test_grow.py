@@ -271,7 +271,7 @@ def reference_matrices(schedule, first, count):
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.5])
 @pytest.mark.parametrize("first, count", [
     (1, 1), (2, 1), (1, 4000), (123_456, 3), (7, graph_module._PASS_EDGES),
-    (10**9, 5)])
+    (7, 16384), (10**9, 5)])
 def test_step_matrices_match_reference_bits(rho, first, count):
     # the decays clip entries at 0 (and at 1) for small n, so the in-place
     # clip and normalisation are exercised with and without clipping
