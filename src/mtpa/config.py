@@ -13,7 +13,7 @@ shorthand ``symmetric:p`` expands to a matrix with p on the diagonal and
     edges_per_step = 1
     f = 0.9,0.1,0.1,0.9      # or symmetric:0.9; defaults to 1 when types=1
     schedule = constant | decaying
-    decay = 0.05,-0.05,-0.05,0.05   # zero-row-sum direction, optional
+    decay = 0.05,-0.05,-0.05,0.05   # zero-row-sum direction, decaying only
     decay_rho = 1.0          # decaying schedule only
 
     [run]
@@ -39,17 +39,20 @@ shorthand ``symmetric:p`` expands to a matrix with p on the diagonal and
 With one type, symmetric:p is the 1x1 matrix [[p]], which is
 row-stochastic only for p = 1.
 
-Every key is optional except [model] types (and f when types > 1), and a
-key that is set may not be empty. ExperimentConfig holds the defaults, so
-d_max and cutoff follow the final m, also when a flag sets it. A relative
-seed_graph path is taken from the config file's directory. Any section or
-key not listed above is an error, as are a schedule other than constant or
-decaying, a decaying schedule with kind = urn (the urn has no
-step-dependent columns), and a decay or decay_rho with a constant schedule
-(which never reads them). A d_max below edges_per_step is an error for the
-solve commands, and a cutoff below it for the comparisons (compare on the
-graph model, diagnose --quantity tv and study): each is checked by the
-commands that read it alone, as commands share config files.
+Every key is optional except [model] types (and f when types > 1, decay
+when the schedule is decaying), and a key that is set may not be empty.
+ExperimentConfig holds the defaults, so d_max and cutoff follow the
+final m, also when a flag sets it. A relative seed_graph path is taken
+from the config file's directory. Any section or key not listed above is
+an error, as are a schedule other than constant or decaying, a decaying
+schedule with kind = urn (the urn has no step-dependent columns), and a
+decay or decay_rho with a constant schedule (which never reads them).
+Every command checks a decaying schedule's decay and decay_rho, also one
+that never builds the schedule. A d_max below edges_per_step is an error
+for the solve commands, and a cutoff below it for the comparisons
+(compare on the graph model, diagnose --quantity tv and study): each is
+checked by the commands that read it alone, as commands share config
+files.
 """
 from __future__ import annotations
 
@@ -191,8 +194,9 @@ class ExperimentConfig:
                     raise ValidationError(
                         f"{key} is set but the schedule is {CONSTANT}; only "
                         f"a {DECAYING} schedule reads it")
-        elif self.decay_rho is None:
-            self.decay_rho = 1.0
+        else:
+            self.decay_rho = 1.0 if self.decay_rho is None else self.decay_rho
+            checked_decay(self.decay_matrix, self.n_types, self.decay_rho)
         if self.max_weight is None:
             self.max_weight = max(30, self.m_edges + 10)
         if self.cutoff is None:
@@ -226,6 +230,23 @@ class ExperimentConfig:
             else:
                 out[name] = value
         return out
+
+
+def checked_decay(decay, n_types: int, rho: float) -> np.ndarray:
+    """A decaying schedule's decay matrix as floats, checked with its
+    exponent: n_types square, zero row sums and rho > 0, written so that
+    a NaN fails them. Every command checks them as it reads the config,
+    and `graph.PerturbationSchedule` as it builds the schedule."""
+    if decay is None:
+        raise ValidationError("decaying schedule needs a decay matrix")
+    arr = np.asarray(decay, dtype=float)
+    if arr.shape != (n_types, n_types):
+        raise ValidationError("decay matrix shape does not match F")
+    if not np.all(np.abs(arr.sum(axis=1)) <= matrices.ROW_SUM_TOL):
+        raise ValidationError("decay matrix rows must sum to 0")
+    if not rho > 0:
+        raise ValidationError("decay exponent rho must be positive")
+    return arr
 
 
 def comparison_cutoff(cfg: ExperimentConfig) -> int:

@@ -21,10 +21,13 @@ call (`_fill`). Each new edge then depends only on the slot it drew: its
 endpoint is that slot's vertex, and its type is its flip map applied to
 that slot's type. Within a pass, the fill follows these chains back to the
 pool as it was at the start of the pass, in vectorized rounds, and gives
-the same graph bit for bit. `run` then tallies the filled slots into the
-degree table and the type counts (`_tally`), one snapshot segment at a
-time; a caller that wants only the final graph asks for one snapshot, at
-the last step.
+the same graph bit for bit. `run` then counts the filled slots' types
+(`_tally`), one snapshot segment at a time, and adds them to a degree
+table if its snapshots carry a census; a caller that wants only the final
+graph asks for one snapshot, at the last step.
+
+The pool is the whole state: no degree table or type count is stored
+beside it. A census or the type proportions tally the pool when read.
 
 F = I, the model without perturbation, is a valid limit: each edge keeps
 its initial type. Any other reducible limit is rejected.
@@ -38,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices
-from .config import CONSTANT, DECAYING, SeedGraphSpec
+from .config import CONSTANT, DECAYING, SeedGraphSpec, checked_decay
 from .degrees import DegreeDistribution, EMPIRICAL, degree_dtype, row_weights
 from .errors import BrokenRun, ValidationError
 
@@ -64,17 +67,7 @@ class PerturbationSchedule:
         self.decay = None
         if kind == DECAYING:
             self.rho = float(rho)
-            if decay is None:
-                raise ValidationError("decaying schedule needs a decay matrix")
-            arr = np.asarray(decay, dtype=float)
-            if arr.shape != self.limit.shape:
-                raise ValidationError("decay matrix shape does not match F")
-            # written so that a NaN fails them
-            if not np.all(np.abs(arr.sum(axis=1)) <= matrices.ROW_SUM_TOL):
-                raise ValidationError("decay matrix rows must sum to 0")
-            if not self.rho > 0:
-                raise ValidationError("decay exponent rho must be positive")
-            self.decay = arr
+            self.decay = checked_decay(decay, len(self.limit), self.rho)
 
     def _matrices(self, first: int, count: int) -> np.ndarray:
         """The matrices of steps n = first .. first+count-1, as one
@@ -112,7 +105,7 @@ class GraphSnapshot(NamedTuple):
 
 
 def _index_dtype(slots: int):
-    """Pool indices are int32 until the pool reaches 2**31 slots. The
+    """Pool indices are int32 until the pool reaches 2**31 slots. A
     degree table takes the same type: no degree exceeds the slot count."""
     return np.int32 if slots < 2**31 else np.int64
 
@@ -127,17 +120,17 @@ class TypedGraph:
     """Full mutable state of the growing multigraph, in numpy arrays.
 
     Vertices are dense 0-based ids; seed vertices keep their sorted input
-    order. `endpoint_pool` (vertex per slot) and `pool_types` (the owning
-    edge's type per slot) hold two slots per edge for degree-proportional
+    order, and step n adds vertex `initial_num_vertices + n - 1`.
+    `endpoint_pool` (vertex per slot) and `pool_types` (the owning edge's
+    type per slot) hold two slots per edge for degree-proportional
     sampling. The pool is also the edge list: edge i joins
     `endpoint_pool[2i]` and `endpoint_pool[2i+1]` with type `pool_types[2i]`;
-    for a grown edge the first slot is the newcomer. `per_vertex_degree` is
-    a C-contiguous (vertices, n_types) array of the pool's index type; the
-    census is derived from it on demand (`empirical_distribution`).
+    for a grown edge the first slot is the newcomer. Degrees and type
+    counts are tallied from the pool on demand (`empirical_distribution`,
+    `edge_type_proportions`).
     """
 
-    __slots__ = ("n_types", "endpoint_pool", "pool_types",
-                 "per_vertex_degree", "type_counts", "step_index",
+    __slots__ = ("n_types", "endpoint_pool", "pool_types", "step_index",
                  "initial_num_vertices", "initial_num_edges")
 
     def __init__(self, n_types: int):
@@ -145,15 +138,13 @@ class TypedGraph:
         self.endpoint_pool = np.zeros(0, np.int32)
         # the smallest signed integer type that holds every type index
         self.pool_types = np.zeros(0, np.min_scalar_type(-n_types))
-        self.per_vertex_degree = np.zeros((0, n_types), np.int32)
-        self.type_counts = [0] * n_types
         self.step_index = 0
         self.initial_num_vertices = 0
         self.initial_num_edges = 0
 
     @property
     def num_vertices(self) -> int:
-        return len(self.per_vertex_degree)
+        return self.initial_num_vertices + self.step_index
 
     @property
     def num_edges(self) -> int:
@@ -173,19 +164,24 @@ def _add_degrees(degrees: np.ndarray, vertices: np.ndarray,
 
 def _tally(graph: TypedGraph, lo: int, hi: int,
            degrees: np.ndarray | None = None) -> np.ndarray:
-    """Add the pool's slots `lo..hi-1` (`lo` even) to the degree table, or
-    to `degrees`, `_PASS_EDGES` edges at a time, and return how many of
-    their edges have each type, as int64."""
+    """How many edges of the pool's slots `lo..hi-1` (`lo` even) have each
+    type, as int64, counted `_PASS_EDGES` edges at a time; with a degree
+    table `degrees`, each slot is added to it too."""
     pool, pool_types = graph.endpoint_pool, graph.pool_types
-    if degrees is None:
-        degrees = graph.per_vertex_degree
     counts = np.zeros(graph.n_types, np.int64)
     for base in range(lo, hi, 2 * _PASS_EDGES):
         end = min(base + 2 * _PASS_EDGES, hi)
         types = pool_types[base:end]
         counts += np.bincount(types[0::2], minlength=graph.n_types)
-        _add_degrees(degrees, pool[base:end], types)
+        if degrees is not None:
+            _add_degrees(degrees, pool[base:end], types)
     return counts
+
+
+def _degree_table(graph: TypedGraph) -> np.ndarray:
+    """An all-zero (vertices, n_types) table of the pool's index type."""
+    return np.zeros((graph.num_vertices, graph.n_types),
+                    _index_dtype(len(graph.endpoint_pool)))
 
 
 def _census(degrees: np.ndarray) -> tuple:
@@ -263,12 +259,9 @@ def new_graph(seed_spec: SeedGraphSpec) -> TypedGraph:
         types.append(t)
     graph.initial_num_vertices = len(vertex_ids)
     graph.initial_num_edges = len(types)
-    idx = _index_dtype(len(ends))
-    graph.endpoint_pool = np.array(ends, idx)
+    graph.endpoint_pool = np.array(ends, _index_dtype(len(ends)))
     graph.pool_types = np.repeat(np.array(types, graph.pool_types.dtype), 2)
-    graph.per_vertex_degree = np.zeros((len(vertex_ids), n), idx)
-    graph.type_counts = _tally(graph, 0, len(ends)).tolist()
-    for t, count in enumerate(graph.type_counts):
+    for t, count in enumerate(_tally(graph, 0, len(ends)).tolist()):
         if count == 0:
             raise ValidationError(f"seed graph has no edge of type {t + 1}")
     return graph
@@ -280,9 +273,9 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
 
     Consumes exactly 2*m uniforms: per edge one slot draw (endpoint and
     initial type at once, see module docstring) and one perturbation draw.
-    Degrees, pool and type counts all update atomically at the end,
-    so every probability inside the step is a function of the frozen state.
-    This is the scalar reference that `run` must reproduce.
+    The pool is appended to once, at the end, so every probability inside
+    the step is a function of the frozen state. This is the scalar
+    reference that `run` must reproduce.
     """
     n = graph.step_index + 1
     pool_v = graph.endpoint_pool
@@ -293,44 +286,30 @@ def pa_step(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     cdfs = schedule.cdf_table(n, 1)[0].tolist()
     us = rng.random(2 * m).tolist()
 
-    n_types = graph.n_types
     new_vertex = graph.num_vertices
-    chosen = []
+    new_slots, new_types = [], []
     for i in range(m):
         slot = int(us[2 * i] * frozen)
         if slot == frozen:
             slot -= 1
         final = bisect_right(cdfs[pool_t[slot]], us[2 * i + 1])
-        chosen.append((int(pool_v[slot]), final))
-
-    idx = _index_dtype(frozen + 2 * m)
-    degrees = np.concatenate((graph.per_vertex_degree,
-                              np.zeros((1, n_types), idx)), dtype=idx)
-    new_slots, new_types = [], []
-    for endpoint, final in chosen:
-        graph.type_counts[final] += 1
-        degrees[new_vertex, final] += 1
-        degrees[endpoint, final] += 1
-        new_slots += (new_vertex, endpoint)
+        new_slots += (new_vertex, int(pool_v[slot]))
         new_types += (final, final)
+
     graph.endpoint_pool = np.concatenate(
-        (pool_v, np.array(new_slots, idx)))
+        (pool_v, np.array(new_slots, _index_dtype(frozen + 2 * m))))
     graph.pool_types = np.concatenate(
         (pool_t, np.array(new_types, pool_t.dtype)))
-
-    graph.per_vertex_degree = degrees
     graph.step_index = n
     return graph
 
 
 def _fill(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
           n_steps: int, rng: np.random.Generator) -> int:
-    """Grow the pools and the degree table to their size after `n_steps`
-    more steps, allocated once, and fill the new slots in passes of whole
-    steps (`_grow_pass`), so the working set beyond the graph is a
-    constant number of edges. Advances `step_index`, and returns the
-    first new slot. Neither the table nor `type_counts` counts the new
-    slots until the caller `_tally`s them.
+    """Grow the pools to their size after `n_steps` more steps, allocated
+    once, and fill the new slots in passes of whole steps (`_grow_pass`),
+    so the working set beyond the graph is a constant number of edges.
+    Advances `step_index`, and returns the first new slot.
     """
     start = len(graph.endpoint_pool)
     if n_steps == 0:
@@ -343,8 +322,6 @@ def _fill(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     pool[:start] = graph.endpoint_pool
     pool_types = np.empty(len(pool), graph.pool_types.dtype)
     pool_types[:start] = graph.pool_types
-    degrees = np.zeros((first_vertex + n_steps, graph.n_types), idx)
-    degrees[:first_vertex] = graph.per_vertex_degree
 
     per_pass = max(1, _PASS_EDGES // m)
     for done in range(0, n_steps, per_pass):
@@ -354,7 +331,6 @@ def _fill(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
                    schedule.cdf_table(graph.step_index + done + 1, steps),
                    m, steps, rng)
     graph.endpoint_pool, graph.pool_types = pool, pool_types
-    graph.per_vertex_degree = degrees
     graph.step_index += n_steps
     return start
 
@@ -435,23 +411,26 @@ def _grow_pass(pool: np.ndarray, pool_types: np.ndarray, base: int,
     pool[base + 1:base + 2 * k:2] = pool[slot]
 
 
-def _proportions(type_counts, edges: int) -> tuple:
+def _proportions(type_counts: np.ndarray, edges: int) -> tuple:
     total = float(edges)
-    return tuple(c / total for c in type_counts)
+    return tuple(c / total for c in type_counts.tolist())
 
 
 def edge_type_proportions(graph: TypedGraph) -> tuple:
-    return _proportions(graph.type_counts, graph.num_edges)
+    return _proportions(_tally(graph, 0, len(graph.endpoint_pool)),
+                        graph.num_edges)
 
 
 def empirical_distribution(graph: TypedGraph,
                            degrees: np.ndarray | None = None
                            ) -> DegreeDistribution:
-    """Census normalized by the number of vertices: of the graph's degree
-    table, or of `degrees`, the table of an earlier state of it (`run`
-    passes a prefix of the graph's table, tallied up to a snapshot)."""
+    """Census normalized by the number of vertices: of the graph's pool,
+    tallied into a fresh degree table, or of `degrees`, the table of an
+    earlier state of it (`run` passes the rows of a snapshot's vertices,
+    tallied up to that snapshot)."""
     if degrees is None:
-        degrees = graph.per_vertex_degree
+        degrees = _degree_table(graph)
+        _tally(graph, 0, len(graph.endpoint_pool), degrees)
     rows, counts = _census(degrees)
     return DegreeDistribution(rows, counts / float(len(degrees)), EMPIRICAL)
 
@@ -467,86 +446,69 @@ def run(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     bit. A caller that reads only the proportions, or the final graph,
     passes `census=False`, and its snapshots carry no distribution (None).
 
-    The snapshots cost one growth pass and their censuses: `_fill` grows
+    The snapshots cost one growth pass and their tallies: `_fill` grows
     all `n_steps` at once, its passes crossing snapshot boundaries with
-    the same stream. The filled pool's slots are in step order, so each
-    snapshot then `_tally`s its own segment of them into the graph's
-    table, whose first rows are then the snapshot's vertices, and whose
-    later rows are still zero. After the last snapshot the tallied range
-    must end at the pool's end, the type counts must sum to the edges and
-    the table to the slots, or `BrokenRun` is raised.
+    the same stream. The pool's slots are in step order, so each snapshot
+    then `_tally`s its own segment of them, the first the pool it started
+    from: into running type counts, and, with the census, into one degree
+    table of the grown graph's vertices, whose first rows are then the
+    snapshot's vertices and whose later rows are still zero. After the
+    last snapshot the tallied range must end at the pool's end, the type
+    counts must sum to the edges and the table to the slots, or
+    `BrokenRun` is raised.
     """
     if n_steps < 0:
         raise ValidationError("n_steps must be nonnegative")
     if snapshot_every < 1:
         raise ValidationError("snapshot_every must be at least 1")
     first_step, first_vertex = graph.step_index, graph.num_vertices
-    snapshots = [GraphSnapshot(first_step, edge_type_proportions(graph),
-                               empirical_distribution(graph)
-                               if census else None)]
-    start = lo = _fill(graph, schedule, m, n_steps, rng)
-    type_counts = np.array(graph.type_counts, np.int64)
-    for done in range(snapshot_every, n_steps + snapshot_every,
-                      snapshot_every):
+    start = _fill(graph, schedule, m, n_steps, rng)
+    degrees = _degree_table(graph) if census else None
+    type_counts = np.zeros(graph.n_types, np.int64)
+    snapshots, lo = [], 0
+    for done in range(0, n_steps + snapshot_every, snapshot_every):
         done = min(done, n_steps)
         hi = start + 2 * m * done
-        type_counts += _tally(graph, lo, hi)
+        type_counts += _tally(graph, lo, hi, degrees)
         lo = hi
         snapshots.append(GraphSnapshot(
-            first_step + done, _proportions(type_counts.tolist(), hi // 2),
-            empirical_distribution(
-                graph, graph.per_vertex_degree[:first_vertex + done])
+            first_step + done, _proportions(type_counts, hi // 2),
+            empirical_distribution(graph, degrees[:first_vertex + done])
             if census else None))
-    graph.type_counts = type_counts.tolist()
     slots = len(graph.endpoint_pool)
-    if (lo != slots or sum(graph.type_counts) != graph.num_edges
-            or int(graph.per_vertex_degree.sum()) != slots):
+    if (lo != slots or type_counts.sum() != graph.num_edges
+            or census and degrees.sum() != slots):
         raise BrokenRun("the tallied snapshots do not add up to the grown "
                         "graph's edges and degrees")
     return snapshots
 
 
 def check_graph_invariants(graph: TypedGraph, m: int) -> list:
-    """Exact conservation checks; returns human-readable violations (empty = ok).
+    """Exact conservation checks on the pool; returns human-readable
+    violations (empty = ok).
 
-    Besides the counts, the per-vertex degrees must be a recount of the
-    pool, a `_tally` into a fresh table. The checks past the pairing
-    read the pool as pairs of slots, so an unpaired pool stops there.
+    The checks past the pairing read the pool as pairs of slots, so an
+    unpaired pool stops there, and only a pool whose slots are all in
+    range has its types counted.
     """
     violations = []
     steps = graph.step_index
     pool_v, pool_t = graph.endpoint_pool, graph.pool_types
-    n_types, vertices = graph.n_types, graph.num_vertices
-    degrees = graph.per_vertex_degree
     edges = graph.num_edges
     if edges != graph.initial_num_edges + m * steps:
         violations.append(
             f"edge conservation: {edges} edges != "
             f"{graph.initial_num_edges} + {m}*{steps}")
-    if sum(graph.type_counts) != edges:
-        violations.append("type counts do not sum to the edge count")
-    if any(c <= 0 for c in graph.type_counts):
-        violations.append("a type has no edges")
-    if vertices != graph.initial_num_vertices + steps:
-        violations.append("vertex count != initial + steps")
-    paired = len(pool_v) % 2 == 0 and len(pool_t) == len(pool_v)
-    if not paired:
+    if not (len(pool_v) % 2 == 0 and len(pool_t) == len(pool_v)):
         violations.append("endpoint pool and type pool are not 2 slots per edge")
-    handshake = int(degrees.sum())
-    if handshake != len(pool_v):
-        violations.append(f"handshake: degree total {handshake} != 2*|E|")
-    if not paired:
         return violations
     if not np.array_equal(pool_t[0::2], pool_t[1::2]):
         violations.append("the two slots of an edge disagree on its type")
-    if (pool_t.min(initial=0) < 0 or pool_t.max(initial=-1) >= n_types
+    if (pool_t.min(initial=0) < 0 or pool_t.max(initial=-1) >= graph.n_types
             or pool_v.min(initial=0) < 0
-            or pool_v.max(initial=-1) >= vertices):
+            or pool_v.max(initial=-1) >= graph.num_vertices):
         violations.append("a slot names a vertex or type out of range")
         return violations
-    recount = np.zeros((vertices, n_types), _index_dtype(len(pool_v)))
-    if _tally(graph, 0, len(pool_v), recount).tolist() != graph.type_counts:
-        violations.append("type counts disagree with the edge pool")
-    if not np.array_equal(recount, degrees):
-        violations.append("per-vertex degrees disagree with the pool")
+    if not _tally(graph, 0, len(pool_v)).all():
+        violations.append("a type has no edges")
     return violations

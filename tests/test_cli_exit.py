@@ -26,6 +26,11 @@ FILES = dict(CONFIGS, **{
     "tight.ini": GRAPH_CFG.replace("tv_tolerance = 1.0",
                                    "tv_tolerance = 1e-9"),
     "fractional.ini": GRAPH_CFG.replace("steps = 400", "steps = 2.5"),
+    # decay rows that sum to 1, read by commands that never build a schedule
+    "bad_decay.ini": GRAPH_CFG.replace("edges_per_step = 2",
+                                       "edges_per_step = 1").replace(
+        "f = symmetric:0.9", "f = symmetric:0.9\nschedule = decaying\n"
+        "decay = 0.5,0.5,0.5,0.5\ndecay_rho = -3"),
     "loop.txt": "0 1 1\n1 1 2\n0 2 2\n"})
 
 # name -> (argv, exit code); --out is appended to the commands that write
@@ -45,6 +50,11 @@ CASES = {
     "unknown_quantity": (["diagnose", "--config", "graph.ini",
                           "--quantity", "bogus"], 2),
     "fractional_steps": (["compare", "--config", "fractional.ini"], 2),
+    "decay_solve": (["solve", "--config", "bad_decay.ini"], 2),
+    "decay_study": (["study", "--config", "bad_decay.ini",
+                     "--psi-samples", "2"], 2),
+    "decay_diagnose": (["diagnose", "--config", "bad_decay.ini",
+                        "--quantity", "u_n", "--d", "1,0"], 2),
     "help": (["--help"], 0),
     "subcommand_help": (["compare", "--help"], 0),
     "version": (["--version"], 0),
@@ -76,6 +86,9 @@ ERRORS = {
     "unknown_quantity": "error: unknown quantity 'bogus'\n",
     "fractional_steps": "error: run.steps: invalid literal for int() with "
                         "base 10: '2.5'\n",
+    "decay_solve": "error: decay matrix rows must sum to 0\n",
+    "decay_study": "error: decay matrix rows must sum to 0\n",
+    "decay_diagnose": "error: decay matrix rows must sum to 0\n",
 }
 
 

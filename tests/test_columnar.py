@@ -1,9 +1,9 @@
 """Differential tests of the columnar distribution against row references.
 
 The column writers must write the bytes that formatting one row at a time
-with the row template writes, rows in `sort_key` order; the census derived
-from the per-vertex degrees must be a `Counter` of the degree rows in that
-order.
+with the row template writes, rows in `sort_key` order; the census of a
+graph must be a `Counter` of its vertices' degree rows, counted from its
+pool, in that order.
 """
 from __future__ import annotations
 
@@ -222,7 +222,10 @@ def test_empirical_distribution_is_the_counted_census(n):
     run(g, PerturbationSchedule(flip), 3, 2000, 2000, replicate_stream(n, 0),
         census=False)
     dist = empirical_distribution(g)
-    expected = counter_census(g.per_vertex_degree)
+    slots = Counter(zip(g.endpoint_pool.tolist(), g.pool_types.tolist()))
+    rows = Counter(tuple(slots[v, t] for t in range(n))
+                   for v in range(g.num_vertices))
+    expected = sorted(rows.items(), key=lambda item: sort_key(item[0]))
     assert list(dist.masses) == [d for d, _ in expected]
     assert list(dist.masses.values()) == [c / float(g.num_vertices)
                                           for _, c in expected]

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from mtpa.cli import COMMANDS, FLAGS, _resolve_config, build_parser, main
-from mtpa.config import config_fields, parse_config
+from mtpa.config import ExperimentConfig, config_fields, parse_config
 from mtpa.errors import ValidationError
+from mtpa.graph import PerturbationSchedule
 from mtpa.harness import run_experiment
 from mtpa.matrices import read_matrix
 from mtpa.output import file_digest
@@ -429,6 +430,21 @@ def test_urn_config_rejects_decaying_schedule(tmp_path, capsys):
     assert main(["compare", "--config", str(urn),
                  "--out", str(tmp_path / "a")]) == 2
     assert "schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("decay, rho, message", [
+    (None, 1.0, "decaying schedule needs a decay matrix"),
+    ([[0.1, -0.1]], 1.0, "decay matrix shape does not match F"),
+    ([[0.5, 0.5], [0.5, 0.5]], -3.0, "decay matrix rows must sum to 0"),
+    ([[0.1, -0.1], [0.0, 0.0]], 0.0, "decay exponent rho must be positive"),
+], ids=["missing", "shape", "row_sums", "rho"])
+def test_config_and_schedule_reject_a_decay_alike(decay, rho, message):
+    f = [[0.9, 0.1], [0.1, 0.9]]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ExperimentConfig(2, f_matrix=f, schedule_kind="decaying",
+                         decay_matrix=decay, decay_rho=rho)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        PerturbationSchedule(f, "decaying", decay, rho)
 
 
 def test_simulate_urn_rejects_decaying_graph_config(tmp_path, capsys):

@@ -9,15 +9,24 @@ import pytest
 from mtpa.errors import NotIrreducible, NotStochastic, ValidationError
 from mtpa.graph import (DECAYING, PerturbationSchedule, SeedGraphSpec,
                         TypedGraph, _census, check_graph_invariants,
-                        empirical_distribution, new_graph, pa_step, run)
+                        edge_type_proportions, empirical_distribution,
+                        new_graph, pa_step, run)
 from mtpa.harness import replicate_stream
 
 F_NEAR_ID = [[0.9, 0.1], [0.1, 0.9]]
 
 
+def degree_table(g) -> np.ndarray:
+    """Per-vertex degrees by type, counted slot by slot from the pool."""
+    table = np.zeros((g.num_vertices, g.n_types), int)
+    for v, t in zip(g.endpoint_pool.tolist(), g.pool_types.tolist()):
+        table[v, t] += 1
+    return table
+
+
 def census(g) -> dict:
-    """The census derived from the per-vertex degrees, degree -> count."""
-    rows, counts = _census(g.per_vertex_degree)
+    """The census of the pool's degree table, degree -> count."""
+    rows, counts = _census(degree_table(g))
     return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
 
 
@@ -49,8 +58,8 @@ def one_step_draws(edges, n_types, f, m, seed):
 def test_default_seed_two_vertices_one_edge_per_type():
     g = new_graph(SeedGraphSpec.default(2))
     assert g.num_vertices == 2
-    assert g.type_counts == [1, 1]
-    assert g.per_vertex_degree.tolist() == [[1, 1], [1, 1]]
+    assert edge_type_proportions(g) == (0.5, 0.5)
+    assert degree_table(g).tolist() == [[1, 1], [1, 1]]
     assert census(g) == {(1, 1): 2}
     assert len(g.endpoint_pool) == 4
 
@@ -253,7 +262,7 @@ def test_pa_step_structural_changes():
         pa_step(g, schedule, m, rng)
         assert g.num_vertices == vertices + 1
         assert g.num_edges == edges + m
-        newcomer = g.per_vertex_degree[-1]
+        newcomer = degree_table(g)[-1]
         assert sum(newcomer) == m
         # mixed m across steps: the fixed-m edge-count check must flag it
         assert check_graph_invariants(g, 0) != []
@@ -293,7 +302,7 @@ def test_pa_step_two_edges_newcomer_degree_law():
     for _ in range(n):
         g = new_graph(SeedGraphSpec.default(2))
         pa_step(g, schedule, 2, rng)
-        both_one += tuple(g.per_vertex_degree[-1]) == (2, 0)
+        both_one += tuple(degree_table(g)[-1]) == (2, 0)
         (_, b1, _), (_, b2, _) = last_edges(g, 2)
         same_endpoint += b1 == b2
     assert abs(both_one / n - 0.25) < three_sigma(0.25, n)
@@ -324,7 +333,7 @@ def test_pa_step_same_endpoint_counts_twice():
         (_, b1, _), (_, b2, _) = last_edges(g, 2)
         if b1 == b2:
             seen_double = True
-            assert sum(g.per_vertex_degree[b1]) == 4  # 2 seed + 2 new
+            assert sum(degree_table(g)[b1]) == 4  # 2 seed + 2 new
     assert seen_double
 
 
@@ -353,16 +362,38 @@ def test_invariants_flag_a_corrupted_pool():
     assert any("2 slots per edge" in v for v in violations)
 
 
-def test_invariants_flag_a_corrupted_degree():
-    schedule = PerturbationSchedule(F_NEAR_ID)
+def test_invariants_flag_a_pool_that_lost_an_edge():
     g = new_graph(SeedGraphSpec.default(2))
-    run(g, schedule, 2, 50, 50, replicate_stream(41, 0), census=False)
-    # move one unit of degree between types: the handshake still holds,
-    # so only the recount of the pool can see it
-    old = g.per_vertex_degree[5].tolist()
-    g.per_vertex_degree[5] += (1, -1) if old[1] else (-1, 1)
+    run(g, PerturbationSchedule(F_NEAR_ID), 2, 50, 50,
+        replicate_stream(41, 0), census=False)
+    g.endpoint_pool, g.pool_types = g.endpoint_pool[:-2], g.pool_types[:-2]
     assert check_graph_invariants(g, 2) == [
-        "per-vertex degrees disagree with the pool"]
+        "edge conservation: 101 edges != 2 + 2*50"]
+
+
+@pytest.mark.parametrize("pool, slot, value", [
+    ("endpoint_pool", -1, 52), ("endpoint_pool", 7, -1),
+    ("pool_types", 0, 2), ("pool_types", 9, -1)])
+def test_invariants_flag_a_slot_out_of_range(pool, slot, value):
+    # 52 vertices (2 seed, 50 grown) and 2 types; both slots of a type
+    # change, so that the edge's slots still agree on it
+    g = new_graph(SeedGraphSpec.default(2))
+    run(g, PerturbationSchedule(F_NEAR_ID), 2, 50, 50,
+        replicate_stream(41, 0), census=False)
+    array = getattr(g, pool)
+    array[slot] = value
+    if pool == "pool_types":
+        array[slot ^ 1] = value
+    assert check_graph_invariants(g, 2) == [
+        "a slot names a vertex or type out of range"]
+
+
+def test_invariants_flag_a_type_without_edges():
+    g = new_graph(SeedGraphSpec.default(3))
+    run(g, PerturbationSchedule(np.full((3, 3), 1 / 3)), 2, 50, 50,
+        replicate_stream(41, 0), census=False)
+    g.pool_types[g.pool_types == 1] = 2
+    assert check_graph_invariants(g, 2) == ["a type has no edges"]
 
 
 def test_empty_pool_propagates_from_pa_step():

@@ -31,8 +31,8 @@ M = 3
 
 def grow_per_snapshot(graph, schedule, m, n_steps, snapshot_every, rng,
                       census) -> list:
-    """`run` as one census-free `run` call per snapshot, each census taken
-    from the graph's own degree table."""
+    """`run` as one census-free `run` call per snapshot, each census
+    tallied from the graph's pool."""
     def snapshot():
         return GraphSnapshot(graph.step_index, edge_type_proportions(graph),
                              empirical_distribution(graph) if census
@@ -117,14 +117,14 @@ def test_run_of_zero_steps_is_the_initial_snapshot(census):
 @pytest.mark.parametrize("times", [0, 2], ids=["skipped", "doubled"])
 def test_a_segment_tallied_other_than_once_raises(times, census,
                                                   monkeypatch):
-    # the third snapshot's segment is added to the table and the type
-    # counts `times` times instead of once
+    # the third snapshot's segment is added to the type counts, and with
+    # the census to the table, `times` times instead of once
     tally = graph_module._tally
-    calls = []
+    segments = []
 
     def miscount(graph, lo, hi, degrees=None):
-        calls.append((lo, hi))
-        if len(calls) != 3:
+        segments.append((lo, hi))
+        if len(segments) != 3:
             return tally(graph, lo, hi, degrees)
         return sum((tally(graph, lo, hi, degrees) for _ in range(times)),
                    np.zeros(graph.n_types, np.int64))
@@ -134,7 +134,9 @@ def test_a_segment_tallied_other_than_once_raises(times, census,
     with pytest.raises(BrokenRun, match="do not add up"):
         run(g, make_schedule(2, None), 2, 200, 30, replicate_stream(1, 0),
             census=census)
-    assert len(calls) == 7
+    # one segment per snapshot, the first the seed's, end to end
+    assert len(segments) == 8
+    assert [lo for lo, _ in segments] == [0] + [hi for _, hi in segments[:-1]]
 
 
 @pytest.mark.parametrize("census, bound", [(False, 20), (True, 22)],
