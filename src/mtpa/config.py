@@ -249,6 +249,17 @@ def checked_decay(decay, n_types: int, rho: float) -> np.ndarray:
     return arr
 
 
+def snapshot_steps(n_steps: int, snapshot_every: int) -> list:
+    """The steps a run snapshots, counted from its start: 0, every
+    `snapshot_every` steps, and `n_steps`. `graph.run`, `urn.run_urn`
+    and `diagnose`'s analytic series all read this grid."""
+    if n_steps < 0:
+        raise ValidationError("n_steps must be nonnegative")
+    if snapshot_every < 1:
+        raise ValidationError("snapshot_every must be at least 1")
+    return [*range(0, n_steps, snapshot_every), n_steps]
+
+
 def comparison_cutoff(cfg: ExperimentConfig) -> int:
     """The comparison weight K, checked as a comparison reads it."""
     if cfg.cutoff < cfg.m_edges:

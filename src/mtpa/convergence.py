@@ -14,9 +14,9 @@ from functools import partial
 
 import numpy as np
 
-from .config import GRAPH, URN, ExperimentConfig, comparison_cutoff
+from .config import GRAPH, ExperimentConfig, comparison_cutoff, snapshot_steps
 from .errors import ValidationError
-from .harness import map_replicates, simulate, tv_distance
+from .harness import map_replicates, psi_error, simulate, tv_distance
 from .theory import (_compositions, solve_recurrence,
                      stationary_type_distribution)
 
@@ -130,21 +130,28 @@ def _series_replicate(cfg: ExperimentConfig, index: int, theory=None) -> list:
     `theory`) when a theoretical distribution is given."""
     _, snaps = simulate(cfg, index, cfg.snapshot_every,
                         census=theory is not None)
-    if cfg.model == URN:
-        return [(s.n, s.fractions) for s in snaps]
     if theory is None:
         return [(s.n, s.psi) for s in snaps]
     return [(s.n, tv_distance(s.distribution, theory, cfg.cutoff))
             for s in snaps]
 
 
-def _analytic_grid(cfg: ExperimentConfig) -> list:
-    """(n, modelled edge count before step n) on the snapshot grid."""
+def _analytic_grid(cfg: ExperimentConfig, name: str, weight: int) -> list:
+    """(n, modelled edge count before step n) on the snapshot grid, step 0
+    read as step 1, at the steps whose edges can hold a degree of
+    `weight`: the exact probabilities need 2 * edges >= weight."""
     initial_edges = sum(cfg.seed_spec().type_counts())
-    grid = sorted({1, cfg.n_steps}
-                  | {k for k in range(cfg.snapshot_every, cfg.n_steps + 1,
-                                      cfg.snapshot_every)})
-    return [(n, initial_edges + cfg.m_edges * (n - 1)) for n in grid if n >= 1]
+    grid = [(n, initial_edges + cfg.m_edges * (n - 1))
+            for n in sorted({max(n, 1) for n in snapshot_steps(
+                cfg.n_steps, cfg.snapshot_every)})]
+    held = [(n, edges) for n, edges in grid if 2 * edges >= weight]
+    if not held:
+        n, edges = grid[-1]
+        raise ValidationError(f"the {name} series reads a degree of weight "
+                              f"{weight}, but the {edges} edges before step "
+                              f"{n}, the last, hold at most weight "
+                              f"{2 * edges}")
+    return held
 
 
 # quantity -> the targets its series reads
@@ -162,7 +169,9 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
     from 0, but messages count types from 1, as the CLI's --l does. The
     degree a series reads (d, or d - e_l for NP_EL) must be one a vertex
     can hold: degrees only grow, so every vertex weighs at least the lesser
-    of m and the lightest seed vertex's degree.
+    of m and the lightest seed vertex's degree. U_N and NP_EL skip the
+    snapshot steps whose modelled edges cannot hold its weight yet, and
+    need at least one that can.
     """
     name = quantity.strip().lower()
     if name not in SERIES_TARGETS:
@@ -199,8 +208,7 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
         series = map_replicates(cfg, partial(_series_replicate, cfg))
         for r, snapshots in enumerate(series):
             for n, psi in snapshots:
-                err = max(abs(a - b) for a, b in zip(psi, psi_ref))
-                rows.append((r, n) + tuple(psi) + (err,))
+                rows.append((r, n) + tuple(psi) + (psi_error(psi, psi_ref),))
         return header, rows
 
     if name == "tv":
@@ -215,7 +223,7 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
         limit = sum(degree) / 2.0
         header = ["n", "u_n", "limit", "abs_error"]
         rows = []
-        for n, edges_prev in _analytic_grid(cfg):
+        for n, edges_prev in _analytic_grid(cfg, name, weight):
             value = n * (1.0 - exact_no_edge_probability(degree, edges_prev,
                                                          cfg.m_edges))
             rows.append((n, value, limit, abs(value - limit)))
@@ -229,7 +237,7 @@ def convergence_series(cfg: ExperimentConfig, quantity: str, *,
     unit = tuple(1 if k == l else 0 for k in range(len(d)))
     header = ["n", "n_times_p", "limit", "abs_error"]
     rows = []
-    for n, edges_prev in _analytic_grid(cfg):
+    for n, edges_prev in _analytic_grid(cfg, name, weight):
         value = n * exact_attachment_probability(
             previous, unit, edges_prev, cfg.m_edges,
             schedule.matrix_at(n))

@@ -41,7 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices
-from .config import CONSTANT, DECAYING, SeedGraphSpec, checked_decay
+from .config import (CONSTANT, DECAYING, SeedGraphSpec, checked_decay,
+                     snapshot_steps)
 from .degrees import DegreeDistribution, EMPIRICAL, degree_dtype, row_weights
 from .errors import BrokenRun, ValidationError
 
@@ -345,15 +346,17 @@ def _grow_pass(pool: np.ndarray, pool_types: np.ndarray, base: int,
 
     New edge e of step j (0-based in this pass) is pool edge base/2 + e,
     with e = j*m + i. It drew slot s < frozen_j = base + 2mj. Its endpoint
-    is the vertex of slot s, which for an odd slot of this pass is again
-    the endpoint of that slot's edge. Its type is its flip map (the step's
-    flip outcome for each parent type) applied to the type of slot s. Both
-    chains end below `base` (or, for endpoints, at a newcomer slot).
-    Types are settled in rounds: the first, full width, settles every edge
-    whose parent slot lies below `base`, and each later one the in-pass
-    edges whose parent was settled in the round before. Endpoints are
-    resolved by pointer doubling. Both take rounds that grow with the log
-    of the pass's edges.
+    is the vertex of slot s, and its type is its flip map (the step's flip
+    outcome for each parent type) applied to the type of slot s. For an
+    odd slot of this pass both are again read off the slot that slot's
+    edge drew, so each chain ends below `base` or, for the endpoint, at a
+    newcomer (even) slot, which is written first. The chains are walked
+    once, in rounds that settle an edge's endpoint and type together: the
+    first, full width, settles every edge whose parent slot lies below
+    `base`, and each later one the in-pass edges whose parent was settled
+    in the round before. The later rounds are as many as the longest
+    chain's links within the pass: about the log of the pass's edges on
+    random picks, and at most its steps.
     """
     k = m * n_steps
     n_types = table.shape[1]
@@ -382,33 +385,27 @@ def _grow_pass(pool: np.ndarray, pool_types: np.ndarray, base: int,
             at += 1
         return types
 
-    # the pass's slots read -1 until their edge's type is known; in the
-    # full-width round an in-pass parent's -1 wraps to some other CDF
-    # entry, and its edge waits for a later round
+    # newcomers first; the pass's slots read type -1 until their edge is
+    # settled. In the full-width round an in-pass parent's -1 wraps to some
+    # other CDF entry and its odd slot holds no endpoint yet: its edge waits
+    # for a later round, which writes both
+    pool[base:base + 2 * k:2] = first_vertex + step
     new_types = pool_types[base:base + 2 * k]
     new_types[:] = -1
     types = flipped(slice(None), pool_types.take(slot))
     pending = np.flatnonzero(slot >= base)
     types[pending] = -1
     new_types[0::2] = new_types[1::2] = types
+    pool[base + 1:base + 2 * k:2] = pool[slot]
     while pending.size:
-        parent_type = pool_types.take(slot[pending])
+        parent = slot[pending]
+        parent_type = pool_types.take(parent)
         known = parent_type >= 0
         ready = pending[known]
         new_types[2 * ready] = new_types[2 * ready + 1] = flipped(
             ready, parent_type[known])
+        pool[base + 2 * ready + 1] = pool[parent[known]]
         pending = pending[~known]
-
-    # endpoints, by pointer doubling: an odd slot of this pass holds the
-    # endpoint its own edge drew; then every slot is below `base` or a
-    # newcomer's, which is written first
-    pending = np.flatnonzero((slot >= base) & (slot % 2 == 1))
-    while pending.size:
-        slot[pending] = slot[(slot[pending] - base) // 2]
-        hop = slot[pending]
-        pending = pending[(hop >= base) & (hop % 2 == 1)]
-    pool[base:base + 2 * k:2] = first_vertex + step
-    pool[base + 1:base + 2 * k:2] = pool[slot]
 
 
 def _proportions(type_counts: np.ndarray, edges: int) -> tuple:
@@ -457,17 +454,13 @@ def run(graph: TypedGraph, schedule: PerturbationSchedule, m: int,
     counts must sum to the edges and the table to the slots, or
     `BrokenRun` is raised.
     """
-    if n_steps < 0:
-        raise ValidationError("n_steps must be nonnegative")
-    if snapshot_every < 1:
-        raise ValidationError("snapshot_every must be at least 1")
+    grid = snapshot_steps(n_steps, snapshot_every)
     first_step, first_vertex = graph.step_index, graph.num_vertices
     start = _fill(graph, schedule, m, n_steps, rng)
     degrees = _degree_table(graph) if census else None
     type_counts = np.zeros(graph.n_types, np.int64)
     snapshots, lo = [], 0
-    for done in range(0, n_steps + snapshot_every, snapshot_every):
-        done = min(done, n_steps)
+    for done in grid:
         hi = start + 2 * m * done
         type_counts += _tally(graph, lo, hi, degrees)
         lo = hi

@@ -72,6 +72,12 @@ def tv_distance(p: DegreeDistribution, q: DegreeDistribution,
                                            -np.minimum(a, b))).tolist())
 
 
+def psi_error(psi, psi_ref) -> float:
+    """The largest absolute difference between the type proportions `psi`
+    and the stationary `psi_ref`."""
+    return float(np.max(np.abs(np.asarray(psi) - psi_ref)))
+
+
 @dataclass
 class ReplicateResult:
     index: int
@@ -193,8 +199,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     raw = map_replicates(cfg, partial(_replicate, cfg))
     results = [result for result, _ in raw]
     for result in results:
-        result.psi_error = float(np.max(np.abs(
-            np.asarray(result.psi) - psi_ref)))
+        result.psi_error = psi_error(result.psi, psi_ref)
 
     unaccounted = per_degree = mean_tv = tv_passed = None
     if cfg.model == GRAPH:

@@ -123,7 +123,7 @@ def write_graph_snapshots(out_dir, snapshots, n_types: int):
 def write_urn_trajectory(path, snapshots, n_types: int) -> Path:
     header = (["n"] + [f"c_{i + 1}" for i in range(n_types)]
               + [f"frac_{i + 1}" for i in range(n_types)])
-    rows = [(s.n,) + s.composition + s.fractions for s in snapshots]
+    rows = [(s.n,) + s.composition + s.psi for s in snapshots]
     return write_csv(path, header, rows)
 
 

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices
+from .config import snapshot_steps
 from .errors import BrokenRun, ValidationError
 
 # a run_urn chunk makes at most CHUNK_DRAWS draws, and at most as many
@@ -64,7 +65,7 @@ class UrnState:
 class UrnSnapshot(NamedTuple):
     n: int
     composition: tuple
-    fractions: tuple
+    psi: tuple  # per-colour ball proportions
 
 
 def new_urn(initial_composition, m: int, sampler: np.ndarray) -> UrnState:
@@ -237,13 +238,10 @@ def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
         guess = new
 
 
-def _snapshot(urn: UrnState) -> UrnSnapshot:
-    return UrnSnapshot(urn.step_index, tuple(urn.composition), urn.fractions())
-
-
 def run_urn(urn: UrnState, sampler: np.ndarray, n_steps: int,
             snapshot_every: int, rng: np.random.Generator) -> list:
-    """Run the urn, recording (step, composition, fractions) snapshots.
+    """Run the urn, recording (step, composition, psi) snapshots, psi the
+    colours' proportions, at the steps of `config.snapshot_steps`.
 
     Same trajectory and uniform stream as repeated urn_step calls. Steps go
     in chunks cut only at the snapshots asked for, of
@@ -268,30 +266,25 @@ def run_urn(urn: UrnState, sampler: np.ndarray, n_steps: int,
     Each chunk draws its 2m*K uniforms with one call and ends with the
     checks of `check_urn_invariants`; a violation raises BrokenRun.
     """
-    if n_steps < 0:
-        raise ValidationError("n_steps must be nonnegative")
-    if snapshot_every < 1:
-        raise ValidationError("snapshot_every must be at least 1")
-    snapshots = [_snapshot(urn)]
     m = urn.m
     comp = np.array(urn.composition, dtype=np.int64)
     longest = min(CHUNK_DRAWS // m, max(
         CHUNK_STEPS, CHUNK_DRAWS // (max(len(comp) - 1, 1) * m)))
-    step = 0
-    while step < n_steps:
-        boundary = min(n_steps, (step // snapshot_every + 1) * snapshot_every)
-        total = urn.total
-        chunk = max(1, min(total // (2 * m), longest, boundary - step))
-        us = rng.random(chunk * 2 * m).reshape(chunk, 2 * m)
-        comp += _chunk_gains(comp, total, m, us, sampler)
-        urn.composition[:] = comp.tolist()
-        urn.step_index += chunk
-        step += chunk
-        violations = check_urn_invariants(urn)
-        if violations:
-            raise BrokenRun("; ".join(violations))
-        if step == boundary:
-            snapshots.append(_snapshot(urn))
+    snapshots, step = [], 0
+    for boundary in snapshot_steps(n_steps, snapshot_every):
+        while step < boundary:
+            total = urn.total
+            chunk = max(1, min(total // (2 * m), longest, boundary - step))
+            us = rng.random(chunk * 2 * m).reshape(chunk, 2 * m)
+            comp += _chunk_gains(comp, total, m, us, sampler)
+            urn.composition[:] = comp.tolist()
+            urn.step_index += chunk
+            step += chunk
+            violations = check_urn_invariants(urn)
+            if violations:
+                raise BrokenRun("; ".join(violations))
+        snapshots.append(UrnSnapshot(urn.step_index, tuple(urn.composition),
+                                     urn.fractions()))
     return snapshots
 
 

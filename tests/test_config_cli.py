@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from mtpa.cli import COMMANDS, FLAGS, _resolve_config, build_parser, main
-from mtpa.config import ExperimentConfig, config_fields, parse_config
+from mtpa.config import (ExperimentConfig, SeedGraphSpec, config_fields,
+                         parse_config, snapshot_steps)
 from mtpa.errors import ValidationError
-from mtpa.graph import PerturbationSchedule
-from mtpa.harness import run_experiment
+from mtpa.graph import PerturbationSchedule, new_graph, run
+from mtpa.harness import replicate_stream, run_experiment
 from mtpa.matrices import read_matrix
 from mtpa.output import file_digest
+from mtpa.urn import bernoulli_column_sampler, new_urn, run_urn
 
 
 MINIMAL = """
@@ -896,3 +898,66 @@ def test_diagnose_target_lighter_than_any_vertex(tmp_path, capsys, m, argv,
             "vertex weighs less than 2" in capsys.readouterr().err)
     assert main(diagnose + argv[:2] + [held] + argv[3:]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, first", [
+    # weight 5: the default seed's 2 edges hold it from step 3 on
+    (["u_n", "--d", "3,2"], 10),
+    # weight 59, d - e_1: 30 edges hold it from step 29 on
+    (["np_el", "--d", "30,30", "--l", "1"], 30),
+], ids=["u_n", "np_el"])
+def test_diagnose_target_heavier_than_the_seed(tmp_path, capsys, argv,
+                                               first):
+    # the analytic series starts at the first snapshot step whose modelled
+    # edges (2 + n - 1 before step n, at m = 1) can hold the degree it reads
+    path = write_config(tmp_path, MINIMAL
+                        + "\n[run]\nsteps = 100\nsnapshot_every = 10\n")
+    out = tmp_path / "o"
+    assert main(["diagnose", "--config", str(path), "--out", str(out),
+                 "--quantity"] + argv) == 0
+    capsys.readouterr()
+    _, rows = read_rows(out / "series.csv")
+    assert [int(row[0]) for row in rows] == list(range(first, 101, 10))
+
+
+def test_diagnose_target_no_snapshot_step_can_hold(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL
+                        + "\n[run]\nsteps = 100\nsnapshot_every = 10\n")
+    assert main(["diagnose", "--config", str(path), "--out",
+                 str(tmp_path / "o"), "--quantity", "u_n", "--d",
+                 "300,2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the u_n series reads a degree of weight 302, but the 101 "
+        "edges before step 100, the last, hold at most weight 202\n")
+
+
+# --------------------------------------------------------------------------
+# one snapshot rule for both simulators
+
+
+@pytest.mark.parametrize("n_steps, every, steps", [
+    (0, 5, [0]),
+    (3, 5, [0, 3]),
+    (10, 5, [0, 5, 10]),
+    (11, 5, [0, 5, 10, 11]),
+], ids=["zero-steps", "every-past-n", "every-divides", "every-leaves-rest"])
+def test_snapshot_steps(n_steps, every, steps):
+    assert snapshot_steps(n_steps, every) == steps
+
+
+@pytest.mark.parametrize("n_steps, every, message", [
+    (-1, 5, "n_steps must be nonnegative"),
+    (10, 0, "snapshot_every must be at least 1"),
+], ids=["negative-steps", "zero-every"])
+def test_both_simulators_reject_a_bad_grid_alike(n_steps, every, message):
+    match = f"^{message}$"
+    with pytest.raises(ValidationError, match=match):
+        snapshot_steps(n_steps, every)
+    graph = new_graph(SeedGraphSpec.default(2))
+    with pytest.raises(ValidationError, match=match):
+        run(graph, PerturbationSchedule(np.eye(2)), 1, n_steps, every,
+            replicate_stream(0, 0))
+    sampler = bernoulli_column_sampler(np.eye(2))
+    with pytest.raises(ValidationError, match=match):
+        run_urn(new_urn([1, 1], 1, sampler), sampler, n_steps, every,
+                replicate_stream(0, 0))

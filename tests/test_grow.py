@@ -150,7 +150,7 @@ def test_zero_steps_draw_nothing():
 
 
 def test_long_run_matches_pa_step(monkeypatch):
-    # deep ancestry chains: many rounds of pointer doubling
+    # deep ancestry chains: many rounds of the fill's chain walk
     schedule = make_schedule(2, None)
     for pass_steps in PASS_STEPS:
         monkeypatch.setattr(graph_module, "_PASS_EDGES", pass_steps * 3)
@@ -162,6 +162,42 @@ def test_long_run_matches_pa_step(monkeypatch):
         run(eng, schedule, 3, 5000, 5000, rng_eng, census=False)
         assert_same_graph(ref, eng)
         assert_same_stream(rng_ref, rng_eng)
+
+
+class TopPickStream:
+    """Uniforms whose picks (the even ones of each call) are all
+    1 - 2**-53, the largest below 1, and whose flips are random: every edge
+    draws the last slot of the pool frozen at its step, the odd slot of the
+    step before's last edge."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size=None):
+        u = self.rng.random(size)
+        if size is not None:
+            u[0::2] = 1 - 2**-53
+        return u
+
+
+@pytest.mark.parametrize("rho", [None, 0.5], ids=["constant", "rho0.5"])
+@pytest.mark.parametrize("m", (1, 3))
+def test_longest_chain_matches_pa_step(m, rho, monkeypatch):
+    # one pass for the whole call, whose every edge's chain runs back
+    # through every step before it to the seed's last slot: the fill takes
+    # a round per step, and every new vertex joins that slot's vertex
+    monkeypatch.setattr(graph_module, "_PASS_EDGES", PASS_STEPS[-1] * m)
+    schedule = make_schedule(2, rho)
+    ref, eng = (new_graph(SeedGraphSpec.default(2)) for _ in range(2))
+    rng_ref, rng_eng = TopPickStream(5), TopPickStream(5)
+    for _ in range(600):
+        pa_step(ref, schedule, m, rng_ref)
+    run(eng, schedule, m, 600, 600, rng_eng, census=False)
+    assert_same_graph(ref, eng)
+    assert_same_stream(rng_ref, rng_eng)
+    seed_slots = 2 * len(SeedGraphSpec.default(2).edges)
+    assert set(eng.endpoint_pool[seed_slots + 1::2].tolist()) == {
+        int(eng.endpoint_pool[seed_slots - 1])}
 
 
 def test_invariants_recount_the_last_pass(monkeypatch):

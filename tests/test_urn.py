@@ -145,7 +145,7 @@ def test_run_urn_zero_steps():
     snaps = run_urn(urn, sampler, 0, 10, replicate_stream(49, 0))
     assert len(snaps) == 1
     assert snaps[0].composition == (1, 3)
-    assert snaps[0].fractions == (0.25, 0.75)
+    assert snaps[0].psi == (0.25, 0.75)
 
 
 def test_run_urn_matches_step_loop_bitwise():
@@ -218,7 +218,7 @@ def test_terminal_spread_shrinks_with_horizon():
         urn = new_urn([1, 3], 1, sampler)
         snaps = run_urn(urn, sampler, 100_000, 1000,
                         replicate_stream(53, seed))
-        by_n = {s.n: s.fractions[0] for s in snaps}
+        by_n = {s.n: s.psi[0] for s in snaps}
         early.append(by_n[1000])
         late.append(by_n[100_000])
     assert np.var(late) < np.var(early)
