@@ -68,6 +68,12 @@ def tv_distance(p: DegreeDistribution, q: DegreeDistribution,
     from .degrees import aligned
 
     _, (a, b) = aligned((p, q), cutoff)
+    return _half_l1(a, b)
+
+
+def _half_l1(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the L1 distance of two aligned mass columns, correctly rounded;
+    a row where both are 0.0 adds 0.0 and -0.0, which leave it unchanged."""
     return 0.5 * math.fsum(np.concatenate((np.maximum(a, b),
                                            -np.minimum(a, b))).tolist())
 
@@ -89,9 +95,10 @@ class ReplicateResult:
 
 @dataclass
 class ComparisonReport:
-    """Aggregated empirical-vs-theoretical comparison across replicates."""
+    """Aggregated empirical-vs-theoretical comparison across replicates of
+    `cfg`, whose tolerances the stored verdicts were reached under."""
 
-    model: str
+    cfg: ExperimentConfig
     replicates: list                 # ReplicateResult, by index
     psi_reference: tuple
     mean_tv: float | None            # graph model only
@@ -102,10 +109,6 @@ class ComparisonReport:
     # graph model only: (degrees, mean empirical mass, theoretical mass)
     # over the rows of weight <= cutoff of the theory or any replicate
     per_degree_errors: tuple | None
-    tv_tolerance: float
-    psi_tolerance: float
-    pass_fraction: float
-    cutoff: int
 
     @property
     def passed(self) -> bool:
@@ -116,20 +119,21 @@ class ComparisonReport:
     def summary_lines(self) -> list:
         """The report as text, with the verdicts `run_experiment` reached."""
         verdict = {True: "PASS", False: "FAIL"}
-        lines = [f"model: {self.model}",
+        cfg = self.cfg
+        lines = [f"model: {cfg.model}",
                  f"replicates: {len(self.replicates)}"]
         if self.mean_tv is not None:
             lines.append(
-                f"mean TV distance (cutoff {self.cutoff}): {self.mean_tv:.6f} "
-                f"(tolerance {self.tv_tolerance:g}): "
+                f"mean TV distance (cutoff {cfg.cutoff}): {self.mean_tv:.6f} "
+                f"(tolerance {cfg.tv_tolerance:g}): "
                 f"{verdict[self.tv_passed]}")
             lines.append(
                 "unaccounted theoretical mass beyond cutoff: "
                 f"{self.unaccounted_theory_mass:.6f}")
         lines.append(
-            f"psi within {self.psi_tolerance:g}: "
+            f"psi within {cfg.psi_tolerance:g}: "
             f"{self.psi_ok}/{len(self.replicates)} "
-            f"(required fraction {self.pass_fraction:g}): "
+            f"(required fraction {cfg.pass_fraction:g}): "
             f"{verdict[self.psi_passed]}")
         violations = [v for r in self.replicates for v in r.violations]
         lines.append("conservation checks: " + verdict[not violations])
@@ -155,19 +159,16 @@ def simulate(cfg: ExperimentConfig, index: int, snapshot_every: int,
     return urn, _this.run_urn(urn, sampler, cfg.n_steps, snapshot_every, rng)
 
 
-def _replicate(cfg: ExperimentConfig, index: int):
-    """A compare replicate's result, and a graph's census cut at the
-    cutoff; compare reads the last snapshot alone, so it asks for no
-    other."""
+def _replicate(cfg: ExperimentConfig, index: int) -> tuple:
+    """A compare replicate's (psi, violations, census): a graph's census
+    cut at the cutoff, None for an urn. Compare reads the last snapshot
+    alone, so it asks for no other."""
     state, _ = simulate(cfg, index, max(cfg.n_steps, 1))
     if cfg.model != GRAPH:
-        violations = _this.check_urn_invariants(state)
-        return ReplicateResult(index, None, state.fractions(), 0.0,
-                               violations), None
+        return state.fractions(), _this.check_urn_invariants(state), None
     violations = _this.check_graph_invariants(state, cfg.m_edges)
     truncated = _this.empirical_distribution(state).truncated(cfg.cutoff)
-    psi = _this.edge_type_proportions(state)
-    return ReplicateResult(index, None, psi, 0.0, violations), truncated
+    return _this.edge_type_proportions(state), violations, truncated
 
 
 def map_replicates(cfg: ExperimentConfig, task) -> list:
@@ -197,29 +198,30 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         theory = _this.solve_recurrence(cfg.f_matrix, cfg.m_edges,
                                         comparison_cutoff(cfg))
     raw = map_replicates(cfg, partial(_replicate, cfg))
-    results = [result for result, _ in raw]
-    for result in results:
-        result.psi_error = psi_error(result.psi, psi_ref)
 
+    tvs = [None] * len(raw)
     unaccounted = per_degree = mean_tv = tv_passed = None
     if cfg.model == GRAPH:
         from .degrees import aligned
 
         unaccounted = 1.0 - theory.total()
-        for result, truncated in raw:
-            result.tv = tv_distance(truncated, theory, cfg.cutoff)
+        # one table of the theory and every census; a replicate's TV over
+        # it is its TV over the rows of the pair, as the others' rows add 0
         degrees, (theoretical, *empirical) = aligned(
-            [theory] + [truncated for _, truncated in raw], cfg.cutoff)
+            [theory] + [census for *_, census in raw], cfg.cutoff)
+        tvs = [_half_l1(column, theoretical) for column in empirical]
         # summed replicate by replicate, in index order
-        per_degree = (degrees, sum(empirical) / len(results), theoretical)
-        mean_tv = float(np.mean([r.tv for r in results]))
+        per_degree = (degrees, sum(empirical) / len(raw), theoretical)
+        mean_tv = float(np.mean(tvs))
         tv_passed = mean_tv <= cfg.tv_tolerance
+    results = [ReplicateResult(i, tv, psi, psi_error(psi, psi_ref), violations)
+               for i, ((psi, violations, _), tv) in enumerate(zip(raw, tvs))]
 
     ok = sum(1 for r in results if r.psi_error <= cfg.psi_tolerance)
     psi_passed = ok / len(results) >= cfg.pass_fraction
 
     return ComparisonReport(
-        model=cfg.model,
+        cfg=cfg,
         replicates=results,
         psi_reference=tuple(float(v) for v in psi_ref),
         mean_tv=mean_tv,
@@ -228,10 +230,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         psi_passed=psi_passed,
         unaccounted_theory_mass=unaccounted,
         per_degree_errors=per_degree,
-        tv_tolerance=cfg.tv_tolerance,
-        psi_tolerance=cfg.psi_tolerance,
-        pass_fraction=cfg.pass_fraction,
-        cutoff=cfg.cutoff,
     )
 
 

@@ -7,7 +7,9 @@ the drawn colour. Column j of R is the flipped edge type: the unit vector
 e_k with probability F[j, k], columns independent. So every column weighs
 one ball, and the generating (expected) matrix is F.T. The sampler of R is
 F's row CDFs (`bernoulli_column_sampler`), and a step draws only the column
-it applies.
+it applies. `urn_step` is the one scalar step: `run_urn` calls it for a
+chunk too small for numpy, and settles larger chunks at once
+(`_chunk_gains`), with the same stream and the same urn.
 """
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ from .errors import BrokenRun, ValidationError
 # than CHUNK_STEPS steps
 CHUNK_STEPS = 1024
 CHUNK_DRAWS = 8192
-# most draws a chunk steps in order, one at a time, without numpy passes
+# most draws a chunk steps in order, one `urn_step` at a time, without
+# numpy passes
 IN_ORDER_DRAWS = 128
 
 
@@ -104,7 +107,8 @@ def urn_step(urn: UrnState, sampler: np.ndarray,
     """One step: m colour draws from the frozen composition, then m columns.
 
     Consumes 2*m uniforms, the m picks first; this is the reference that
-    `run_urn` is tested against.
+    `run_urn` is tested against, and the step it takes in a chunk of at
+    most `IN_ORDER_DRAWS` draws.
     """
     m = urn.m
     total = urn.total
@@ -127,20 +131,6 @@ def _passed(values: np.ndarray, bounds) -> np.ndarray:
     return count
 
 
-def _in_order(comp: np.ndarray, total: int, m: int, us: np.ndarray,
-              cdf: np.ndarray) -> np.ndarray:
-    """Balls each colour gains over len(us) steps from composition `comp`,
-    stepped one at a time with `_draw` as `urn_step` steps them."""
-    x = us[:, :m] * (total + np.arange(0, m * len(us), m))[:, None]
-    cdfs, start = cdf.tolist(), comp.tolist()
-    counts = list(start)
-    for picks, flips in zip(x.tolist(), us[:, m:].tolist()):
-        cum = list(accumulate(counts))
-        for k in [_draw(a, cum, u, cdfs) for a, u in zip(picks, flips)]:
-            counts[k] += 1
-    return np.subtract(counts, start)
-
-
 def _colour_counts(draws: int, above) -> np.ndarray:
     """How many of `draws` draws gained each colour, given how many gained a
     colour above c for each c."""
@@ -155,18 +145,16 @@ def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
 
     Row j of `us` holds step j's 2*m uniforms; a draw's pick product is
     x = u * total_j, with step j's total known in advance, total + m*j.
-    A chunk of at most `IN_ORDER_DRAWS` draws is stepped in order with
-    `_draw`: numpy's per-call cost would exceed its few draws. Otherwise the
-    draws are held as (m, K) rows. Each colour boundary (a cumulative count)
-    lies between its chunk-start value and that plus m*j, and a draw whose
-    x passes the same boundaries under both bounds is settled: its colour,
-    and so its flip, is known without stepping. The draws in doubt then go
-    through a fixed point: from guessed gains, the boundaries each doubtful
-    draw sees, its pick and its flip, repeated until the gains repeat. A
-    draw depends only on the steps before it, so each round is exact at
-    least one step further: the rounds end, within K + 1 of them, and a
-    repeat is the exact answer. Every product and compare is the one
-    `urn_step` makes, so the gains are the same bit for bit.
+    The draws are held as (m, K) rows. Each colour boundary (a cumulative
+    count) lies between its chunk-start value and that plus m*j, and a
+    draw whose x passes the same boundaries under both bounds is settled:
+    its colour, and so its flip, is known without stepping. The draws in
+    doubt then go through a fixed point: from guessed gains, the boundaries
+    each doubtful draw sees, its pick and its flip, repeated until the
+    gains repeat. A draw depends only on the steps before it, so each round
+    is exact at least one step further: the rounds end, within K + 1 of
+    them, and a repeat is the exact answer. Every product and compare is
+    the one `urn_step` makes, so the gains are the same bit for bit.
 
     `run_urn`'s chunk rule keeps both passes short: K at most
     total // (2m) keeps the bounds' spread, m*K, within half the total, so
@@ -176,8 +164,6 @@ def _chunk_gains(comp: np.ndarray, total: int, m: int, us: np.ndarray,
     more than 5 rounds on numpy's stream (`BENCH_urn_rule.json`).
     """
     steps, n = len(us), len(comp)
-    if m * steps <= IN_ORDER_DRAWS:
-        return _in_order(comp, total, m, us, cdf)
     grown = np.arange(0, m * steps, m)
     # row i holds uniform i of every step (the m picks, then the m flips),
     # step j in column j
@@ -263,22 +249,30 @@ def run_urn(urn: UrnState, sampler: np.ndarray, n_steps: int,
     - CHUNK_STEPS: a chunk of a large urn makes about 30 numpy calls
       whatever its size, so within the draw cap the compare budget does
       not shorten a chunk below 1024 steps, as at (3, 8).
-    Each chunk draws its 2m*K uniforms with one call and ends with the
-    checks of `check_urn_invariants`; a violation raises BrokenRun.
+    A chunk of at most `IN_ORDER_DRAWS` draws, which a small urn or a
+    snapshot cut makes, is K `urn_step` calls, where numpy's per-call cost
+    would exceed its few draws; K calls of random(2m) draw what one
+    random(2m*K) does. A larger chunk draws its 2m*K uniforms with one call
+    and is settled by `_chunk_gains`. Each chunk ends with the checks of
+    `check_urn_invariants`; a violation raises BrokenRun.
     """
     m = urn.m
-    comp = np.array(urn.composition, dtype=np.int64)
     longest = min(CHUNK_DRAWS // m, max(
-        CHUNK_STEPS, CHUNK_DRAWS // (max(len(comp) - 1, 1) * m)))
+        CHUNK_STEPS, CHUNK_DRAWS // (max(len(urn.composition) - 1, 1) * m)))
     snapshots, step = [], 0
     for boundary in snapshot_steps(n_steps, snapshot_every):
         while step < boundary:
             total = urn.total
             chunk = max(1, min(total // (2 * m), longest, boundary - step))
-            us = rng.random(chunk * 2 * m).reshape(chunk, 2 * m)
-            comp += _chunk_gains(comp, total, m, us, sampler)
-            urn.composition[:] = comp.tolist()
-            urn.step_index += chunk
+            if m * chunk <= IN_ORDER_DRAWS:
+                for _ in range(chunk):
+                    urn_step(urn, sampler, rng)
+            else:
+                comp = np.array(urn.composition, dtype=np.int64)
+                us = rng.random(chunk * 2 * m).reshape(chunk, 2 * m)
+                comp += _chunk_gains(comp, total, m, us, sampler)
+                urn.composition[:] = comp.tolist()
+                urn.step_index += chunk
             step += chunk
             violations = check_urn_invariants(urn)
             if violations:

@@ -12,7 +12,7 @@ import pytest
 import mtpa
 from mtpa import harness
 from mtpa.cli import main
-from mtpa.config import parse_config
+from mtpa.config import comparison_cutoff, parse_config
 from mtpa.convergence import convergence_series
 from mtpa.degrees import DegreeDistribution
 from mtpa.errors import ValidationError
@@ -22,6 +22,7 @@ from mtpa.harness import (ExperimentConfig, max_workers,
                           run_experiment, tv_distance)
 from mtpa.output import write_csv
 from mtpa.theory import solve_recurrence
+from test_run_urn import spy_chunks
 from test_walk import sort_key
 
 F_NEAR_ID = [[0.9, 0.1], [0.1, 0.9]]
@@ -170,7 +171,7 @@ def small_graph_cfg(**overrides):
 
 def test_run_experiment_graph_report_shape():
     report = run_experiment(small_graph_cfg())
-    assert report.model == "graph"
+    assert report.cfg.model == "graph"
     assert len(report.replicates) == 3
     assert all(0.0 <= r.tv <= 1.0 for r in report.replicates)
     assert 0.0 <= report.mean_tv <= 1.0
@@ -212,7 +213,7 @@ def test_error_table_equals_a_dict_accumulation(tmp_path, monkeypatch,
                               cfg.max_weight).truncated(cfg.cutoff)
     acc = dict.fromkeys(theory.masses, 0.0)
     for index in range(cfg.replicates):
-        _, census = harness._replicate(cfg, index)
+        _, _, census = harness._replicate(cfg, index)
         for d, p in census.masses.items():
             acc[d] = acc.get(d, 0.0) + p
     rows = []
@@ -224,6 +225,29 @@ def test_error_table_equals_a_dict_accumulation(tmp_path, monkeypatch,
                      ["d_1", "d_2", "empirical_mean", "theoretical",
                       "abs_error"], rows)
     assert (out / "errors.csv").read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_table_tvs_equal_tv_distance(tmp_path, monkeypatch, threads):
+    # each TV is read off one table of the theory and all eight censuses;
+    # it must be the pair's own TV bit for bit, though the table holds rows
+    # that the pair lacks
+    monkeypatch.setenv("MTPA_THREADS", threads)
+    path = tmp_path / "light.ini"
+    path.write_text(LIGHTER_THAN_M)
+    cfg = parse_config(path)
+    report = run_experiment(cfg)
+
+    theory = solve_recurrence(cfg.f_matrix, cfg.m_edges,
+                              comparison_cutoff(cfg))
+    censuses = [harness._replicate(cfg, index)[2]
+                for index in range(cfg.replicates)]
+    rows = [set(census.masses) for census in censuses]
+    assert any(row - set(theory.masses) for row in rows)
+    assert any(row - other for row in rows for other in rows)
+    tvs = [tv_distance(census, theory, cfg.cutoff) for census in censuses]
+    assert [r.tv for r in report.replicates] == tvs
+    assert report.mean_tv == float(np.mean(tvs))
 
 
 OVER_CAP = """
@@ -278,7 +302,7 @@ def test_run_experiment_records_tolerance_failures():
 def test_tolerance_equal_to_mean_tv_passes():
     mean_tv = run_experiment(small_graph_cfg()).mean_tv
     report = run_experiment(small_graph_cfg(tv_tolerance=mean_tv))
-    assert report.mean_tv == report.tv_tolerance
+    assert report.mean_tv == report.cfg.tv_tolerance
     assert report.tv_passed and report.passed
     tv_line = next(line for line in report.summary_lines()
                    if line.startswith("mean TV"))
@@ -365,24 +389,19 @@ psi_tolerance = 1.0
 def test_urn_compare_chunks_ignore_snapshot_every(monkeypatch, tmp_path):
     # compare writes no snapshot, so a config's snapshot_every sets neither
     # the urn's stepping chunks nor a byte of the outputs
-    from mtpa import urn as urn_module
-
     monkeypatch.delenv("MTPA_THREADS", raising=False)
-    gains = urn_module._chunk_gains
+    # bound before the spy is set, so the harness's own check of the final
+    # urn is not seen as a chunk
+    harness._load("urn")
     runs = {}
     for every in (1, 3000):
-        sizes = runs[every] = []
-
-        def spied(comp, total, m, us, sampler, sizes=sizes):
-            sizes.append(len(us))
-            return gains(comp, total, m, us, sampler)
-
-        monkeypatch.setattr(urn_module, "_chunk_gains", spied)
         cfg = tmp_path / f"urn{every}.ini"
         cfg.write_text(URN_COMPARE_CFG.format(every=every))
-        run_experiment(parse_config(cfg))
-        assert main(["compare", "--config", str(cfg),
-                     "--out", str(tmp_path / f"out{every}")]) == 0
+        with monkeypatch.context() as patch:
+            runs[every] = spy_chunks(patch)
+            run_experiment(parse_config(cfg))
+            assert main(["compare", "--config", str(cfg),
+                         "--out", str(tmp_path / f"out{every}")]) == 0
     assert runs[1] == runs[3000]
     # the spy saw run_experiment's replicates and the CLI's alike
     assert sum(runs[1]) == 2 * 2 * 3000

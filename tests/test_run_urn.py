@@ -113,9 +113,8 @@ def test_two_calls_in_a_row():
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n, m", ((2, 21), (3, 4), (6, 2)))
 def test_tiny_starting_totals(n, m, seed, monkeypatch):
-    # one ball against m draws per step: chunks stay short and many draws
-    # stay in doubt after the refinement round, so the ordered scalar
-    # resolve carries a large share of them
+    # one ball against m draws per step: the first chunks are short, and
+    # run_urn steps them with urn_step, whose draws are `_draw` calls
     calls = []
     draw = urn_module._draw
 
@@ -225,6 +224,27 @@ def test_fixed_point_on_tiny_urns(n, m, total, stream, monkeypatch):
                              0, make_rng=STREAMS[stream])
 
 
+def test_each_step_goes_through_one_stepper(monkeypatch):
+    # from one ball the first chunks are urn_step calls and the later ones
+    # _chunk_gains calls; between them they make every step once
+    stepped, settled = [], []
+    step, gains = urn_module.urn_step, urn_module._chunk_gains
+
+    def spied_step(urn, sampler, rng):
+        stepped.append(1)
+        return step(urn, sampler, rng)
+
+    def spied_gains(comp, total, m, us, cdf):
+        settled.append(len(us))
+        return gains(comp, total, m, us, cdf)
+
+    monkeypatch.setattr(urn_module, "urn_step", spied_step)
+    monkeypatch.setattr(urn_module, "_chunk_gains", spied_gains)
+    assert_matches_step_loop(flip_matrix(3), [1, 0, 0], 4, 3000, 3000, 0)
+    assert stepped and settled
+    assert len(stepped) + sum(settled) == 3000
+
+
 def test_large_urns_step_without_the_scalar_draw(monkeypatch):
     # from 50,000 balls every chunk is settled by the bounds and the rounds
     calls = []
@@ -243,16 +263,19 @@ def test_large_urns_step_without_the_scalar_draw(monkeypatch):
 # also against the step loop
 
 def spy_chunks(monkeypatch) -> list:
-    """The steps of every chunk `run_urn` hands to `_chunk_gains` from now
-    on, in order."""
-    sizes = []
-    gains = urn_module._chunk_gains
+    """The steps of every chunk `run_urn` steps from now on, in order: how
+    far the `check_urn_invariants` call that ends the chunk finds its urn's
+    step index past the last such call on that urn (past 0 on a new urn)."""
+    sizes, last = [], {}
+    check = urn_module.check_urn_invariants
 
-    def spied(comp, total, m, us, sampler):
-        sizes.append(len(us))
-        return gains(comp, total, m, us, sampler)
+    def spied(urn):
+        # the urn is kept beside its last index, so no later urn has its id
+        sizes.append(urn.step_index - last.get(id(urn), (urn, 0))[1])
+        last[id(urn)] = (urn, urn.step_index)
+        return check(urn)
 
-    monkeypatch.setattr(urn_module, "_chunk_gains", spied)
+    monkeypatch.setattr(urn_module, "check_urn_invariants", spied)
     return sizes
 
 

@@ -14,18 +14,17 @@ chunk at 1000 steps at most; an E of S or more leaves the chunks to
 root; E,E_B gives each root its own, so `. . --snapshot-every 1000,50000`
 times one checkout cut and uncut, and `OLD NEW --snapshot-every
 1000,50000` an old checkout cut at the `urn_compare` config's 1000, as its
-`compare` stepped, against a new one uncut. Each round times every root
-once, in turn, the first root first in even rounds and last in odd ones,
-so a host whose speed drifts weighs on both alike. Each root's row gives
-the median and the best round in microseconds per step; with two roots,
-`pairs_won` counts the rounds each root was faster in (a tie counts for
-neither).
+`compare` stepped, against a new one uncut. The rounds alternate the roots
+(`tools/rounds.py`). Each root's row gives the median and the best round in
+microseconds per step; with two roots, `pairs_won` counts the rounds each
+root was faster in (a tie counts for neither), and `worst_ratio` is the
+largest ratio of the second root's time to the first's.
 The flip matrix is 0.6 on the diagonal and the rest spread evenly, so
 every draw can flip. Each size's rounds follow one untimed run per root.
 Where a checkout steps in chunks (it has `urn._chunk_gains`), that run
-counts the share of draws stepped in order by the scalar `urn._draw`, in
-chunks of at most `urn.IN_ORDER_DRAWS` draws (the fixed point never calls
-it), which its row gives as `in_order_share`.
+counts the share of draws made by the scalar `urn._draw`, which the steps
+of chunks of at most `urn.IN_ORDER_DRAWS` draws make one at a time (the
+fixed point never calls it), and its row gives it as `in_order_share`.
 """
 from __future__ import annotations
 
@@ -34,9 +33,9 @@ import importlib
 import importlib.util
 import json
 import os
-import statistics
 import sys
-import time
+
+from rounds import alternate, summary
 
 SIZES = ((2, 1), (2, 2), (3, 2), (3, 4), (3, 8), (4, 2), (5, 2))
 
@@ -92,7 +91,7 @@ def main() -> int:
            "snapshot_every": every, "start": args.start,
            "sizes": {}}
     for n, m in SIZES:
-        row = {label: {} for label in labels}
+        shares = {}
         for label in labels:
             # an untimed first run, which counts the scalar draws where it can
             urn_module = modules[label][0]
@@ -111,22 +110,12 @@ def main() -> int:
                 go(label, n, m, 0)
             finally:
                 urn_module._draw = draw
-            row[label]["in_order_share"] = calls[0] / (args.steps * m)
-        times = {label: [] for label in labels}
-        for seed in range(args.rounds):
-            for label in (labels if seed % 2 == 0 else labels[::-1]):
-                start = time.perf_counter()
-                go(label, n, m, seed)
-                times[label].append(time.perf_counter() - start)
-        for label in labels:
-            row[label].update(
-                median_us_per_step=statistics.median(times[label])
-                / args.steps * 1e6,
-                best_us_per_step=min(times[label]) / args.steps * 1e6)
-        if len(labels) == 2:
-            pairs = list(zip(times["a"], times["b"]))
-            row["pairs_won"] = {"a": sum(a < b for a, b in pairs),
-                                "b": sum(b < a for a, b in pairs)}
+            shares[label] = calls[0] / (args.steps * m)
+        times = alternate(labels, args.rounds,
+                          lambda label, seed: go(label, n, m, seed))
+        row = summary(times, "us_per_step", 1e6 / args.steps)
+        for label, share in shares.items():
+            row[label]["in_order_share"] = share
         out["sizes"][f"N={n},m={m}"] = row
     print(json.dumps(out))
     return 0
