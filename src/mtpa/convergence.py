@@ -7,7 +7,6 @@ alone, so this module imports neither `graph` nor `urn`.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from functools import partial
@@ -17,8 +16,7 @@ import numpy as np
 from .config import GRAPH, ExperimentConfig, comparison_cutoff, snapshot_steps
 from .errors import ValidationError
 from .harness import map_replicates, psi_error, simulate, tv_distance
-from .theory import (_compositions, solve_recurrence,
-                     stationary_type_distribution)
+from .theory import solve_recurrence, stationary_type_distribution
 
 
 def exact_no_edge_probability(d, num_edges_prev: int, m: int) -> float:
@@ -39,79 +37,47 @@ def exact_no_edge_probability(d, num_edges_prev: int, m: int) -> float:
     return (1.0 - s / (2.0 * num_edges_prev)) ** m
 
 
-def attachment_probability_term(d_prev, assignment, num_edges_prev: int,
-                                m: int, type_flip_matrix) -> float:
-    """Probability of one specific (initial type -> final type) assignment.
-
-    `assignment[k][l]` counts new edges that landed on the vertex (degree
-    `d_prev` before the step) with initial type k flipped to final type l.
-    The remaining m - s(assignment) draws all miss the vertex.
-    """
-    d_prev = tuple(d_prev)
-    cell = np.asarray(assignment, dtype=np.int64)
-    n = len(d_prev)
-    if cell.shape != (n, n) or np.any(cell < 0):
-        raise ValidationError(f"assignment must be {n}x{n} nonnegative integers")
-    total_new = int(cell.sum())
-    if total_new > m:
-        raise ValidationError(f"assignment places {total_new} edges, step has {m}")
-    if any(v < 0 for v in d_prev):
-        raise ValidationError("degree entries must be nonnegative")
-    s_prev = sum(d_prev)
-    if num_edges_prev < 1 or 2 * num_edges_prev < s_prev:
-        raise ValidationError("need 2*num_edges_prev >= weight of d_prev")
-    flip = np.asarray(type_flip_matrix, dtype=float)
-    two_e = 2.0 * num_edges_prev
-    value = _cells_product(
-        float(math.factorial(m) // math.factorial(m - total_new)),
-        cell.tolist(), [v / two_e for v in d_prev], flip)
-    return value * (1.0 - s_prev / two_e) ** (m - total_new)
-
-
-def _cells_product(value: float, assignment, weights, flip) -> float:
-    # value * prod over cells c = assignment[k][l] > 0 of
-    # (weights[k] * F[k, l])**c / c!, one cell at a time
-    n = len(weights)
-    for k in range(n):
-        for l in range(n):
-            c = assignment[k][l]
-            if c:
-                value /= math.factorial(c)
-                value *= (weights[k] * flip[k, l]) ** c
-    return value
-
-
-def _assignments_with_gains(gained) -> list:
-    # all nonnegative integer matrices whose column sums equal `gained`,
-    # each column's splits in lexicographic order
-    n = len(gained)
-    layers = [list(zip(*degrees.tolist()))
-              for degrees, _ in _compositions(n, 0, max(gained))]
-    per_column = [layers[g] for g in gained]
-    out = []
-    for cols in itertools.product(*per_column):
-        out.append(tuple(tuple(cols[l][k] for l in range(n)) for k in range(n)))
-    return out
-
-
 def exact_attachment_probability(d_prev, gained, num_edges_prev: int, m: int,
                                  type_flip_matrix) -> float:
     """Probability that a vertex of degree d_prev gains exactly `gained`.
 
-    `gained[l]` counts new incident edges of final type l. Sums the
-    single-assignment terms over every way of attributing the gains to
-    initial types.
+    `gained[l]` counts new incident edges of final type l. Each of the m
+    draws misses the vertex with probability miss = 1 - s(d_prev) / (2 |E|)
+    or adds a type-l edge with probability h_l / (2 |E|), h = d_prev F, so
+    the gain is multinomial: m! / (m - k)! * miss**(m - k) * prod_l
+    (h_l / (2 |E|))**g_l / g_l!, with k = s(gained). The last gained type's
+    factor h_l / (2 |E|) is summed over initial types from the last down,
+    with the rest of the product in each term.
     """
+    d_prev = tuple(d_prev)
     gained = tuple(int(g) for g in gained)
     if any(g < 0 for g in gained):
         raise ValidationError("gained entries must be nonnegative")
-    if sum(gained) > m:
-        raise ValidationError(f"cannot gain {sum(gained)} edges in a step of {m}")
+    k = sum(gained)
+    if k > m:
+        raise ValidationError(f"cannot gain {k} edges in a step of {m}")
+    if len(gained) != len(d_prev):
+        raise ValidationError(f"gained has {len(gained)} entries for "
+                              f"{len(d_prev)} types")
+    if any(v < 0 for v in d_prev):
+        raise ValidationError("degree entries must be nonnegative")
+    if num_edges_prev < 1 or 2 * num_edges_prev < sum(d_prev):
+        raise ValidationError("need 2*num_edges_prev >= weight of d_prev")
+    two_e = 2.0 * num_edges_prev
+    miss = (1.0 - sum(d_prev) / two_e) ** (m - k)
+    if k == 0:
+        return miss
+    flip = np.asarray(type_flip_matrix, dtype=float)
+    weights = [v / two_e for v in d_prev]
+    rates = np.asarray(weights) @ flip
+    last = max(l for l, g in enumerate(gained) if g)
+    prefix = (math.factorial(m) // math.factorial(m - k)
+              / math.prod(map(math.factorial, gained)))
+    for l, g in enumerate(gained):
+        prefix *= rates[l] ** (g - (l == last))
     total = 0.0
-    for assignment in _assignments_with_gains(gained):
-        total += attachment_probability_term(d_prev, assignment,
-                                             num_edges_prev, m,
-                                             type_flip_matrix)
+    for j in reversed(range(len(d_prev))):
+        total += prefix * (weights[j] * flip[j, last]) * miss
     return total
 
 

@@ -249,7 +249,7 @@ def test_criterion_6_gain_law_equals_outcome_tree():
                         worst = max(worst, abs(value - law.get(gained, 0.0)))
                         instances += 1
     elapsed = time.perf_counter() - start
-    check(6, "assignment-sum equals outcome tree",
+    check(6, "gain law equals outcome tree",
           worst < 1e-12 and elapsed < 10.0,
           f"max |formula - tree| {worst:.2e} over {instances} instances, "
           f"{elapsed:.2f}s")

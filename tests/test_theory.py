@@ -2,7 +2,8 @@
 
 The oracles here never call the code paths they check: the single-type
 closed form comes from telescoping the recurrence by hand, and attachment
-probabilities are recomputed by enumerating the full per-step outcome tree.
+probabilities are recomputed by enumerating the full per-step outcome tree
+and, term by term, by summing over every initial -> final type assignment.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ import pytest
 
 from mtpa import theory
 from mtpa.config import ExperimentConfig
-from mtpa.convergence import (attachment_probability_term,
-                              convergence_series, edge_gain_rate_limit,
+from mtpa.convergence import (convergence_series, edge_gain_rate_limit,
                               exact_attachment_probability,
                               exact_no_edge_probability)
 from mtpa.errors import (NoConvergence, NotIrreducible, NotStochastic,
@@ -71,6 +71,32 @@ def brute_force_gain_law(d_prev, num_edges, m, flip):
         key = tuple(gains)
         law[key] = law.get(key, 0.0) + prob
     return law
+
+
+def assignment_sum_gain_law(d_prev, gained, num_edges, m, flip) -> float:
+    """P(gain exactly `gained`) summed over every N x N assignment matrix
+    whose entry (k, l) counts new edges of initial type k and final type l
+    and whose column sums are `gained`, each column's splits in the
+    recursive enumerator's order. Each term multiplies m! / (m - k)! by
+    (d_k F[k, l] / (2 |E|))**c / c! over its cells c in row order, then by
+    the miss factor (1 - s(d_prev) / (2 |E|))**(m - k)."""
+    n = len(d_prev)
+    flip = np.asarray(flip, dtype=float)
+    two_e = 2.0 * num_edges
+    weights = [v / two_e for v in d_prev]
+    k = sum(gained)
+    total = 0.0
+    for cols in itertools.product(*(compositions_of_weight(g, n)
+                                    for g in gained)):
+        value = float(math.factorial(m) // math.factorial(m - k))
+        for row in range(n):
+            for l in range(n):
+                c = cols[l][row]
+                if c:
+                    value /= math.factorial(c)
+                    value *= (weights[row] * flip[row, l]) ** c
+        total += value * (1.0 - sum(d_prev) / two_e) ** (m - k)
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -316,9 +342,11 @@ def test_no_edge_probability_hand_values():
 
 
 def test_zero_assignment_reduces_to_no_edge_probability():
-    zero = [[0, 0], [0, 0]]
-    value = attachment_probability_term((2, 1), zero, 10, 3, F_NEAR_ID)
-    assert abs(value - exact_no_edge_probability((2, 1), 10, 3)) < 1e-15
+    # the zero gain, whose one assignment is the zero matrix
+    for d_prev, m in (((2, 1), 3), ((0, 0), 2), ((5,), 1), ((1, 0, 4), 4)):
+        zero = (0,) * len(d_prev)
+        assert (exact_attachment_probability(d_prev, zero, 10, m, np.eye(
+            len(d_prev))) == exact_no_edge_probability(d_prev, 10, m))
 
 
 def test_single_gain_hand_value():
@@ -327,14 +355,22 @@ def test_single_gain_hand_value():
     assert abs(value - 0.05) < 1e-15
 
 
-def test_assignment_matrix_validation():
+def test_attachment_probability_validation():
     with pytest.raises(ValidationError,
-                       match="^assignment places 3 edges, step has 2$"):
-        attachment_probability_term((1, 1), [[2, 0], [0, 1]], 10, 2, F_NEAR_ID)
+                       match="^cannot gain 3 edges in a step of 2$"):
+        exact_attachment_probability((1, 1), (2, 1), 10, 2, F_NEAR_ID)
     with pytest.raises(ValidationError,
-                       match="^assignment must be 2x2 nonnegative integers$"):
-        attachment_probability_term((1, 1), [[-1, 0], [0, 0]], 10, 2,
-                                    F_NEAR_ID)
+                       match="^gained entries must be nonnegative$"):
+        exact_attachment_probability((1, 1), (-1, 1), 10, 2, F_NEAR_ID)
+    with pytest.raises(ValidationError,
+                       match="^degree entries must be nonnegative$"):
+        exact_attachment_probability((-1, 2), (1, 0), 10, 2, F_NEAR_ID)
+    with pytest.raises(ValidationError,
+                       match="^need 2\\*num_edges_prev >= weight of d_prev$"):
+        exact_attachment_probability((3, 2), (1, 0), 2, 2, F_NEAR_ID)
+    with pytest.raises(ValidationError,
+                       match="^gained has 3 entries for 2 types$"):
+        exact_attachment_probability((1, 1), (1, 0, 0), 10, 2, F_NEAR_ID)
 
 
 FLIPS = {
@@ -372,6 +408,28 @@ def test_gain_law_sums_to_one_over_all_gains():
             total += exact_attachment_probability(d_prev, gained, 10, 3,
                                                   F_NEAR_ID)
     assert abs(total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_gain_law_matches_the_assignment_sum(n):
+    # bit for bit where at most one edge is gained, which is all np_el reads
+    rng = np.random.default_rng(31 + n)
+    for m in range(1, 5):
+        for _ in range(4):
+            flip = rng.random((n, n))
+            flip /= flip.sum(axis=1, keepdims=True)
+            d_prev = tuple(int(v) for v in rng.integers(0, 6, n))
+            num_edges = max(1, -(-sum(d_prev) // 2)) + int(rng.integers(0, 20))
+            for s in range(m + 1):
+                for gained in compositions_of_weight(s, n):
+                    value = exact_attachment_probability(
+                        d_prev, gained, num_edges, m, flip)
+                    want = assignment_sum_gain_law(d_prev, gained,
+                                                   num_edges, m, flip)
+                    if s <= 1:
+                        assert value == want
+                    else:
+                        assert abs(value - want) <= 1e-14 * want
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,6 @@ give the same report as one solve per psi sample.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
 
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 
 from mtpa import harness, theory
-from mtpa.convergence import _assignments_with_gains
 from mtpa.errors import NoConvergence, ValidationError
 from mtpa.harness import ExperimentConfig, perturbed_vs_unperturbed_study
 from mtpa.theory import solve_recurrence, solve_unperturbed_recurrence
@@ -204,15 +202,6 @@ def test_links_point_at_the_predecessors(n):
                                                              layers[2:]):
         assert np.array_equal(degrees, want_degrees)
         assert np.array_equal(links, want_links)
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_assignments_follow_the_recursive_enumerator(n):
-    for gained in (g for s in range(6) for g in compositions_of_weight(s, n)):
-        per_column = [list(compositions_of_weight(g, n)) for g in gained]
-        want = [tuple(tuple(cols[l][k] for l in range(n)) for k in range(n))
-                for cols in itertools.product(*per_column)]
-        assert _assignments_with_gains(gained) == want
 
 
 def test_layers_come_in_sort_key_order():

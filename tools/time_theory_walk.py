@@ -15,9 +15,7 @@ asked, milliseconds per psi sample. The R rounds alternate the roots
 gives the median and the best round; with two roots, `pairs_won` counts the
 rounds each root was faster in (a tie counts for neither), and
 `worst_ratio` is the largest ratio of the second root's time to the
-first's over the rounds. A solver that caches its lattice
-between calls has the cache cleared before each call, so every call costs
-what one command-line solve costs.
+first's over the rounds.
 """
 from __future__ import annotations
 
